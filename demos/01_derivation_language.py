@@ -3,7 +3,9 @@
 Answers are small programs: arithmetic over written decimals, a len() call
 for counting, and bracketed string lists for span or clarification answers.
 Everything numeric runs in exact rational arithmetic and is rendered to a
-decimal string only at the very end.
+decimal string only at the very end. Executing a derivation yields the
+canonical answer itself (NumericAnswer, CountAnswer or SpanSetAnswer), the
+same objects that voting groups and the metrics score.
 """
 
 from fractions import Fraction
@@ -22,18 +24,25 @@ source = "(36.6-20.5)/20.5"
 print("source:   ", source)
 print("tokens:   ", [t.text for t in tokenize(source)])
 result = execute_source(source)
-print("exact:    ", result.value.value)          # Fraction(161, 205)
-print("rendered: ", result.value.rendered)       # 0.7854 (4 places, half away from zero)
+print("answer:   ", result.value)                # NumericAnswer(value=Fraction(161, 205))
+print("rendered: ", result.value.rendered())     # 0.7854 (4 places, half away from zero)
 
 # Counting is a len() call over a string list.
 print()
 count = execute_source('len(["Americas", "EMEA", "Asia Pacific"])')
 print("count:    ", count.value.count)
+print("vote key: ", count.value.key())           # ('num', Fraction(3, 1)): a count votes with the number 3
+print("log entry:", count.value.describe())
+
+# A span list keeps its items as written.
+print()
+spans = execute_source('["EMEA", "Americas"]').value
+print("spans:    ", spans.text_spans(), " vote key:", spans.key())
 
 # Digit-grouping commas merge into numerals outside lists.
 print()
 grouped = execute_source("3,711 + 4,801 + 1,882")
-print("3,711 + 4,801 + 1,882 =", grouped.value.rendered)
+print("3,711 + 4,801 + 1,882 =", grouped.value.rendered())
 
 # Two derivations with the same value collide exactly, not approximately.
 print()
@@ -46,7 +55,7 @@ assert a == b == Fraction(-17, 105)
 print()
 for places in (2, 4, 6):
     config = EvalConfig(render_precision=places)
-    print(f"precision {places}:", execute_source(source, config).value.rendered)
+    print(f"precision {places}:", result.value.rendered(config))
 
 # Parsing is strict: only this grammar runs, nothing else.
 print()

@@ -1,10 +1,10 @@
 """Consensus voting over sampled decodes.
 
 Forty sampled outputs per turn; each is executed to a canonical answer and
-equal answers pool their votes. Wrong derivations scatter across values
-while correct ones (in any operand order) pile onto one group. When the
-question is ambiguous the samples fail to agree on any single calculation
-and the clarification question tends to win the plurality.
+answers with the same vote key pool their votes. Wrong derivations scatter
+across values while correct ones (in any operand order) pile onto one group.
+When the question is ambiguous the samples fail to agree on any single
+calculation and the clarification question tends to win the plurality.
 """
 
 from pcqa import SampleSet, consensus_vote, greedy_select
@@ -40,4 +40,4 @@ print("winner:", vote2.winner.question)
 # The full tally table, serialized the way run logs record it.
 print()
 for entry in vote2.to_record()["tallies"]:
-    print(f"{entry['votes']:>3} votes  {entry['answer']}")
+    print(f"{entry['votes']:>3} votes  {entry['answer']}  first sample: {entry['exemplar']}")

@@ -3,7 +3,9 @@
 Exact match is strict (currency symbols and scale words count); the
 numeracy-focused F1 forgives presentation but zeroes out numeric mistakes;
 clarifying turns additionally get ROUGE-2 and token F1; everything rolls up
-into one report with a type-by-source grid.
+into one report with a type-by-source grid. A gold annotation compiles once
+to the same answer types a prediction executes to, so both sides are
+compared through the same text spans.
 """
 
 from fractions import Fraction
@@ -18,6 +20,7 @@ from pcqa import (
     classification_prf,
     exact_match,
     numeracy_f1,
+    record_scores,
     rouge2_f1,
 )
 
@@ -51,6 +54,9 @@ print("ROUGE-2:", rouge2_f1("which year are you asking about",
 print("CNP PRF:", classification_prf([True, True, False, False],
                                      [True, False, True, False]))
 
+# The gold side of a turn is a canonical answer too.
+print("gold spans:", g.canonical.text_spans(), " as said to the user:", g.response_text())
+
 # A small end-to-end report.
 records = [
     PredictionRecord(
@@ -76,6 +82,7 @@ records = [
         clarification_pred=False,
     ),
 ]
-report = aggregate_report(records)
+# Each turn is scored once; the report sums those scores.
+report = aggregate_report([(r, *record_scores(r)) for r in records])
 print()
 print(report.format_text())

@@ -71,6 +71,7 @@ from .metrics import (
     classification_prf,
     exact_match,
     numeracy_f1,
+    record_scores,
     rouge1_recall,
     rouge2_f1,
 )

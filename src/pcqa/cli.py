@@ -10,13 +10,7 @@ import json
 import sys
 
 from .corpus import CorpusExpectations, CorpusError, load_corpus, validate_corpus
-from .derivation import (
-    CountValue,
-    DerivationError,
-    EvalConfig,
-    NumericValue,
-    execute_source,
-)
+from .derivation import DerivationError, EvalConfig, SpanSetAnswer, execute_source
 from .generation import GenerationError, HttpGenerator, ReplayGenerator, TransportError
 from .metrics import EmptyRecordSet, MetricReport
 from .runner import CV, RunConfig, UnknownTurnId, run_eval, score_predictions, write_jsonl
@@ -113,14 +107,9 @@ def cmd_validate(args: argparse.Namespace, config: EvalConfig) -> int:
 
 
 def cmd_eval_derivation(args: argparse.Namespace, config: EvalConfig) -> int:
-    result = execute_source(args.expression, config)
-    value = result.value
-    if isinstance(value, NumericValue):
-        print(value.rendered)
-    elif isinstance(value, CountValue):
-        print(value.count)
-    else:
-        print(json.dumps(list(value.items)))
+    answer = execute_source(args.expression).value
+    spans = answer.text_spans(config)
+    print(json.dumps(spans) if isinstance(answer, SpanSetAnswer) else spans[0])
     return EXIT_OK
 
 

@@ -35,16 +35,17 @@ from typing import Any
 
 from .derivation import (
     DEFAULT_CONFIG,
+    CanonicalAnswer,
+    ClarifyAnswer,
     DerivationError,
     EvalConfig,
-    ExecutionResult,
-    NumericValue,
+    NumericAnswer,
+    SpanSetAnswer,
     StringList,
     UnreconstructibleDerivation,
     execute_source,
     parse_source,
     render,
-    render_decimal,
 )
 from .linearize import (
     ConversationHistory,
@@ -84,7 +85,12 @@ class InvariantViolation(CorpusError):
 
 @dataclass(frozen=True)
 class GoldTurnAnswer:
-    """Gold annotation for one turn."""
+    """Gold annotation for one turn.
+
+    `canonical` is the annotation compiled once, at construction, to the
+    answer type that executing a prediction yields, so scoring compares
+    like with like and never re-parses the gold answer.
+    """
 
     answer_type: str
     answer: Any  # str, number, or list of span strings
@@ -93,6 +99,18 @@ class GoldTurnAnswer:
     source: str
     req_clari: bool
     clarification_question: str
+    canonical: CanonicalAnswer = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.req_clari:
+            canonical = ClarifyAnswer(self.clarification_question)
+        elif self.answer_type not in ("arithmetic", "count"):
+            canonical = SpanSetAnswer(tuple(self.span_values()))
+        elif (value := self.numeric_value()) is not None:
+            canonical = NumericAnswer(value)
+        else:
+            canonical = SpanSetAnswer((normalize_whitespace(str(self.answer)),))
+        object.__setattr__(self, "canonical", canonical)
 
     def span_values(self) -> list[str]:
         if isinstance(self.answer, list):
@@ -121,21 +139,12 @@ class GoldTurnAnswer:
         return [item for item in items if item]
 
     def response_text(self, config: EvalConfig = DEFAULT_CONFIG) -> str:
-        """The gold response as shown to the user (used for gold history)."""
-        if self.req_clari:
-            return self.clarification_question
-        if self.answer_type in ("arithmetic", "count"):
-            value = self.numeric_value()
-            text = (
-                render_decimal(value, config.render_precision)
-                if value is not None
-                else normalize_whitespace(str(self.answer))
-            )
-        else:
-            text = ", ".join(self.span_values())
-        if self.scale:
-            text = f"{text} {self.scale}"
-        return text
+        """The gold response as shown to the user (used for gold history).
+
+        A clarifying question is said without the turn's scale word.
+        """
+        text = self.canonical.text(config)
+        return f"{text} {self.scale}" if self.scale and not self.req_clari else text
 
 
 @dataclass(frozen=True)
@@ -217,11 +226,9 @@ def _load_block_document(block: dict, where: str, documents: dict[str, HybridDoc
     paragraphs = block.get("paragraphs", [])
     if not isinstance(paragraphs, list):
         raise SchemaError(f"{where}.paragraphs", "paragraphs must be a list")
-    texts = []
-    for p in sorted(paragraphs, key=lambda p: p.get("order", 0)):
-        if not isinstance(p, dict) or "text" not in p:
-            raise SchemaError(f"{where}.paragraphs", "each paragraph needs a text field")
-        texts.append(str(p["text"]))
+    if not all(isinstance(p, dict) and "text" in p for p in paragraphs):
+        raise SchemaError(f"{where}.paragraphs", "each paragraph needs a text field")
+    texts = [str(p["text"]) for p in _by_order(paragraphs, f"{where}.paragraphs")]
     try:
         doc = HybridDocument.from_raw(uid, texts, cells)
     except (ValueError, LinearizeError) as err:
@@ -240,11 +247,11 @@ def _load_block_dialogue(
         raise SchemaError(where, "block must carry a non-empty questions list")
     dialogue_id = str(block.get("uid") or doc_uid)
     turns: list[DialogueTurn] = []
-    ordered = sorted(questions, key=lambda q: q.get("order", 0))
-    for j, q in enumerate(ordered):
-        qwhere = f"{where}.questions[{j}]"
+    for j, q in enumerate(questions):
         if not isinstance(q, dict):
-            raise SchemaError(qwhere, "question must be an object")
+            raise SchemaError(f"{where}.questions[{j}]", "question must be an object")
+    for j, q in enumerate(_by_order(questions, f"{where}.questions")):
+        qwhere = f"{where}.questions[{j}]"
         for key in ("uid", "order", "question", "answer", "answer_type", "answer_from"):
             if key not in q:
                 raise SchemaError(qwhere, f"missing field {key!r}")
@@ -296,6 +303,13 @@ def _load_block_dialogue(
     if doc_uid not in documents:
         raise InvariantViolation(dialogue_id, f"dialogue references missing document {doc_uid!r}")
     return Dialogue(dialogue_id=dialogue_id, doc_uid=doc_uid, turns=tuple(turns))
+
+
+def _by_order(entries: list[dict], where: str) -> list[dict]:
+    try:
+        return sorted(entries, key=lambda e: e.get("order", 0))
+    except TypeError as err:
+        raise SchemaError(where, f"order values cannot be compared: {err}") from err
 
 
 @dataclass(frozen=True)
@@ -443,12 +457,17 @@ class CorpusExpectations:
     avg_words_per_answer: float | None = None
     by_type: dict[str, int] = field(default_factory=dict)
     by_source: dict[str, int] = field(default_factory=dict)
-    total_questions: int | None = None
 
     @classmethod
     def from_obj(cls, raw: dict) -> "CorpusExpectations":
+        """Read an expectations object; the key "total_questions" stands for turns."""
+        if not isinstance(raw, dict):
+            raise SchemaError("expectations", "expected statistics must be a JSON object")
         known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in raw.items() if k in known})
+        fields = {k: v for k, v in raw.items() if k in known}
+        if "turns" not in fields and "total_questions" in raw:
+            fields["turns"] = raw["total_questions"]
+        return cls(**fields)
 
 
 @dataclass
@@ -505,24 +524,23 @@ def validate_corpus(
                 continue
             arithmetic += 1
             try:
-                result = _execute_gold(gold, config)
+                result = execute_source(reconstruct_code(gold))
             except DerivationError as err:
                 findings.append(Finding("UnreconstructibleDerivation", turn.turn_id, str(err)))
                 continue
-            gold_value = gold.numeric_value()
-            if gold_value is None:
+            if not isinstance(gold.canonical, NumericAnswer):
                 findings.append(
                     Finding("ExecutionMismatch", turn.turn_id, "gold answer is not numeric")
                 )
                 continue
-            assert isinstance(result.value, NumericValue)
-            rendered_gold = render_decimal(gold_value, config.render_precision)
-            if result.value.rendered != rendered_gold:
+            executed = result.value.text(config)
+            rendered_gold = gold.canonical.rendered(config)
+            if executed != rendered_gold:
                 findings.append(
                     Finding(
                         "ExecutionMismatch",
                         turn.turn_id,
-                        f"derivation executes to {result.value.rendered}, gold is {rendered_gold}",
+                        f"derivation executes to {executed}, gold is {rendered_gold}",
                     )
                 )
             else:
@@ -536,10 +554,6 @@ def validate_corpus(
         arithmetic_turns=arithmetic,
         validated_arithmetic_turns=validated,
     )
-
-
-def _execute_gold(gold: GoldTurnAnswer, config: EvalConfig) -> ExecutionResult:
-    return execute_source(reconstruct_code(gold), config)
 
 
 def _diff_stats(stats: CorpusStats, expected: CorpusExpectations) -> list[Finding]:
@@ -558,7 +572,6 @@ def _diff_stats(stats: CorpusStats, expected: CorpusExpectations) -> list[Findin
     check("avg_turns_per_dialogue", stats.avg_turns_per_dialogue, expected.avg_turns_per_dialogue, 1)
     check("avg_words_per_question", stats.avg_words_per_question, expected.avg_words_per_question, 1)
     check("avg_words_per_answer", stats.avg_words_per_answer, expected.avg_words_per_answer, 1)
-    check("total_questions", stats.turns, expected.total_questions)
     for answer_type, want in expected.by_type.items():
         check(f"by_type[{answer_type}]", stats.type_total(answer_type), want)
     for source, want in expected.by_source.items():
@@ -583,10 +596,20 @@ def load_release_file(path: str | Path, split: str = "") -> Corpus:
         raise SchemaError(str(path), "release file must be a list of blocks")
     blocks = []
     for i, item in enumerate(raw):
+        where = f"{path}[{i}]"
+        if not isinstance(item, dict):
+            raise SchemaError(where, "release block must be an object")
         table = item.get("table", {})
+        if not isinstance(table, dict):
+            raise SchemaError(f"{where}.table", "table must be an object")
         cells = table.get("table", table.get("cells", []))
+        release_questions = item.get("questions", [])
+        if not isinstance(release_questions, list) or not all(
+            isinstance(q, dict) for q in release_questions
+        ):
+            raise SchemaError(f"{where}.questions", "questions must be a list of objects")
         questions = []
-        for j, q in enumerate(item.get("questions", [])):
+        for j, q in enumerate(release_questions):
             req_clari = bool(q.get("req_clari", False)) or q.get("answer_type") == "clarification"
             questions.append(
                 {

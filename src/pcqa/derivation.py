@@ -7,6 +7,12 @@ lists. This module defines that language and executes it with exact rational
 arithmetic, so that derivations which are algebraically equal ("(88-105)/105"
 vs "88/105-1") produce identical values.
 
+Execution yields the canonical answer directly: a `NumericAnswer`,
+`CountAnswer` or `SpanSetAnswer` (`ClarifyAnswer` is the fourth kind, made by
+voting from a clarifying decode and by the corpus from a clarifying gold
+turn). Each answer knows its vote key, its text spans at a rendering
+precision and its log description; numbers are rendered only when asked.
+
 Grammar:
 
     TopLevel := Expr | List | "len" "(" List ")"
@@ -24,10 +30,12 @@ function calls other than ``len``.
 
 from __future__ import annotations
 
+import re
+import string
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Union
 
 
 class DerivationError(Exception):
@@ -400,13 +408,10 @@ class EvalConfig:
 
     render_precision: int = 4
     numeric_tolerance: float = 1e-9
-    division_by_zero: str = "error"
 
     def __post_init__(self):
         if not 0 <= self.render_precision <= 10:
             raise ValueError("render_precision must be in [0, 10]")
-        if self.division_by_zero != "error":
-            raise ValueError("division by zero policy is fixed to 'error'")
 
 
 DEFAULT_CONFIG = EvalConfig()
@@ -443,43 +448,110 @@ def numbers_equal(a: Fraction, b: Fraction, config: EvalConfig = DEFAULT_CONFIG)
     return render_decimal(a, config.render_precision) == render_decimal(b, config.render_precision)
 
 
-@dataclass(frozen=True)
-class NumericValue:
+_PUNCT = re.compile("[" + re.escape(string.punctuation) + "]")
+_WS = re.compile(r"\s+")
+
+
+def normalize_answer_text(text: str) -> str:
+    """Lowercase, strip punctuation, collapse whitespace."""
+    return _WS.sub(" ", _PUNCT.sub("", text.lower())).strip()
+
+
+class _Answer:
+    __slots__ = ()
+
+    def text(self, config: EvalConfig = DEFAULT_CONFIG) -> str:
+        """The answer as said to the user: its text spans joined by ", "."""
+        return ", ".join(self.text_spans(config))
+
+
+@dataclass(frozen=True, slots=True)
+class NumericAnswer(_Answer):
     value: Fraction
-    rendered: str
+
+    def key(self) -> tuple:
+        """Vote key; a count with the same value shares it."""
+        return ("num", self.value)
+
+    def rendered(self, config: EvalConfig = DEFAULT_CONFIG) -> str:
+        return render_decimal(self.value, config.render_precision)
+
+    def text_spans(self, config: EvalConfig = DEFAULT_CONFIG) -> list[str]:
+        return [self.rendered(config)]
+
+    def describe(self, config: EvalConfig = DEFAULT_CONFIG) -> dict:
+        return {"kind": "number", "value": str(self.value), "rendered": self.rendered(config)}
 
 
-@dataclass(frozen=True)
-class SpanListValue:
-    items: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class CountValue:
+@dataclass(frozen=True, slots=True)
+class CountAnswer(_Answer):
     count: int
 
+    def key(self) -> tuple:
+        # "len([...])" and a numeral with the same value are one answer.
+        return ("num", Fraction(self.count))
 
-ResultValue = Union[NumericValue, SpanListValue, CountValue]
+    def text_spans(self, config: EvalConfig = DEFAULT_CONFIG) -> list[str]:
+        return [str(self.count)]
+
+    def describe(self, config: EvalConfig = DEFAULT_CONFIG) -> dict:
+        return {"kind": "count", "value": self.count}
+
+
+@dataclass(frozen=True, slots=True)
+class SpanSetAnswer(_Answer):
+    """Spans as produced; the vote key ignores their order, case and punctuation."""
+
+    spans: tuple[str, ...]
+
+    def normalized(self) -> tuple[str, ...]:
+        return tuple(sorted(normalize_answer_text(s) for s in self.spans))
+
+    def key(self) -> tuple:
+        return ("spans", self.normalized())
+
+    def text_spans(self, config: EvalConfig = DEFAULT_CONFIG) -> list[str]:
+        return list(self.spans)
+
+    def describe(self, config: EvalConfig = DEFAULT_CONFIG) -> dict:
+        return {"kind": "spans", "value": list(self.spans)}
+
+
+@dataclass(frozen=True, slots=True)
+class ClarifyAnswer(_Answer):
+    question: str
+
+    def normalized(self) -> str:
+        return normalize_answer_text(self.question)
+
+    def key(self) -> tuple:
+        return ("clarify", self.normalized())
+
+    def text_spans(self, config: EvalConfig = DEFAULT_CONFIG) -> list[str]:
+        return [self.question]
+
+    def describe(self, config: EvalConfig = DEFAULT_CONFIG) -> dict:
+        return {"kind": "clarify", "value": self.question}
+
+
+CanonicalAnswer = Union[NumericAnswer, CountAnswer, SpanSetAnswer, ClarifyAnswer]
 
 
 @dataclass(frozen=True)
 class ExecutionResult:
-    value: ResultValue
+    value: CanonicalAnswer
     source: str
 
 
-def evaluate(
-    expr: DerivationExpr, config: EvalConfig = DEFAULT_CONFIG, source: str | None = None
-) -> ExecutionResult:
+def evaluate(expr: DerivationExpr, source: str | None = None) -> ExecutionResult:
     """Evaluate an AST: numerics in exact rational arithmetic, lists and counts directly."""
     if source is None:
         source = render(expr)
     if isinstance(expr, StringList):
-        return ExecutionResult(SpanListValue(expr.items), source)
+        return ExecutionResult(SpanSetAnswer(expr.items), source)
     if isinstance(expr, Length):
-        return ExecutionResult(CountValue(len(expr.arg.items)), source)
-    value = _eval_numeric(expr)
-    return ExecutionResult(NumericValue(value, render_decimal(value, config.render_precision)), source)
+        return ExecutionResult(CountAnswer(len(expr.arg.items)), source)
+    return ExecutionResult(NumericAnswer(_eval_numeric(expr)), source)
 
 
 def _eval_numeric(expr: DerivationExpr) -> Fraction:
@@ -500,7 +572,7 @@ def _eval_numeric(expr: DerivationExpr) -> Fraction:
     raise MixedTypeError(0)
 
 
-def execute_source(source: str, config: EvalConfig = DEFAULT_CONFIG) -> ExecutionResult:
+def execute_source(source: str) -> ExecutionResult:
     """tokenize -> parse -> evaluate; any stage error becomes ExecutionFailure."""
     try:
         tokens = tokenize(source)
@@ -511,14 +583,6 @@ def execute_source(source: str, config: EvalConfig = DEFAULT_CONFIG) -> Executio
     except DerivationError as err:
         raise ExecutionFailure("parse", err) from err
     try:
-        return evaluate(expr, config, source=source)
+        return evaluate(expr, source=source)
     except DerivationError as err:
         raise ExecutionFailure("evaluate", err) from err
-
-
-def iter_numbers(expr: DerivationExpr) -> Iterator[Number]:
-    if isinstance(expr, Number):
-        yield expr
-    elif isinstance(expr, BinaryOp):
-        yield from iter_numbers(expr.left)
-        yield from iter_numbers(expr.right)

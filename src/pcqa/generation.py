@@ -127,16 +127,20 @@ class HttpGenerator:
         )
 
 
-def _parse_outputs(body: dict) -> list[GeneratedOutput]:
-    outputs = body.get("outputs")
+def _parse_outputs(body: object) -> list[GeneratedOutput]:
+    outputs = body.get("outputs") if isinstance(body, dict) else None
     if not isinstance(outputs, list):
-        raise ContractViolation("response body must carry an outputs list")
+        raise ContractViolation("response body must be an object carrying an outputs list")
     parsed = []
     for item in outputs:
         if not isinstance(item, dict) or "text" not in item:
             raise ContractViolation(f"malformed output entry: {item!r}")
         score = item.get("score")
-        parsed.append(GeneratedOutput(text=str(item["text"]), score=None if score is None else float(score)))
+        try:
+            score = None if score is None else float(score)
+        except (TypeError, ValueError) as err:
+            raise ContractViolation(f"output score is not a number: {score!r}") from err
+        parsed.append(GeneratedOutput(text=str(item["text"]), score=score))
     return parsed
 
 

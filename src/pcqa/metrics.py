@@ -1,10 +1,13 @@
 """Evaluation metrics: exact match, numeracy-focused F1, ROUGE, and reports.
 
-Normalization has two flavors. Exact match keeps currency/percent symbols
-attached to numerals (so "148,502" against "$148,502" is an EM miss), while
-the token-F1 side strips them (so the same pair keeps a high F1). Numerals
-are compared after rendering both sides at the configured precision; a
-numeric mismatch zeroes the pair F1 outright.
+Predictions and gold answers are the same canonical answer types
+(`pcqa.derivation`) and are compared through their text spans, rendered at
+the configured precision. Normalization has two flavors. Exact match keeps
+currency/percent symbols attached to numerals (so "148,502" against
+"$148,502" is an EM miss), while the token-F1 side strips them (so the same
+pair keeps a high F1). A numeric mismatch zeroes the pair F1 outright.
+`record_scores` scores one turn; `aggregate_report` sums those per-turn
+scores and never recomputes them.
 """
 
 from __future__ import annotations
@@ -17,14 +20,14 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .corpus import GoldTurnAnswer
-from .derivation import DEFAULT_CONFIG, EvalConfig, numbers_equal, render_decimal
-from .voting import (
+from .derivation import (
+    DEFAULT_CONFIG,
     CanonicalAnswer,
     ClarifyAnswer,
-    CountAnswer,
-    NumericAnswer,
-    SpanSetAnswer,
+    EvalConfig,
     normalize_answer_text,
+    numbers_equal,
+    render_decimal,
 )
 
 
@@ -105,43 +108,6 @@ def _as_spans(side: Spans) -> list[str]:
     return [str(s) for s in side]
 
 
-def prediction_spans(pred: CanonicalAnswer | None, config: EvalConfig) -> list[str]:
-    """A canonical answer as plain text spans, for metric comparison."""
-    if pred is None:
-        return []
-    if isinstance(pred, NumericAnswer):
-        return [pred.rendered(config)]
-    if isinstance(pred, CountAnswer):
-        return [str(pred.count)]
-    if isinstance(pred, SpanSetAnswer):
-        return list(pred.spans)
-    return [pred.question]
-
-
-def gold_spans(gold: GoldTurnAnswer, config: EvalConfig) -> list[str]:
-    if gold.req_clari:
-        return [gold.clarification_question]
-    if gold.answer_type in ("arithmetic", "count"):
-        value = gold.numeric_value()
-        if value is not None:
-            return [render_decimal(value, config.render_precision)]
-        return [str(gold.answer)]
-    return gold.span_values()
-
-
-def response_text(pred: CanonicalAnswer | None, config: EvalConfig = DEFAULT_CONFIG) -> str:
-    """Render a canonical answer the way it would be said to the user."""
-    if pred is None:
-        return ""
-    if isinstance(pred, ClarifyAnswer):
-        return pred.question
-    if isinstance(pred, SpanSetAnswer):
-        return ", ".join(pred.spans)
-    if isinstance(pred, CountAnswer):
-        return str(pred.count)
-    return pred.rendered(config)
-
-
 def exact_match(
     pred: CanonicalAnswer | None,
     pred_scale: str,
@@ -161,8 +127,8 @@ def exact_match(
     if pred_scale != gold.scale:
         return 0
     precision = config.render_precision
-    pred_norm = [normalize_for_match(s, precision, keep_symbols=True) for s in prediction_spans(pred, config)]
-    gold_norm = [normalize_for_match(s, precision, keep_symbols=True) for s in gold_spans(gold, config)]
+    pred_norm = [normalize_for_match(s, precision, keep_symbols=True) for s in pred.text_spans(config)]
+    gold_norm = [normalize_for_match(s, precision, keep_symbols=True) for s in gold.canonical.text_spans(config)]
     return int(Counter(pred_norm) == Counter(gold_norm))
 
 
@@ -275,11 +241,14 @@ class PredictionRecord:
 
 
 def record_scores(record: PredictionRecord, config: EvalConfig = DEFAULT_CONFIG) -> tuple[int, float]:
+    """(EM, F1) of one turn."""
     em = exact_match(record.predicted, record.predicted_scale, record.gold, config)
-    f1 = numeracy_f1(
-        prediction_spans(record.predicted, config), gold_spans(record.gold, config), config
-    )
+    pred_spans = record.predicted.text_spans(config) if record.predicted else []
+    f1 = numeracy_f1(pred_spans, record.gold.canonical.text_spans(config), config)
     return em, f1
+
+
+ScoredRecord = tuple[PredictionRecord, int, float]
 
 
 _TYPE_LABELS = {
@@ -402,16 +371,16 @@ class MetricReport:
 
 
 def aggregate_report(
-    records: Sequence[PredictionRecord], config: EvalConfig = DEFAULT_CONFIG
+    per_record: Sequence[ScoredRecord], config: EvalConfig = DEFAULT_CONFIG
 ) -> MetricReport:
-    """Score every record and assemble the full report.
+    """Assemble the full report from each record and its `record_scores`.
 
     Clarifying gold turns contribute the CQG block, the rest the CQA block,
     and all of them the pooled overall EM/F1 and the type-by-source grid.
     """
-    if not records:
+    if not per_record:
         raise EmptyRecordSet("no prediction records to aggregate")
-    per_record = [(r, *record_scores(r, config)) for r in records]
+    records = [r for r, _, _ in per_record]
     overall_em = sum(em for _, em, _ in per_record) / len(per_record)
     overall_f1 = sum(f1 for _, _, f1 in per_record) / len(per_record)
     cnp_p, cnp_r, cnp_f = classification_prf(
@@ -425,7 +394,7 @@ def aggregate_report(
         em_scores = []
         f1_scores = []
         for r in clarifying:
-            pred_text = response_text(r.predicted, config)
+            pred_text = r.predicted.text(config) if r.predicted else ""
             gold_text = r.gold.clarification_question
             rouge_scores.append(rouge2_f1(pred_text, gold_text))
             em_scores.append(

@@ -2,7 +2,8 @@
 
 For each turn: linearize the document and conversation history, request a
 greedy decode or a batch of sampled decodes, reduce them to one canonical
-answer (consensus voting or the greedy baseline), then score against gold.
+answer (consensus voting or the greedy baseline), then score against gold
+once; the report aggregates those per-turn scores.
 Gold-history mode conditions every turn on gold prior responses and may
 fan out requests concurrently; predicted-history mode feeds each turn's own
 final response into the next turn's history and is sequential within a
@@ -40,9 +41,9 @@ from .metrics import (
     EmptyRecordSet,
     MetricReport,
     PredictionRecord,
+    ScoredRecord,
     aggregate_report,
     record_scores,
-    response_text,
 )
 from .voting import (
     AllSamplesDiscarded,
@@ -144,7 +145,7 @@ def run_turn(
             )
         )
         samples = SampleSet.from_texts([o.text for o in response.outputs])
-        answer = greedy_select(samples, Task.MULTI, config.eval_config)
+        answer = greedy_select(samples, Task.MULTI)
     if fallback:
         greedy_response = generator.generate(
             GenerationRequest(
@@ -155,9 +156,7 @@ def run_turn(
             )
         )
         answer = greedy_select(
-            SampleSet.from_texts([o.text for o in greedy_response.outputs]),
-            Task.MULTI,
-            config.eval_config,
+            SampleSet.from_texts([o.text for o in greedy_response.outputs]), Task.MULTI
         )
     return TurnResult(
         turn_id=turn.turn_id,
@@ -165,7 +164,7 @@ def run_turn(
         samples=[s.raw for s in samples.samples],
         vote=vote,
         answer=answer,
-        final_text=response_text(answer, config.eval_config),
+        final_text=answer.text(config.eval_config) if answer else "",
         clarification_pred=isinstance(answer, ClarifyAnswer),
         fallback_used=fallback,
         latency_s=time.perf_counter() - started,
@@ -174,7 +173,7 @@ def run_turn(
 
 def _turn_record(
     dialogue: Dialogue, turn: DialogueTurn, result: TurnResult, config: RunConfig
-) -> tuple[PredictionRecord, dict]:
+) -> tuple[ScoredRecord, dict]:
     record = PredictionRecord(
         turn_id=turn.turn_id,
         predicted=result.answer,
@@ -206,7 +205,7 @@ def _turn_record(
             "clarification_question": turn.gold.clarification_question,
         },
     }
-    return record, log
+    return (record, em, f1), log
 
 
 def _gold_histories(dialogue: Dialogue, config: RunConfig) -> list[ConversationHistory]:
@@ -238,12 +237,12 @@ def run_eval(
         config.mode,
         config.history,
     )
-    records: list[PredictionRecord] = []
+    records: list[ScoredRecord] = []
     logs: list[dict] = []
 
-    def emit(pair: tuple[PredictionRecord, dict]) -> None:
-        record, log = pair
-        records.append(record)
+    def emit(pair: tuple[ScoredRecord, dict]) -> None:
+        scored, log = pair
+        records.append(scored)
         logs.append(log)
         if log_stream is not None:
             log_stream.write(json.dumps(log, ensure_ascii=False) + "\n")
@@ -305,7 +304,7 @@ def score_predictions(
             raw, scale = predictions.get(turn.turn_id, (None, ""))
             answer = None
             if raw is not None:
-                answer = canonicalize(SampledOutput(raw=raw, index=0), Task.MULTI, config)
+                answer = canonicalize(SampledOutput(raw=raw, index=0), Task.MULTI)
             record = PredictionRecord(
                 turn_id=turn.turn_id,
                 predicted=answer,
@@ -314,13 +313,13 @@ def score_predictions(
                 clarification_pred=isinstance(answer, ClarifyAnswer),
             )
             em, f1 = record_scores(record, config)
-            records.append(record)
+            records.append((record, em, f1))
             logs.append(
                 {
                     "turn_id": turn.turn_id,
                     "dialogue_id": dialogue.dialogue_id,
                     "prediction": raw,
-                    "final_response": response_text(answer, config),
+                    "final_response": answer.text(config) if answer else "",
                     "em": em,
                     "f1": round(f1, 6),
                 }

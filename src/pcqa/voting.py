@@ -1,7 +1,8 @@
 """Consensus voting over sampled decodes.
 
-Each sampled output is canonicalized by executing its payload; samples whose
-canonical answers are equal form one group, so distinct derivations with the
+Each sampled output is canonicalized by executing its payload, which yields
+one of the four canonical answers defined in `pcqa.derivation`; samples whose
+answers share a vote key form one group, so distinct derivations with the
 same value ("(88-105)/105" vs "88/105-1", or permuted count lists) pool
 their votes. The plurality group wins. Samples that fail to parse or execute
 cast no vote.
@@ -10,31 +11,23 @@ cast no vote.
 from __future__ import annotations
 
 import functools
-import re
-import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
 
+# The answer classes live with the evaluator that produces them; voting is
+# where most callers look for them, so they are re-exported here.
 from .derivation import (
     DEFAULT_CONFIG,
-    CountValue,
+    CanonicalAnswer,
+    ClarifyAnswer,
+    CountAnswer,
     DerivationError,
     EvalConfig,
-    NumericValue,
-    SpanListValue,
+    NumericAnswer,
+    SpanSetAnswer,
     execute_source,
-    render_decimal,
 )
 from .linearize import MalformedOutput, Task, parse_output
-
-_PUNCT = re.compile("[" + re.escape(string.punctuation) + "]")
-_WS = re.compile(r"\s+")
-
-
-def normalize_answer_text(text: str) -> str:
-    """Lowercase, strip punctuation, collapse whitespace."""
-    return _WS.sub(" ", _PUNCT.sub("", text.lower())).strip()
 
 
 @dataclass(frozen=True)
@@ -67,81 +60,11 @@ class SampleSet:
         return len(self.samples)
 
 
-@dataclass(frozen=True)
-class NumericAnswer:
-    value: Fraction
-    exemplar: Optional[SampledOutput] = field(default=None, compare=False)
-
-    def rendered(self, config: EvalConfig = DEFAULT_CONFIG) -> str:
-        return render_decimal(self.value, config.render_precision)
-
-
-@dataclass(frozen=True)
-class CountAnswer:
-    count: int
-    exemplar: Optional[SampledOutput] = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class SpanSetAnswer:
-    """Spans as produced, with order-insensitive, normalized-text equality."""
-
-    spans: tuple[str, ...]
-    exemplar: Optional[SampledOutput] = field(default=None, compare=False)
-
-    def normalized(self) -> tuple[str, ...]:
-        return tuple(sorted(normalize_answer_text(s) for s in self.spans))
-
-
-@dataclass(frozen=True)
-class ClarifyAnswer:
-    question: str
-    exemplar: Optional[SampledOutput] = field(default=None, compare=False)
-
-    def normalized(self) -> str:
-        return normalize_answer_text(self.question)
-
-
-CanonicalAnswer = Union[NumericAnswer, CountAnswer, SpanSetAnswer, ClarifyAnswer]
-
-
-def group_key(answer: CanonicalAnswer) -> tuple:
-    """Hashable grouping key under the documented equality rules.
-
-    Counts and plain numbers with the same value share a key: executing
-    "len([...])" and executing a numeral both denote that number, so they
-    are one answer for voting purposes.
-    """
-    if isinstance(answer, NumericAnswer):
-        return ("num", answer.value)
-    if isinstance(answer, CountAnswer):
-        return ("num", Fraction(answer.count))
-    if isinstance(answer, SpanSetAnswer):
-        return ("spans", answer.normalized())
-    return ("clarify", answer.normalized())
-
-
-def answers_equal(
-    a: CanonicalAnswer | None, b: CanonicalAnswer | None, config: EvalConfig = DEFAULT_CONFIG
-) -> bool:
-    if a is None or b is None:
-        return a is b
-    ka, kb = group_key(a), group_key(b)
-    if ka[0] != kb[0]:
-        return False
-    if ka[0] == "num":
-        diff = abs(ka[1] - kb[1])
-        return diff <= Fraction(config.numeric_tolerance) or ka[1] == kb[1]
-    return ka == kb
-
-
 class AllSamplesDiscarded(Exception):
     """Every sample failed parsing or execution; fall back to greedy decode."""
 
 
-def canonicalize(
-    sample: SampledOutput, task: Task = Task.MULTI, config: EvalConfig = DEFAULT_CONFIG
-) -> CanonicalAnswer | None:
+def canonicalize(sample: SampledOutput, task: Task = Task.MULTI) -> CanonicalAnswer | None:
     """Execute one sampled output into a canonical answer; None = discard.
 
     Clarifying outputs must carry a single-item string list as payload;
@@ -149,26 +72,14 @@ def canonicalize(
     """
     try:
         parsed = parse_output(sample.raw, task)
-    except MalformedOutput:
+        answer = execute_source(parsed.response_payload).value
+    except (MalformedOutput, DerivationError):
         return None
-    if parsed.clarification_flag is True:
-        try:
-            result = execute_source(parsed.response_payload, config)
-        except DerivationError:
-            return None
-        if not isinstance(result.value, SpanListValue) or len(result.value.items) != 1:
-            return None
-        return ClarifyAnswer(question=result.value.items[0], exemplar=sample)
-    try:
-        result = execute_source(parsed.response_payload, config)
-    except DerivationError:
+    if parsed.clarification_flag is not True:
+        return answer
+    if not isinstance(answer, SpanSetAnswer) or len(answer.spans) != 1:
         return None
-    value = result.value
-    if isinstance(value, NumericValue):
-        return NumericAnswer(value=value.value, exemplar=sample)
-    if isinstance(value, CountValue):
-        return CountAnswer(count=value.count, exemplar=sample)
-    return SpanSetAnswer(spans=value.items, exemplar=sample)
+    return ClarifyAnswer(answer.spans[0])
 
 
 @dataclass
@@ -183,38 +94,25 @@ class _Group:
 
 @dataclass(frozen=True)
 class VoteResult:
+    """Groups in rank order; `exemplars[i]` is the first sample of group i."""
+
     winner: CanonicalAnswer
     tallies: tuple[tuple[CanonicalAnswer, int], ...]
     discarded: int
+    exemplars: tuple[SampledOutput, ...]
 
     def counts(self) -> list[int]:
         return [count for _, count in self.tallies]
 
     def to_record(self, config: EvalConfig = DEFAULT_CONFIG) -> dict:
         return {
-            "winner": describe_answer(self.winner, config),
+            "winner": self.winner.describe(config),
             "tallies": [
-                {
-                    "answer": describe_answer(answer, config),
-                    "votes": count,
-                    "exemplar": answer.exemplar.raw if answer.exemplar else None,
-                }
-                for answer, count in self.tallies
+                {"answer": answer.describe(config), "votes": count, "exemplar": exemplar.raw}
+                for (answer, count), exemplar in zip(self.tallies, self.exemplars)
             ],
             "discarded": self.discarded,
         }
-
-
-def describe_answer(answer: CanonicalAnswer | None, config: EvalConfig = DEFAULT_CONFIG) -> dict:
-    if answer is None:
-        return {"kind": "none"}
-    if isinstance(answer, NumericAnswer):
-        return {"kind": "number", "value": str(answer.value), "rendered": answer.rendered(config)}
-    if isinstance(answer, CountAnswer):
-        return {"kind": "count", "value": answer.count}
-    if isinstance(answer, SpanSetAnswer):
-        return {"kind": "spans", "value": list(answer.spans)}
-    return {"kind": "clarify", "value": answer.question}
 
 
 def consensus_vote(
@@ -229,11 +127,11 @@ def consensus_vote(
     groups: dict[tuple, _Group] = {}
     discarded = 0
     for sample in samples.samples:
-        answer = canonicalize(sample, task, config)
+        answer = canonicalize(sample, task)
         if answer is None:
             discarded += 1
             continue
-        key = group_key(answer)
+        key = answer.key()
         group = groups.get(key)
         if group is None:
             groups[key] = _Group(
@@ -261,8 +159,12 @@ def consensus_vote(
         return -1 if a.min_index < b.min_index else 1
 
     ordered = sorted(groups.values(), key=functools.cmp_to_key(compare))
-    tallies = tuple((g.answer, g.count) for g in ordered)
-    return VoteResult(winner=ordered[0].answer, tallies=tallies, discarded=discarded)
+    return VoteResult(
+        winner=ordered[0].answer,
+        tallies=tuple((g.answer, g.count) for g in ordered),
+        discarded=discarded,
+        exemplars=tuple(g.members[0] for g in ordered),
+    )
 
 
 def _merge_numeric_within_tolerance(groups: dict[tuple, _Group], config: EvalConfig) -> None:
@@ -293,10 +195,8 @@ def _merge_numeric_within_tolerance(groups: dict[tuple, _Group], config: EvalCon
         del groups[key]
 
 
-def greedy_select(
-    samples: SampleSet, task: Task = Task.MULTI, config: EvalConfig = DEFAULT_CONFIG
-) -> CanonicalAnswer | None:
+def greedy_select(samples: SampleSet, task: Task = Task.MULTI) -> CanonicalAnswer | None:
     """Canonical answer of the single greedy decode (baseline and fallback)."""
     if len(samples) != 1:
         raise ValueError("greedy selection expects exactly one sample")
-    return canonicalize(samples.samples[0], task, config)
+    return canonicalize(samples.samples[0], task)

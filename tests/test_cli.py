@@ -36,6 +36,28 @@ class TestValidate:
         bad.write_text("{broken")
         assert main(["validate", str(bad)]) == 2
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda blocks: blocks[2]["paragraphs"].__setitem__(0, "a bare string"),
+            lambda blocks: blocks[0]["questions"][1].__setitem__("order", "2"),
+        ],
+        ids=["paragraph-not-object", "order-mixes-int-and-str"],
+    )
+    def test_malformed_entry_exits_2(self, corpus_path, tmp_path, capsys, mutate):
+        with open(corpus_path, encoding="utf-8") as f:
+            blocks = json.load(f)
+        mutate(blocks)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(blocks))
+        assert main(["validate", str(bad)]) == 2
+        assert "schema error" in capsys.readouterr().err
+
+    def test_expectations_not_an_object_exits_2(self, corpus_path, tmp_path):
+        expected = tmp_path / "exp.json"
+        expected.write_text("[16]")
+        assert main(["validate", corpus_path, "--expected", str(expected)]) == 2
+
     def test_findings_exit_1(self, corpus_path, tmp_path, capsys):
         expected = tmp_path / "exp.json"
         expected.write_text(json.dumps({"turns": 99}))

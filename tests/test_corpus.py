@@ -95,6 +95,67 @@ class TestLoadCorpus:
             corpus_from_obj(blocks)
 
 
+def _set(path, value):
+    """A mutation that sets blocks[path[0]][path[1]]...[path[-1]] = value."""
+
+    def mutate(blocks):
+        target = blocks
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+
+    return mutate
+
+
+_RELEASE = [
+    {
+        "table": {"uid": "rel-doc", "table": [["Year", "2019"], ["Revenue", "105"]]},
+        "paragraphs": [],
+        "questions": [
+            {"uid": "rel-q1", "question": "Revenue in 2019?", "answer": ["105"],
+             "answer_type": "span", "answer_from": "table"},
+        ],
+    }
+]
+
+
+@pytest.mark.parametrize(
+    "release,mutate",
+    [
+        (False, _set((2, "paragraphs", 0), "a bare string")),
+        (False, _set((0, "questions", 1), 7)),
+        (False, _set((2, "paragraphs", 0, "order"), "1")),
+        (False, _set((0, "questions", 1, "order"), "2")),
+        (True, _set((0,), "a bare string")),
+        (True, _set((0, "table"), ["not", "an", "object"])),
+        (True, _set((0, "questions", 0), None)),
+    ],
+    ids=[
+        "paragraph-not-object",
+        "question-not-object",
+        "paragraph-order-mixes-int-and-str",
+        "question-order-mixes-int-and-str",
+        "release-block-not-object",
+        "release-table-not-object",
+        "release-question-not-object",
+    ],
+)
+def test_malformed_entries_are_schema_errors(raw_blocks, tmp_path, release, mutate):
+    blocks = copy.deepcopy(_RELEASE if release else raw_blocks)
+    mutate(blocks)
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(blocks))
+    with pytest.raises(SchemaError):
+        (load_release_file if release else load_corpus)(path)
+
+
+def test_expectations_key_total_questions_means_turns():
+    assert CorpusExpectations.from_obj({"total_questions": 16}).turns == 16
+    assert CorpusExpectations.from_obj({"turns": 3, "total_questions": 16}).turns == 3
+    with pytest.raises(SchemaError):
+        CorpusExpectations.from_obj([16])
+
+
 class TestCorpusStats:
     def test_hand_counted_fixture(self, small_corpus):
         stats = corpus_stats(small_corpus)
@@ -147,6 +208,32 @@ class TestReconstructCode:
         corpus = corpus_from_obj(blocks)
         turn = corpus.turn_index()["a1-q2"][1]
         assert reconstruct_code(turn.gold) == 'len(["Americas", "EMEA", "Asia Pacific"])'
+
+
+class TestGoldCompilation:
+    @pytest.mark.parametrize(
+        "turn_id,kind,spans,text",
+        [
+            ("a1-q1", "SpanSetAnswer", ["Americas", "EMEA", "Asia Pacific"], "Americas, EMEA, Asia Pacific"),
+            ("a1-q2", "NumericAnswer", ["3"], "3"),
+            ("a1-q4", "NumericAnswer", ["0.1932"], "0.1932"),
+            ("a2-q3", "ClarifyAnswer", ["Which year are you asking about?"], "Which year are you asking about?"),
+            ("b2-q2", "NumericAnswer", ["7187"], "7187"),
+        ],
+    )
+    def test_gold_compiles_to_canonical_answer(self, small_corpus, turn_id, kind, spans, text):
+        gold = small_corpus.turn_index()[turn_id][1].gold
+        assert type(gold.canonical).__name__ == kind
+        assert gold.canonical.text_spans() == spans
+        assert gold.response_text() == text
+
+    def test_scale_follows_answers_but_not_questions(self, raw_blocks):
+        blocks = copy.deepcopy(raw_blocks)
+        blocks[0]["questions"][3]["scale"] = "percent"
+        blocks[1]["questions"][2]["scale"] = "million"
+        index = corpus_from_obj(blocks).turn_index()
+        assert index["a1-q4"][1].gold.response_text() == "0.1932 percent"
+        assert index["a2-q3"][1].gold.response_text() == "Which year are you asking about?"
 
 
 class TestBuildExamples:
@@ -207,6 +294,17 @@ class TestValidateCorpus:
         kinds = [f.kind for f in report.findings]
         assert "ExecutionMismatch" in kinds
         assert any("a1-q4" == f.where for f in report.findings)
+
+    @pytest.mark.parametrize("derivation,shown", [('len(["a"])', "1"), ('["a", "b"]', "a, b")])
+    def test_non_numeric_derivation_is_a_finding(self, raw_blocks, derivation, shown):
+        blocks = copy.deepcopy(raw_blocks)
+        q = blocks[0]["questions"][3]
+        q["derivation"] = derivation
+        q["answer"] = 2
+        report = validate_corpus(corpus_from_obj(blocks))
+        [finding] = report.findings
+        assert (finding.kind, finding.where) == ("ExecutionMismatch", "a1-q4")
+        assert finding.detail == f"derivation executes to {shown}, gold is 2"
 
     def test_stat_diff_reported(self, small_corpus):
         report = validate_corpus(small_corpus, CorpusExpectations(turns=99))

@@ -108,6 +108,22 @@ class TestHttpGenerator:
         with pytest.raises(ContractViolation):
             generator.generate(GenerationRequest(input="x", mode="sample", num_samples=40))
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            [{"text": "x"}],
+            {"outputs": [{"text": "x", "score": "high"}]},
+            {"outputs": [{"text": "x", "score": [1.0]}]},
+        ],
+        ids=["list-body", "score-not-numeric", "score-is-list"],
+    )
+    def test_malformed_body_is_contract_violation(self, stub_server, body):
+        endpoint, state = stub_server
+        state.behaviors.append(lambda p: (200, body))
+        generator = HttpGenerator(endpoint=endpoint, backoff_base=0.01)
+        with pytest.raises(ContractViolation):
+            generator.generate(GenerationRequest(input="x", mode="greedy"))
+
     def test_unreachable_endpoint(self):
         generator = HttpGenerator(
             endpoint="http://127.0.0.1:1", backoff_base=0.01, max_attempts=2, timeout=0.3
@@ -141,6 +157,15 @@ class TestReplayGenerator:
             generator.generate(
                 GenerationRequest(input="x", mode="sample", num_samples=39, turn_id="t7c1-q1")
             )
+
+    def test_non_numeric_score_is_contract_violation(self, tmp_path):
+        path = tmp_path / "replay.jsonl"
+        path.write_text(
+            json.dumps({"turn_id": "t", "mode": "greedy", "outputs": [{"text": "x", "score": "high"}]})
+            + "\n"
+        )
+        with pytest.raises(ContractViolation):
+            ReplayGenerator.from_jsonl(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(TransportError):

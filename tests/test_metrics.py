@@ -170,6 +170,10 @@ def make_record(turn_id, predicted, g, clarify_pred=None, scale=""):
     )
 
 
+def scored(records):
+    return [(r, *record_scores(r, CONFIG)) for r in records]
+
+
 def all_correct_records():
     return [
         make_record("t1", NumericAnswer(Fraction(161, 205)),
@@ -189,7 +193,7 @@ def all_correct_records():
 
 class TestAggregateReport:
     def test_all_correct(self):
-        report = aggregate_report(all_correct_records(), CONFIG)
+        report = aggregate_report(scored(all_correct_records()), CONFIG)
         assert report.overall_em == 1.0
         assert report.overall_f1 == 1.0
         assert (report.cnp_precision, report.cnp_recall, report.cnp_f1) == (1.0, 1.0, 1.0)
@@ -198,7 +202,7 @@ class TestAggregateReport:
 
     def test_single_record(self):
         record = all_correct_records()[0]
-        report = aggregate_report([record], CONFIG)
+        report = aggregate_report(scored([record]), CONFIG)
         em, f1 = record_scores(record, CONFIG)
         assert report.overall_em == em and report.overall_f1 == f1
 
@@ -206,7 +210,7 @@ class TestAggregateReport:
         records = all_correct_records() + [
             make_record("t6", NumericAnswer(Fraction(99)), gold("arithmetic", 1, derivation="1"))
         ]
-        report = aggregate_report(records, CONFIG)
+        report = aggregate_report(scored(records), CONFIG)
         weighted = sum(cell.em * cell.count for cell in report.breakdown.values())
         total = sum(cell.count for cell in report.breakdown.values())
         assert total == len(records)
@@ -217,7 +221,7 @@ class TestAggregateReport:
         assert ("Counting", "Text") not in report.breakdown
 
     def test_report_rendering(self):
-        report = aggregate_report(all_correct_records(), CONFIG)
+        report = aggregate_report(scored(all_correct_records()), CONFIG)
         text = report.format_text()
         for row in ("Span", "Spans", "Counting", "Arithmetic", "Question", "Total"):
             assert row in text
