@@ -64,7 +64,6 @@ records = [
         predicted=NumericAnswer(Fraction(161, 205)),
         predicted_scale="",
         gold=gold("arithmetic", 0.7854, derivation="(36.6-20.5)/20.5"),
-        clarification_pred=False,
     ),
     PredictionRecord(
         turn_id="t2",
@@ -72,14 +71,12 @@ records = [
         predicted_scale="",
         gold=gold("clarification", "Which period are you asking about?",
                   source="table-text", clari="Which period are you asking about?"),
-        clarification_pred=True,
     ),
     PredictionRecord(
         turn_id="t3",
         predicted=NumericAnswer(Fraction(3)),
         predicted_scale="",
         gold=gold("arithmetic", 2, derivation="1+1", source="table"),
-        clarification_pred=False,
     ),
 ]
 # Each turn is scored once; the report sums those scores.

@@ -33,7 +33,12 @@ def _add_decode_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--temperature", type=float, default=0.5)
     parser.add_argument("--max-target-length", type=int, default=128)
     parser.add_argument("--history", choices=("gold", "predicted"), default="gold")
-    parser.add_argument("--concurrency", type=int, default=8)
+    parser.add_argument(
+        "--concurrency",
+        type=int,
+        default=8,
+        help="dialogues in flight at once (at least 1); the turns of a dialogue run in order",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -233,7 +233,10 @@ class PredictionRecord:
     predicted: CanonicalAnswer | None
     predicted_scale: str
     gold: GoldTurnAnswer
-    clarification_pred: bool
+
+    @property
+    def clarification_pred(self) -> bool:
+        return isinstance(self.predicted, ClarifyAnswer)
 
     @property
     def clarification_gold(self) -> bool:

@@ -4,17 +4,18 @@ For each turn: linearize the document and conversation history, request a
 greedy decode or a batch of sampled decodes, reduce them to one canonical
 answer (consensus voting or the greedy baseline), then score against gold
 once; the report aggregates those per-turn scores.
-Gold-history mode conditions every turn on gold prior responses and may
-fan out requests concurrently; predicted-history mode feeds each turn's own
-final response into the next turn's history and is sequential within a
-dialogue. Reports are a deterministic function of (corpus, decodes, config)
-regardless of request scheduling.
+Gold-history mode conditions every turn on gold prior responses;
+predicted-history mode feeds each turn's own final response into the next
+turn's history. In both, up to `concurrency` dialogues run at once while the
+turns of each dialogue run in order. Reports and logs are a deterministic
+function of (corpus, decodes, config) regardless of request scheduling.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -35,7 +36,6 @@ from .linearize import (
     Task,
     build_model_input,
     format_target,
-    normalize_whitespace,
 )
 from .metrics import (
     EmptyRecordSet,
@@ -48,7 +48,6 @@ from .metrics import (
 from .voting import (
     AllSamplesDiscarded,
     CanonicalAnswer,
-    ClarifyAnswer,
     SampledOutput,
     SampleSet,
     VoteResult,
@@ -82,17 +81,17 @@ class RunConfig:
             raise ValueError(f"mode must be cv or greedy, got {self.mode!r}")
         if self.history not in ("gold", "predicted"):
             raise ValueError(f"history must be gold or predicted, got {self.history!r}")
+        if self.concurrency < 1:
+            raise ValueError(f"concurrency must be at least 1, got {self.concurrency}")
 
 
 @dataclass
 class TurnResult:
     turn_id: str
-    mode: str
     samples: list[str]
     vote: VoteResult | None
     answer: CanonicalAnswer | None
     final_text: str
-    clarification_pred: bool
     fallback_used: bool
     latency_s: float
 
@@ -112,6 +111,12 @@ def run_turn(
     """
     started = time.perf_counter()
     model_input = build_model_input(doc, history)
+    greedy = GenerationRequest(
+        input=model_input,
+        mode=GREEDY,
+        max_target_length=config.max_target_length,
+        turn_id=turn.turn_id,
+    )
     vote: VoteResult | None = None
     answer: CanonicalAnswer | None = None
     fallback = False
@@ -136,36 +141,17 @@ def run_turn(
         except AllSamplesDiscarded:
             fallback = True
     else:
-        response = generator.generate(
-            GenerationRequest(
-                input=model_input,
-                mode=GREEDY,
-                max_target_length=config.max_target_length,
-                turn_id=turn.turn_id,
-            )
-        )
-        samples = SampleSet.from_texts([o.text for o in response.outputs])
+        samples = SampleSet.from_texts([o.text for o in generator.generate(greedy).outputs])
         answer = greedy_select(samples, Task.MULTI)
     if fallback:
-        greedy_response = generator.generate(
-            GenerationRequest(
-                input=model_input,
-                mode=GREEDY,
-                max_target_length=config.max_target_length,
-                turn_id=turn.turn_id,
-            )
-        )
-        answer = greedy_select(
-            SampleSet.from_texts([o.text for o in greedy_response.outputs]), Task.MULTI
-        )
+        greedy_outputs = generator.generate(greedy).outputs
+        answer = greedy_select(SampleSet.from_texts([o.text for o in greedy_outputs]), Task.MULTI)
     return TurnResult(
         turn_id=turn.turn_id,
-        mode=config.mode,
         samples=[s.raw for s in samples.samples],
         vote=vote,
         answer=answer,
         final_text=answer.text(config.eval_config) if answer else "",
-        clarification_pred=isinstance(answer, ClarifyAnswer),
         fallback_used=fallback,
         latency_s=time.perf_counter() - started,
     )
@@ -179,16 +165,15 @@ def _turn_record(
         predicted=result.answer,
         predicted_scale="",
         gold=turn.gold,
-        clarification_pred=result.clarification_pred,
     )
     em, f1 = record_scores(record, config.eval_config)
     log = {
         "turn_id": turn.turn_id,
         "dialogue_id": dialogue.dialogue_id,
-        "mode": result.mode,
+        "mode": config.mode,
         "history": config.history,
         "final_response": result.final_text,
-        "clarification_pred": result.clarification_pred,
+        "clarification_pred": record.clarification_pred,
         "clarification_gold": turn.gold.req_clari,
         "em": em,
         "f1": round(f1, 6),
@@ -208,17 +193,6 @@ def _turn_record(
     return (record, em, f1), log
 
 
-def _gold_histories(dialogue: Dialogue, config: RunConfig) -> list[ConversationHistory]:
-    histories = []
-    queries: list[str] = []
-    responses: list[str] = []
-    for turn in dialogue.turns:
-        queries.append(turn.question)
-        histories.append(ConversationHistory.from_turns(queries, responses))
-        responses.append(turn.gold.response_text(config.eval_config))
-    return histories
-
-
 def run_eval(
     corpus: Corpus,
     generator: Generator,
@@ -227,9 +201,11 @@ def run_eval(
 ) -> tuple[MetricReport, list[dict]]:
     """Run every turn, score, and aggregate.
 
-    Returns the metric report plus per-turn log records (also streamed as
-    JSON lines to log_stream while running, so an aborted run keeps the
-    turns finished before the transport failure).
+    Up to config.concurrency dialogues run at once, each walking its turns in
+    order. Returns the metric report plus per-turn log records in corpus
+    order, also streamed as JSON lines to log_stream while running. If a turn
+    raises (a transport failure, say), the error propagates after log_stream
+    holds exactly the turns before the first failing turn in corpus order.
     """
     logger.info(
         "run start: mode=%s history=%s; inputs are transmitted untruncated, "
@@ -239,44 +215,46 @@ def run_eval(
     )
     records: list[ScoredRecord] = []
     logs: list[dict] = []
+    gold_history = config.history == "gold"
+    stop = threading.Event()
 
-    def emit(pair: tuple[ScoredRecord, dict]) -> None:
-        scored, log = pair
-        records.append(scored)
-        logs.append(log)
-        if log_stream is not None:
-            log_stream.write(json.dumps(log, ensure_ascii=False) + "\n")
-            log_stream.flush()
+    def run_dialogue(dialogue: Dialogue, done: list[tuple[ScoredRecord, dict]]) -> None:
+        # Turns finished go to `done` as they complete, so a failing dialogue
+        # still hands over the turns before its failure.
+        doc = corpus.documents[dialogue.doc_uid]
+        queries: list[str] = []
+        responses: list[str] = []
+        for turn in dialogue.turns:
+            if stop.is_set():
+                return
+            queries.append(turn.question)
+            history = ConversationHistory.from_turns(queries, responses)
+            result = run_turn(doc, history, turn, generator, config)
+            done.append(_turn_record(dialogue, turn, result, config))
+            responses.append(
+                turn.gold.response_text(config.eval_config) if gold_history else result.final_text
+            )
 
-    if config.history == "gold":
-        jobs = []
-        for dialogue in corpus.dialogues:
-            doc = corpus.documents[dialogue.doc_uid]
-            for turn, history in zip(dialogue.turns, _gold_histories(dialogue, config)):
-                jobs.append((dialogue, doc, history, turn))
-        with ThreadPoolExecutor(max_workers=max(1, config.concurrency)) as pool:
-            futures = [
-                pool.submit(run_turn, doc, history, turn, generator, config)
-                for _, doc, history, turn in jobs
-            ]
-            try:
-                for (dialogue, _, _, turn), future in zip(jobs, futures):
-                    emit(_turn_record(dialogue, turn, future.result(), config))
-            except BaseException:
-                for future in futures:
-                    future.cancel()
-                raise
-    else:
-        for dialogue in corpus.dialogues:
-            doc = corpus.documents[dialogue.doc_uid]
-            queries: list[str] = []
-            responses: list[str] = []
-            for turn in dialogue.turns:
-                queries.append(turn.question)
-                history = ConversationHistory.from_turns(queries, responses)
-                result = run_turn(doc, history, turn, generator, config)
-                emit(_turn_record(dialogue, turn, result, config))
-                responses.append(normalize_whitespace(result.final_text))
+    finished: list[list[tuple[ScoredRecord, dict]]] = [[] for _ in corpus.dialogues]
+    with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
+        futures = [
+            pool.submit(run_dialogue, dialogue, done)
+            for dialogue, done in zip(corpus.dialogues, finished)
+        ]
+        try:
+            for future, done in zip(futures, finished):
+                error = future.exception()
+                for scored, log in done:
+                    records.append(scored)
+                    logs.append(log)
+                    if log_stream is not None:
+                        log_stream.write(json.dumps(log, ensure_ascii=False) + "\n")
+                        log_stream.flush()
+                if error is not None:
+                    raise error
+        except BaseException:
+            stop.set()
+            raise
     report = aggregate_report(records, config.eval_config)
     return report, logs
 
@@ -310,7 +288,6 @@ def score_predictions(
                 predicted=answer,
                 predicted_scale=scale,
                 gold=turn.gold,
-                clarification_pred=isinstance(answer, ClarifyAnswer),
             )
             em, f1 = record_scores(record, config)
             records.append((record, em, f1))

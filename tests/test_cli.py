@@ -194,5 +194,19 @@ class TestRun:
         assert code == 3
         assert "transport error" in capsys.readouterr().err
 
+    def test_zero_concurrency_exits_1(self, fixtures_dir, capsys):
+        code = main(
+            [
+                "run",
+                str(fixtures_dir / "table7_corpus.json"),
+                "--fixture",
+                str(fixtures_dir / "table7_replay.jsonl"),
+                "--concurrency",
+                "0",
+            ]
+        )
+        assert code == 1
+        assert "concurrency" in capsys.readouterr().err
+
     def test_bad_precision_exits_1(self, fixtures_dir):
         assert main(["--precision", "99", "eval-derivation", "1"]) == 1

@@ -158,16 +158,8 @@ class TestClassificationPRF:
             classification_prf([True], [True, False])
 
 
-def make_record(turn_id, predicted, g, clarify_pred=None, scale=""):
-    if clarify_pred is None:
-        clarify_pred = isinstance(predicted, ClarifyAnswer)
-    return PredictionRecord(
-        turn_id=turn_id,
-        predicted=predicted,
-        predicted_scale=scale,
-        gold=g,
-        clarification_pred=clarify_pred,
-    )
+def make_record(turn_id, predicted, g, scale=""):
+    return PredictionRecord(turn_id=turn_id, predicted=predicted, predicted_scale=scale, gold=g)
 
 
 def scored(records):

@@ -1,5 +1,7 @@
 import io
 import json
+import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -111,7 +113,9 @@ class TestRunTurnAndEval:
         assert [log["turn_id"] for log in logs][:4] == ["a1-q1", "a1-q2", "a1-q3", "a1-q4"]
         assert all(log["history"] == "predicted" for log in logs)
 
-    def test_transport_error_aborts_with_partial_log(self, small_corpus):
+    @pytest.mark.parametrize("history", ["gold", "predicted"])
+    @pytest.mark.parametrize("concurrency", [1, 8])
+    def test_transport_error_aborts_with_partial_log(self, small_corpus, history, concurrency):
         generator = replay_from_examples(small_corpus)
         del generator.entries[("b2-q2", "greedy")]
         stream = io.StringIO()
@@ -119,12 +123,38 @@ class TestRunTurnAndEval:
             run_eval(
                 small_corpus,
                 generator,
-                RunConfig(mode="greedy", history="predicted", concurrency=1),
+                RunConfig(mode="greedy", history=history, concurrency=concurrency),
                 log_stream=stream,
             )
         written = [json.loads(line)["turn_id"] for line in stream.getvalue().splitlines()]
-        assert "a1-q1" in written
-        assert "b2-q2" not in written
+        corpus_order = [t.turn_id for d in small_corpus.dialogues for t in d.turns]
+        assert written == corpus_order[: corpus_order.index("b2-q2")]
+
+    def test_abort_stops_dialogues_in_flight(self, small_corpus):
+        # a1-q1 fails while a2-q1 is still waiting on its decode; once the
+        # run aborts, dialogue a2 requests no further turn.
+        requested = []
+
+        class SlowGenerator:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def generate(self, request):
+                requested.append(request.turn_id)
+                if request.turn_id == "a2-q1":
+                    time.sleep(0.5)
+                return self.inner.generate(request)
+
+        inner = replay_from_examples(small_corpus)
+        del inner.entries[("a1-q1", "greedy")]
+        with pytest.raises(TransportError):
+            run_eval(
+                small_corpus,
+                SlowGenerator(inner),
+                RunConfig(mode="greedy", history="predicted", concurrency=2),
+            )
+        assert "a2-q1" in requested
+        assert "a2-q2" not in requested
 
     def test_one_wrong_cnp_flag_moves_cnp_scores(self, small_corpus):
         generator = replay_from_examples(small_corpus)
@@ -156,19 +186,47 @@ class TestRunTurnAndEval:
         # and the clarify turn's own question feeds the following turn
         assert "[system] Which year are you asking about?" in captured["a2-q4"]
 
-    def test_gold_history_scores_independent_of_concurrency(self, small_corpus):
+    @pytest.mark.parametrize("history", ["gold", "predicted"])
+    def test_scores_and_logs_independent_of_concurrency(self, small_corpus, history):
         generator = replay_from_examples(small_corpus)
-        reports = [
-            run_eval(small_corpus, generator, RunConfig(mode="greedy", concurrency=width))[0]
-            for width in (1, 8)
-        ]
-        assert reports[0].to_dict() == reports[1].to_dict()
+        runs = []
+        for width in (1, 8):
+            report, logs = run_eval(
+                small_corpus, generator, RunConfig(mode="greedy", history=history, concurrency=width)
+            )
+            for log in logs:
+                log.pop("latency_ms")
+            runs.append((report.to_dict(), logs))
+        assert runs[0] == runs[1]
+
+    def test_predicted_history_runs_dialogues_concurrently(self, small_corpus):
+        # The first turns of two dialogues wait for each other: a run that
+        # holds one dialogue at a time breaks the barrier after its timeout.
+        barrier = threading.Barrier(2, timeout=10)
+
+        class MeetingGenerator:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def generate(self, request):
+                if request.turn_id in ("a1-q1", "a2-q1"):
+                    barrier.wait()
+                return self.inner.generate(request)
+
+        generator = MeetingGenerator(replay_from_examples(small_corpus))
+        report, logs = run_eval(
+            small_corpus, generator, RunConfig(mode="greedy", history="predicted", concurrency=2)
+        )
+        assert report.overall_em == 1.0
+        assert len(logs) == 16
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             RunConfig(mode="beam")
         with pytest.raises(ValueError):
             RunConfig(history="oracle")
+        with pytest.raises(ValueError):
+            RunConfig(concurrency=0)
 
 
 class TestScorePredictions:
