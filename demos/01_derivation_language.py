@@ -18,36 +18,37 @@ from pcqa import (
     render,
     tokenize,
 )
+from pcqa.derivation import MAX_NUMERAL_DIGITS, MAX_TOKENS
 
 # A percentage-change derivation, straight from a gold annotation.
 source = "(36.6-20.5)/20.5"
 print("source:   ", source)
 print("tokens:   ", [t.text for t in tokenize(source)])
-result = execute_source(source)
-print("answer:   ", result.value)                # NumericAnswer(value=Fraction(161, 205))
-print("rendered: ", result.value.rendered())     # 0.7854 (4 places, half away from zero)
+answer = execute_source(source)
+print("answer:   ", answer)                # NumericAnswer(value=Fraction(161, 205))
+print("rendered: ", answer.rendered())     # 0.7854 (4 places, half away from zero)
 
 # Counting is a len() call over a string list.
 print()
 count = execute_source('len(["Americas", "EMEA", "Asia Pacific"])')
-print("count:    ", count.value.count)
-print("vote key: ", count.value.key())           # ('num', Fraction(3, 1)): a count votes with the number 3
-print("log entry:", count.value.describe())
+print("count:    ", count.count)
+print("vote key: ", count.key())           # ('num', Fraction(3, 1)): a count votes with the number 3
+print("log entry:", count.describe())
 
 # A span list keeps its items as written.
 print()
-spans = execute_source('["EMEA", "Americas"]').value
+spans = execute_source('["EMEA", "Americas"]')
 print("spans:    ", spans.text_spans(), " vote key:", spans.key())
 
 # Digit-grouping commas merge into numerals outside lists.
 print()
 grouped = execute_source("3,711 + 4,801 + 1,882")
-print("3,711 + 4,801 + 1,882 =", grouped.value.rendered())
+print("3,711 + 4,801 + 1,882 =", grouped.rendered())
 
 # Two derivations with the same value collide exactly, not approximately.
 print()
-a = execute_source("(88-105)/105").value.value
-b = execute_source("88/105-1").value.value
+a = execute_source("(88-105)/105").value
+b = execute_source("88/105-1").value
 print("(88-105)/105 =", a, " 88/105-1 =", b, " equal:", a == b)
 assert a == b == Fraction(-17, 105)
 
@@ -55,15 +56,17 @@ assert a == b == Fraction(-17, 105)
 print()
 for places in (2, 4, 6):
     config = EvalConfig(render_precision=places)
-    print(f"precision {places}:", result.value.rendered(config))
+    print(f"precision {places}:", answer.rendered(config))
 
-# Parsing is strict: only this grammar runs, nothing else.
+# Parsing is strict: only this grammar runs, nothing else, and only up to
+# MAX_TOKENS tokens with numerals of at most MAX_NUMERAL_DIGITS digits.
 print()
-for bad in ("import os", '["a"] + 1', "1/(2-2)"):
+print(f"limits: {MAX_TOKENS} tokens, {MAX_NUMERAL_DIGITS}-digit numerals")
+for bad in ("import os", '["a"] + 1', "1/(2-2)", "+".join(["1"] * 1000), "9" * 5000):
     try:
         execute_source(bad)
     except ExecutionFailure as err:
-        print(f"rejected {bad!r}: {err.stage} stage, {type(err.detail).__name__}")
+        print(f"rejected {bad[:20]!r}: {err.stage} stage, {err.detail}")
 
 # Round trip: parse then render gives canonical source.
 print()

@@ -1,17 +1,24 @@
 """Consensus voting over sampled decodes.
 
-Forty sampled outputs per turn; each is executed to a canonical answer and
-answers with the same vote key pool their votes. Wrong derivations scatter
-across values while correct ones (in any operand order) pile onto one group.
-When the question is ambiguous the samples fail to agree on any single
-calculation and the clarification question tends to win the plurality.
+Forty sampled outputs per turn, exactly as the generator returns them; each
+is executed to a canonical answer and answers with the same vote key pool
+their votes. Wrong derivations scatter across values while correct ones (in
+any operand order) pile onto one group. When the question is ambiguous the
+samples fail to agree on any single calculation and the clarification
+question tends to win the plurality.
 """
 
-from pcqa import SampleSet, consensus_vote, greedy_select
+from pcqa import GeneratedOutput, consensus_vote, greedy_select
+
+
+def decodes(texts):
+    """The generator's outputs for one request; scores left out."""
+    return tuple(GeneratedOutput(text) for text in texts)
+
 
 # An unambiguous averaging question. 24 samples get it right via two operand
 # orders, 12 misread one operand, 4 divide by the wrong count.
-case1 = SampleSet.from_texts(
+case1 = decodes(
     ["[clari.] False [resp.] (1.06+0.91+4.04)/3"] * 13
     + ["[clari.] False [resp.] (1.06+4.04+0.91)/3"] * 11
     + ["[clari.] False [resp.] (1.06+0.91+4.01)/3"] * 12
@@ -20,12 +27,12 @@ case1 = SampleSet.from_texts(
 vote = consensus_vote(case1)
 print("case 1 tallies:", vote.counts(), "discarded:", vote.discarded)
 print("winner:", vote.winner.rendered(), "  (greedy alone would have said", end=" ")
-greedy = greedy_select(SampleSet.from_texts(["[clari.] False [resp.] (1.06+0.91+4.01)/3"]))
+greedy = greedy_select(decodes(["[clari.] False [resp.] (1.06+0.91+4.01)/3"]))
 print(f"{greedy.rendered()})")
 
 # An ambiguous question: the period is unspecified, so the sampled
 # derivations disagree and the clarification question carries the vote.
-case2 = SampleSet.from_texts(
+case2 = decodes(
     ['[clari.] True [resp.] ["Which period are you asking about?"]'] * 22
     + ["[clari.] False [resp.] (576523-576523)/576523"] * 10
     + ["[clari.] False [resp.] (576523-537891)/537891"] * 4

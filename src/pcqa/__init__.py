@@ -13,7 +13,6 @@ from .derivation import (
     DerivationError,
     EvalConfig,
     ExecutionFailure,
-    ExecutionResult,
     Length,
     Number,
     StringList,
@@ -56,8 +55,6 @@ from .voting import (
     ClarifyAnswer,
     CountAnswer,
     NumericAnswer,
-    SampledOutput,
-    SampleSet,
     SpanSetAnswer,
     VoteResult,
     canonicalize,
@@ -76,6 +73,7 @@ from .metrics import (
     rouge2_f1,
 )
 from .generation import (
+    GeneratedOutput,
     GenerationRequest,
     GenerationResponse,
     HttpGenerator,

@@ -112,7 +112,7 @@ def cmd_validate(args: argparse.Namespace, config: EvalConfig) -> int:
 
 
 def cmd_eval_derivation(args: argparse.Namespace, config: EvalConfig) -> int:
-    answer = execute_source(args.expression).value
+    answer = execute_source(args.expression)
     spans = answer.text_spans(config)
     print(json.dumps(spans) if isinstance(answer, SpanSetAnswer) else spans[0])
     return EXIT_OK

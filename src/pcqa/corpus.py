@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -63,6 +64,10 @@ logger = logging.getLogger(__name__)
 ANSWER_TYPES = ("span", "multi-span", "count", "arithmetic", "clarification")
 SOURCES = ("table", "text", "table-text")
 SCALES = ("", "thousand", "million", "billion", "percent")
+
+# A gold number is a decimal numeral. Exponent notation is not one: "1e5000"
+# would build a 5,001-digit number too long for int/str conversion to render.
+_DECIMAL = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)")
 
 
 class CorpusError(Exception):
@@ -118,12 +123,9 @@ class GoldTurnAnswer:
         return [normalize_whitespace(str(self.answer))]
 
     def numeric_value(self) -> Fraction | None:
-        """The gold answer as an exact rational, when it parses as a number."""
+        """The gold answer as an exact rational, when it is a decimal numeral."""
         text = str(self.answer).strip().replace(",", "")
-        try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError):
-            return None
+        return Fraction(text) if _DECIMAL.fullmatch(text) else None
 
     def count_items(self) -> list[str]:
         """Enumerated items behind a counting answer.
@@ -524,7 +526,7 @@ def validate_corpus(
                 continue
             arithmetic += 1
             try:
-                result = execute_source(reconstruct_code(gold))
+                answer = execute_source(reconstruct_code(gold))
             except DerivationError as err:
                 findings.append(Finding("UnreconstructibleDerivation", turn.turn_id, str(err)))
                 continue
@@ -533,7 +535,7 @@ def validate_corpus(
                     Finding("ExecutionMismatch", turn.turn_id, "gold answer is not numeric")
                 )
                 continue
-            executed = result.value.text(config)
+            executed = answer.text(config)
             rendered_gold = gold.canonical.rendered(config)
             if executed != rendered_gold:
                 findings.append(

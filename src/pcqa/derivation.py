@@ -21,11 +21,20 @@ Grammar:
     Factor   := NUMBER | "(" Expr ")" | "-" Factor
     List     := "[" STRING ("," STRING)* "]"
 
+    A source holds at most MAX_TOKENS (256) tokens and a NUMBER at most
+    MAX_NUMERAL_DIGITS (30) digits.
+
 Numerals may use digit-grouping commas ("3,711"); a comma between digits
 followed by exactly three digits is merged into the numeral, but never inside
 a bracketed list, where commas separate items. Strings are single- or
 double-quoted with no escape sequences. There are no variables, loops, or
 function calls other than ``len``.
+
+The two limits keep the recursive parser and evaluator below the
+interpreter's recursion limit (255 open parentheses is the deepest source),
+and every numerator and denominator, even of a product of 128 numerals,
+below Python's 4,300-digit limit on int/str conversion. A source beyond them
+raises `DerivationSyntaxError` like any other malformed source.
 """
 
 from __future__ import annotations
@@ -36,6 +45,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Union
+
+
+MAX_TOKENS = 256
+MAX_NUMERAL_DIGITS = 30
 
 
 class DerivationError(Exception):
@@ -120,7 +133,8 @@ def tokenize(source: str) -> list[Token]:
     Digit-grouping commas are resolved here: a comma between digits followed
     by exactly three digits before the next non-digit merges into the
     numeral, unless the comma occurs inside a bracketed list (where commas
-    are item separators).
+    are item separators). A source of more than MAX_TOKENS tokens or with a
+    numeral of more than MAX_NUMERAL_DIGITS digits is rejected.
     """
     if not source or not source.strip():
         raise DerivationSyntaxError(0, "non-empty derivation source")
@@ -165,12 +179,18 @@ def tokenize(source: str) -> list[Token]:
         elif ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
             start = i
             text, i = _lex_number(source, i, grouping=bracket_depth == 0)
+            if len(text) - ("." in text) > MAX_NUMERAL_DIGITS:
+                raise DerivationSyntaxError(
+                    start, f"a numeral of at most {MAX_NUMERAL_DIGITS} digits"
+                )
             tokens.append(Token(TokenKind.NUMBER, text, start))
         elif source.startswith("len", i):
             tokens.append(Token(TokenKind.LEN, "len", i))
             i += 3
         else:
             raise UnknownCharacterError(ch, i)
+    if len(tokens) > MAX_TOKENS:
+        raise DerivationSyntaxError(tokens[MAX_TOKENS].position, f"at most {MAX_TOKENS} tokens")
     return tokens
 
 
@@ -537,21 +557,13 @@ class ClarifyAnswer(_Answer):
 CanonicalAnswer = Union[NumericAnswer, CountAnswer, SpanSetAnswer, ClarifyAnswer]
 
 
-@dataclass(frozen=True)
-class ExecutionResult:
-    value: CanonicalAnswer
-    source: str
-
-
-def evaluate(expr: DerivationExpr, source: str | None = None) -> ExecutionResult:
+def evaluate(expr: DerivationExpr) -> CanonicalAnswer:
     """Evaluate an AST: numerics in exact rational arithmetic, lists and counts directly."""
-    if source is None:
-        source = render(expr)
     if isinstance(expr, StringList):
-        return ExecutionResult(SpanSetAnswer(expr.items), source)
+        return SpanSetAnswer(expr.items)
     if isinstance(expr, Length):
-        return ExecutionResult(CountAnswer(len(expr.arg.items)), source)
-    return ExecutionResult(NumericAnswer(_eval_numeric(expr)), source)
+        return CountAnswer(len(expr.arg.items))
+    return NumericAnswer(_eval_numeric(expr))
 
 
 def _eval_numeric(expr: DerivationExpr) -> Fraction:
@@ -572,7 +584,7 @@ def _eval_numeric(expr: DerivationExpr) -> Fraction:
     raise MixedTypeError(0)
 
 
-def execute_source(source: str) -> ExecutionResult:
+def execute_source(source: str) -> CanonicalAnswer:
     """tokenize -> parse -> evaluate; any stage error becomes ExecutionFailure."""
     try:
         tokens = tokenize(source)
@@ -583,6 +595,6 @@ def execute_source(source: str) -> ExecutionResult:
     except DerivationError as err:
         raise ExecutionFailure("parse", err) from err
     try:
-        return evaluate(expr, source=source)
+        return evaluate(expr)
     except DerivationError as err:
         raise ExecutionFailure("evaluate", err) from err

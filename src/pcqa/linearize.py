@@ -204,7 +204,6 @@ class ParsedOutput:
 
     clarification_flag: bool | None
     response_payload: str
-    raw: str
 
 
 def parse_output(decoded: str, task: Task = Task.MULTI) -> ParsedOutput:
@@ -217,11 +216,11 @@ def parse_output(decoded: str, task: Task = Task.MULTI) -> ParsedOutput:
     if task is Task.CNP:
         if text not in ("True", "False"):
             raise MalformedOutput(f"CNP output must be True/False, got {text!r}")
-        return ParsedOutput(text == "True", "", decoded)
+        return ParsedOutput(text == "True", "")
     if task in (Task.CQG, Task.CQA):
         if not text:
             raise MalformedOutput("empty output")
-        return ParsedOutput(None, text, decoded)
+        return ParsedOutput(None, text)
     if not text.startswith("[clari.]"):
         raise MalformedOutput("missing [clari.] marker")
     rest = text[len("[clari.]") :].strip()
@@ -234,4 +233,4 @@ def parse_output(decoded: str, task: Task = Task.MULTI) -> ParsedOutput:
     payload = rest[marker + len("[resp.]") :].strip()
     if not payload:
         raise MalformedOutput("empty response payload")
-    return ParsedOutput(flag_token == "True", payload, decoded)
+    return ParsedOutput(flag_token == "True", payload)

@@ -48,8 +48,6 @@ from .metrics import (
 from .voting import (
     AllSamplesDiscarded,
     CanonicalAnswer,
-    SampledOutput,
-    SampleSet,
     VoteResult,
     canonicalize,
     consensus_vote,
@@ -121,7 +119,7 @@ def run_turn(
     answer: CanonicalAnswer | None = None
     fallback = False
     if config.mode == CV:
-        response = generator.generate(
+        outputs = generator.generate(
             GenerationRequest(
                 input=model_input,
                 mode=SAMPLE,
@@ -131,24 +129,20 @@ def run_turn(
                 max_target_length=config.max_target_length,
                 turn_id=turn.turn_id,
             )
-        )
-        samples = SampleSet.from_texts(
-            [o.text for o in response.outputs], [o.score for o in response.outputs]
-        )
+        ).outputs
         try:
-            vote = consensus_vote(samples, Task.MULTI, config.eval_config)
+            vote = consensus_vote(outputs, config.eval_config)
             answer = vote.winner
         except AllSamplesDiscarded:
             fallback = True
     else:
-        samples = SampleSet.from_texts([o.text for o in generator.generate(greedy).outputs])
-        answer = greedy_select(samples, Task.MULTI)
+        outputs = generator.generate(greedy).outputs
+        answer = greedy_select(outputs)
     if fallback:
-        greedy_outputs = generator.generate(greedy).outputs
-        answer = greedy_select(SampleSet.from_texts([o.text for o in greedy_outputs]), Task.MULTI)
+        answer = greedy_select(generator.generate(greedy).outputs)
     return TurnResult(
         turn_id=turn.turn_id,
-        samples=[s.raw for s in samples.samples],
+        samples=[o.text for o in outputs],
         vote=vote,
         answer=answer,
         final_text=answer.text(config.eval_config) if answer else "",
@@ -282,7 +276,7 @@ def score_predictions(
             raw, scale = predictions.get(turn.turn_id, (None, ""))
             answer = None
             if raw is not None:
-                answer = canonicalize(SampledOutput(raw=raw, index=0), Task.MULTI)
+                answer = canonicalize(raw)
             record = PredictionRecord(
                 turn_id=turn.turn_id,
                 predicted=answer,

@@ -1,11 +1,13 @@
 """Consensus voting over sampled decodes.
 
-Each sampled output is canonicalized by executing its payload, which yields
-one of the four canonical answers defined in `pcqa.derivation`; samples whose
-answers share a vote key form one group, so distinct derivations with the
-same value ("(88-105)/105" vs "88/105-1", or permuted count lists) pool
-their votes. The plurality group wins. Samples that fail to parse or execute
-cast no vote.
+The samples are the generator's outputs (`GeneratedOutput`) in the order it
+returned them; a sample's index is its position in that tuple. Each decoded
+text is canonicalized by executing its payload, which yields one of the four
+canonical answers defined in `pcqa.derivation`; samples whose answers share a
+vote key form one group, so distinct derivations with the same value
+("(88-105)/105" vs "88/105-1", or permuted count lists) pool their votes. The
+plurality group wins. Samples that fail to parse or execute, including those
+beyond the derivation language's size limits, cast no vote.
 """
 
 from __future__ import annotations
@@ -27,52 +29,23 @@ from .derivation import (
     SpanSetAnswer,
     execute_source,
 )
-from .linearize import MalformedOutput, Task, parse_output
-
-
-@dataclass(frozen=True)
-class SampledOutput:
-    raw: str
-    index: int
-    score: float | None = None
-
-
-@dataclass(frozen=True)
-class SampleSet:
-    samples: tuple[SampledOutput, ...]
-
-    def __post_init__(self):
-        if not self.samples:
-            raise ValueError("SampleSet needs at least one sample")
-        if [s.index for s in self.samples] != list(range(len(self.samples))):
-            raise ValueError("sample indices must be 0..N-1 without gaps")
-
-    @classmethod
-    def from_texts(cls, texts: list[str], scores: list[float] | None = None) -> "SampleSet":
-        return cls(
-            tuple(
-                SampledOutput(raw=t, index=i, score=scores[i] if scores else None)
-                for i, t in enumerate(texts)
-            )
-        )
-
-    def __len__(self) -> int:
-        return len(self.samples)
+from .generation import GeneratedOutput
+from .linearize import MalformedOutput, parse_output
 
 
 class AllSamplesDiscarded(Exception):
     """Every sample failed parsing or execution; fall back to greedy decode."""
 
 
-def canonicalize(sample: SampledOutput, task: Task = Task.MULTI) -> CanonicalAnswer | None:
-    """Execute one sampled output into a canonical answer; None = discard.
+def canonicalize(text: str) -> CanonicalAnswer | None:
+    """Execute one multi-task decode into a canonical answer; None = discard.
 
     Clarifying outputs must carry a single-item string list as payload;
     everything else is executed through the derivation language.
     """
     try:
-        parsed = parse_output(sample.raw, task)
-        answer = execute_source(parsed.response_payload).value
+        parsed = parse_output(text)
+        answer = execute_source(parsed.response_payload)
     except (MalformedOutput, DerivationError):
         return None
     if parsed.clarification_flag is not True:
@@ -89,17 +62,17 @@ class _Group:
     min_index: int
     score_sum: float
     all_scored: bool
-    members: list[SampledOutput]
+    exemplar: str
 
 
 @dataclass(frozen=True)
 class VoteResult:
-    """Groups in rank order; `exemplars[i]` is the first sample of group i."""
+    """Groups in rank order; `exemplars[i]` is the text of group i's first sample."""
 
     winner: CanonicalAnswer
     tallies: tuple[tuple[CanonicalAnswer, int], ...]
     discarded: int
-    exemplars: tuple[SampledOutput, ...]
+    exemplars: tuple[str, ...]
 
     def counts(self) -> list[int]:
         return [count for _, count in self.tallies]
@@ -108,7 +81,7 @@ class VoteResult:
         return {
             "winner": self.winner.describe(config),
             "tallies": [
-                {"answer": answer.describe(config), "votes": count, "exemplar": exemplar.raw}
+                {"answer": answer.describe(config), "votes": count, "exemplar": exemplar}
                 for (answer, count), exemplar in zip(self.tallies, self.exemplars)
             ],
             "discarded": self.discarded,
@@ -116,9 +89,9 @@ class VoteResult:
 
 
 def consensus_vote(
-    samples: SampleSet, task: Task = Task.MULTI, config: EvalConfig = DEFAULT_CONFIG
+    outputs: tuple[GeneratedOutput, ...], config: EvalConfig = DEFAULT_CONFIG
 ) -> VoteResult:
-    """Plurality vote over canonicalized samples.
+    """Plurality vote over the canonicalized outputs of one sampling request.
 
     Ties break on higher total sequence score when every sample in the tied
     groups carries one, then on the lowest exemplar sampling index; both
@@ -126,8 +99,8 @@ def consensus_vote(
     """
     groups: dict[tuple, _Group] = {}
     discarded = 0
-    for sample in samples.samples:
-        answer = canonicalize(sample, task)
+    for index, output in enumerate(outputs):
+        answer = canonicalize(output.text)
         if answer is None:
             discarded += 1
             continue
@@ -137,18 +110,17 @@ def consensus_vote(
             groups[key] = _Group(
                 answer=answer,
                 count=1,
-                min_index=sample.index,
-                score_sum=sample.score or 0.0,
-                all_scored=sample.score is not None,
-                members=[sample],
+                min_index=index,
+                score_sum=output.score or 0.0,
+                all_scored=output.score is not None,
+                exemplar=output.text,
             )
         else:
             group.count += 1
-            group.score_sum += sample.score or 0.0
-            group.all_scored = group.all_scored and sample.score is not None
-            group.members.append(sample)
+            group.score_sum += output.score or 0.0
+            group.all_scored = group.all_scored and output.score is not None
     if not groups:
-        raise AllSamplesDiscarded(f"all {len(samples)} samples discarded")
+        raise AllSamplesDiscarded(f"all {len(outputs)} samples discarded")
     _merge_numeric_within_tolerance(groups, config)
 
     def compare(a: _Group, b: _Group) -> int:
@@ -163,7 +135,7 @@ def consensus_vote(
         winner=ordered[0].answer,
         tallies=tuple((g.answer, g.count) for g in ordered),
         discarded=discarded,
-        exemplars=tuple(g.members[0] for g in ordered),
+        exemplars=tuple(g.exemplar for g in ordered),
     )
 
 
@@ -172,7 +144,8 @@ def _merge_numeric_within_tolerance(groups: dict[tuple, _Group], config: EvalCon
 
     Exact rational execution makes equivalent derivations collide exactly, so
     this almost never fires; it exists so the configured tolerance means the
-    same thing for voting as for scoring. Earlier-seen groups absorb later ones.
+    same thing for voting as for scoring. Earlier-seen groups absorb later
+    ones and keep their exemplar.
     """
     tol = Fraction(config.numeric_tolerance)
     numeric_keys = [k for k in groups if k[0] == "num"]
@@ -189,14 +162,13 @@ def _merge_numeric_within_tolerance(groups: dict[tuple, _Group], config: EvalCon
                 host.score_sum += guest.score_sum
                 host.all_scored = host.all_scored and guest.all_scored
                 host.min_index = min(host.min_index, guest.min_index)
-                host.members.extend(guest.members)
                 absorbed.add(other)
     for key in absorbed:
         del groups[key]
 
 
-def greedy_select(samples: SampleSet, task: Task = Task.MULTI) -> CanonicalAnswer | None:
+def greedy_select(outputs: tuple[GeneratedOutput, ...]) -> CanonicalAnswer | None:
     """Canonical answer of the single greedy decode (baseline and fallback)."""
-    if len(samples) != 1:
+    if len(outputs) != 1:
         raise ValueError("greedy selection expects exactly one sample")
-    return canonicalize(samples.samples[0], task)
+    return canonicalize(outputs[0].text)

@@ -16,6 +16,7 @@ from pcqa.corpus import (
     reconstruct_code,
     validate_corpus,
 )
+from pcqa.derivation import SpanSetAnswer
 from pcqa.linearize import Task
 
 
@@ -305,6 +306,19 @@ class TestValidateCorpus:
         [finding] = report.findings
         assert (finding.kind, finding.where) == ("ExecutionMismatch", "a1-q4")
         assert finding.detail == f"derivation executes to {shown}, gold is 2"
+
+    def test_exponent_notation_gold_is_not_numeric(self, raw_blocks):
+        blocks = copy.deepcopy(raw_blocks)
+        blocks[0]["questions"][3]["answer"] = "1e5000"
+        corpus = corpus_from_obj(blocks)
+        gold = corpus.turn_index()["a1-q4"][1].gold
+        assert gold.canonical == SpanSetAnswer(("1e5000",))
+        [finding] = validate_corpus(corpus).findings
+        assert (finding.kind, finding.where, finding.detail) == (
+            "ExecutionMismatch",
+            "a1-q4",
+            "gold answer is not numeric",
+        )
 
     def test_stat_diff_reported(self, small_corpus):
         report = validate_corpus(small_corpus, CorpusExpectations(turns=99))

@@ -1,10 +1,13 @@
 import random
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from pcqa.derivation import (
+    MAX_NUMERAL_DIGITS,
+    MAX_TOKENS,
     BinaryOp,
     DerivationSyntaxError,
     DivisionByZeroError,
@@ -92,6 +95,20 @@ class TestTokenize:
             "Which period are you asking about?"
         )
 
+    def test_token_limit(self):
+        at_limit = "-1" + "+1" * (MAX_TOKENS // 2 - 1)
+        assert len(tokenize(at_limit)) == MAX_TOKENS == 256
+        with pytest.raises(DerivationSyntaxError):
+            tokenize("-" + at_limit)
+
+    def test_numeral_digit_limit(self):
+        assert MAX_NUMERAL_DIGITS == 30
+        for numeral in ("9" * 30, "1" * 15 + "." + "1" * 15, ",".join(["999"] * 10)):
+            assert [t.kind for t in tokenize(numeral)] == [TokenKind.NUMBER]
+        for numeral in ("9" * 31, "1" * 16 + "." + "1" * 15, "9," + ",".join(["999"] * 10)):
+            with pytest.raises(DerivationSyntaxError):
+                tokenize(numeral)
+
     def test_unknown_character(self):
         with pytest.raises(UnknownCharacterError) as err:
             tokenize("1 + x")
@@ -159,21 +176,21 @@ class TestParse:
 class TestEvaluate:
     def test_paper_quotient(self):
         result = evaluate(parse_source("(36.6-20.5)/20.5"))
-        assert result.value == NumericAnswer(Fraction(161, 205))
-        assert result.value.rendered() == "0.7854"
+        assert result == NumericAnswer(Fraction(161, 205))
+        assert result.rendered() == "0.7854"
 
     def test_length_counts(self):
         result = evaluate(Length(StringList(("2018", "2019"))))
-        assert result.value == CountAnswer(2)
+        assert result == CountAnswer(2)
 
     def test_x_minus_x_is_zero(self):
         result = evaluate(BinaryOp("sub", Number("7"), Number("7")))
-        assert result.value == NumericAnswer(Fraction(0))
-        assert result.value.rendered() == "0"
+        assert result == NumericAnswer(Fraction(0))
+        assert result.rendered() == "0"
 
     def test_operand_order_equivalence(self):
-        a = evaluate(parse_source("(88-105)/105")).value
-        b = evaluate(parse_source("88/105-1")).value
+        a = evaluate(parse_source("(88-105)/105"))
+        b = evaluate(parse_source("88/105-1"))
         assert a.value == b.value == Fraction(-17, 105)
 
     def test_division_by_zero(self):
@@ -182,23 +199,23 @@ class TestEvaluate:
 
     def test_span_list_preserves_order(self):
         result = evaluate(StringList(("b", "a")))
-        assert result.value == SpanSetAnswer(("b", "a"))
+        assert result == SpanSetAnswer(("b", "a"))
 
     def test_count_invariant_under_permutation(self):
         items = ("Americas", "EMEA", "Asia Pacific")
         for perm in [items, items[::-1], (items[1], items[2], items[0])]:
-            assert evaluate(Length(StringList(perm))).value == CountAnswer(3)
+            assert evaluate(Length(StringList(perm))) == CountAnswer(3)
 
 
 class TestExecuteSource:
     def test_count_regions(self):
         result = execute_source('len(["Americas", "EMEA", "Asia Pacific"])')
-        assert result.value == CountAnswer(3)
+        assert result == CountAnswer(3)
 
     def test_average(self):
         result = execute_source("(1.06+0.91+4.04)/3")
-        assert result.value == NumericAnswer(Fraction(601, 300))
-        assert result.value.rendered() == "2.0033"
+        assert result == NumericAnswer(Fraction(601, 300))
+        assert result.rendered() == "2.0033"
 
     def test_stage_errors(self):
         with pytest.raises(ExecutionFailure) as err:
@@ -210,10 +227,41 @@ class TestExecuteSource:
         with pytest.raises(ExecutionFailure) as err:
             execute_source("1 +")
         assert err.value.stage == "parse"
+        for oversized in ("+".join(["1"] * 1000), "7" * 5000):
+            with pytest.raises(ExecutionFailure) as err:
+                execute_source(oversized)
+            assert err.value.stage == "tokenize"
 
-    def test_source_is_preserved(self):
-        assert execute_source("3,711 + 1,882").source == "3,711 + 1,882"
+    # The deepest and largest sources the limits admit, and one over-deep
+    # source that the limits let through to the parser.
+    @pytest.mark.parametrize(
+        "source,stage",
+        [
+            ("(" * 255 + "1", "parse"),
+            ("(" * 127 + "1" + ")" * 127, None),
+            ("-" * 255 + "1", None),
+            ("+".join(["1"] * 128), None),
+            ("*".join(["9" * 30] * 128), None),
+            ("/".join(["1"] + ["0." + "0" * 28 + "1"] * 127), None),
+        ],
+        ids=["open-parens", "nesting", "negation", "sum", "product", "quotient"],
+    )
+    def test_largest_sources_within_limits(self, source, stage):
+        assert len(tokenize(source)) <= MAX_TOKENS
 
+        def run():
+            try:
+                answer = execute_source(source)
+            except ExecutionFailure as err:
+                return err.stage
+            config = EvalConfig(render_precision=10)
+            answer.text(config)
+            answer.describe(config)
+            return None
+
+        assert run() == stage
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            assert pool.submit(run).result() == stage
 
 class TestRenderDecimal:
     @pytest.mark.parametrize(
@@ -299,8 +347,7 @@ class TestOracleAgreement:
                 with pytest.raises(DivisionByZeroError):
                     evaluate(expr)
                 continue
-            result = evaluate(expr)
-            value = result.value.value
+            value = evaluate(expr).value
             assert (value.numerator, value.denominator) == expected
 
     def test_hand_checked_values(self):
@@ -330,4 +377,4 @@ def test_length_permutation_property(items):
     rng = random.Random(0)
     shuffled = list(base.items)
     rng.shuffle(shuffled)
-    assert evaluate(Length(StringList(tuple(shuffled)))).value == evaluate(Length(base)).value
+    assert evaluate(Length(StringList(tuple(shuffled)))) == evaluate(Length(base))

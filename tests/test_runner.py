@@ -268,6 +268,17 @@ class TestScorePredictions:
         report, _ = score_predictions(path, small_corpus)
         assert report.overall_em == 1.0
 
+    def test_oversized_decode_scores_zero(self, small_corpus, tmp_path):
+        lines = self.gold_prediction_lines(small_corpus)
+        for line in lines:
+            if line["turn_id"] == "a1-q4":
+                line["output"] = "[clari.] False [resp.] " + "+".join(["1"] * 1000)
+        path = self.write_predictions(tmp_path, lines)
+        report, logs = score_predictions(path, small_corpus)
+        by_turn = {log["turn_id"]: log for log in logs}
+        assert (by_turn["a1-q4"]["em"], by_turn["a1-q4"]["f1"]) == (0, 0)
+        assert report.overall_em == pytest.approx(15 / 16)
+
     def test_unknown_turn_id(self, small_corpus, tmp_path):
         path = self.write_predictions(tmp_path, [{"turn_id": "bogus", "output": "[clari.] False [resp.] 1"}])
         with pytest.raises(UnknownTurnId):
