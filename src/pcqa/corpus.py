@@ -36,6 +36,7 @@ from typing import Any
 
 from .derivation import (
     DEFAULT_CONFIG,
+    MAX_NUMERAL_DIGITS,
     CanonicalAnswer,
     ClarifyAnswer,
     DerivationError,
@@ -44,6 +45,7 @@ from .derivation import (
     SpanSetAnswer,
     StringList,
     UnreconstructibleDerivation,
+    decimal_fraction,
     execute_source,
     parse_source,
     render,
@@ -65,8 +67,9 @@ ANSWER_TYPES = ("span", "multi-span", "count", "arithmetic", "clarification")
 SOURCES = ("table", "text", "table-text")
 SCALES = ("", "thousand", "million", "billion", "percent")
 
-# A gold number is a decimal numeral. Exponent notation is not one: "1e5000"
-# would build a 5,001-digit number too long for int/str conversion to render.
+# A gold number is a decimal numeral of at most MAX_NUMERAL_DIGITS digits.
+# Exponent notation is not one, and neither is a longer digit string: either
+# could build a number too long for int/str conversion to render ("1e5000").
 _DECIMAL = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)")
 
 
@@ -125,7 +128,11 @@ class GoldTurnAnswer:
     def numeric_value(self) -> Fraction | None:
         """The gold answer as an exact rational, when it is a decimal numeral."""
         text = str(self.answer).strip().replace(",", "")
-        return Fraction(text) if _DECIMAL.fullmatch(text) else None
+        if not _DECIMAL.fullmatch(text):
+            return None
+        if len(text) - (text[0] in "+-") - ("." in text) > MAX_NUMERAL_DIGITS:
+            return None
+        return decimal_fraction(text)
 
     def count_items(self) -> list[str]:
         """Enumerated items behind a counting answer.

@@ -22,9 +22,11 @@ from typing import Sequence, Union
 from .corpus import GoldTurnAnswer
 from .derivation import (
     DEFAULT_CONFIG,
+    MAX_NUMERAL_DIGITS,
     CanonicalAnswer,
     ClarifyAnswer,
     EvalConfig,
+    decimal_fraction,
     normalize_answer_text,
     numbers_equal,
     render_decimal,
@@ -52,7 +54,12 @@ _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
 
 def parse_numeral(token: str) -> tuple[Fraction, str, str] | None:
-    """Parse one numeral token; returns (value, currency prefix, percent suffix)."""
+    """Parse one numeral token; returns (value, currency prefix, percent suffix).
+
+    A numeral of more than MAX_NUMERAL_DIGITS digits is text, as in a
+    derivation: it names no quantity the harness scores, and rendering it
+    could pass Python's 4,300-digit limit on int/str conversion.
+    """
     token = token.strip()
     if not token or not any(ch.isdigit() for ch in token):
         return None
@@ -63,11 +70,10 @@ def parse_numeral(token: str) -> tuple[Fraction, str, str] | None:
     suffix = "%" if body.endswith("%") else ""
     if suffix:
         body = body[:-1]
-    try:
-        value = Fraction(body.replace(",", ""))
-    except (ValueError, ZeroDivisionError):
+    number = body.replace(",", "")
+    if len(number) - number.startswith("-") - ("." in number) > MAX_NUMERAL_DIGITS:
         return None
-    return value, prefix, suffix
+    return decimal_fraction(number), prefix, suffix
 
 
 def plain_number(text: str) -> Fraction | None:

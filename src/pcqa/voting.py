@@ -8,6 +8,10 @@ vote key form one group, so distinct derivations with the same value
 ("(88-105)/105" vs "88/105-1", or permuted count lists) pool their votes. The
 plurality group wins. Samples that fail to parse or execute, including those
 beyond the derivation language's size limits, cast no vote.
+
+Sampled decodes repeat, so each distinct decoded text is executed once per
+vote and its later samples only add to its group. Nothing is remembered
+between votes.
 """
 
 from __future__ import annotations
@@ -88,6 +92,9 @@ class VoteResult:
         }
 
 
+_UNSEEN = object()
+
+
 def consensus_vote(
     outputs: tuple[GeneratedOutput, ...], config: EvalConfig = DEFAULT_CONFIG
 ) -> VoteResult:
@@ -98,27 +105,35 @@ def consensus_vote(
     rules make repeated runs deterministic.
     """
     groups: dict[tuple, _Group] = {}
+    # Each distinct text's group, or None when its samples are discarded.
+    seen: dict[str, _Group | None] = {}
     discarded = 0
     for index, output in enumerate(outputs):
-        answer = canonicalize(output.text)
-        if answer is None:
+        text = output.text
+        group = seen.get(text, _UNSEEN)
+        if group is _UNSEEN:
+            answer = canonicalize(text)
+            if answer is None:
+                group = None
+            else:
+                key = answer.key()
+                group = groups.get(key)
+                if group is None:
+                    group = groups[key] = _Group(
+                        answer=answer,
+                        count=0,
+                        min_index=index,
+                        score_sum=0.0,
+                        all_scored=True,
+                        exemplar=text,
+                    )
+            seen[text] = group
+        if group is None:
             discarded += 1
             continue
-        key = answer.key()
-        group = groups.get(key)
-        if group is None:
-            groups[key] = _Group(
-                answer=answer,
-                count=1,
-                min_index=index,
-                score_sum=output.score or 0.0,
-                all_scored=output.score is not None,
-                exemplar=output.text,
-            )
-        else:
-            group.count += 1
-            group.score_sum += output.score or 0.0
-            group.all_scored = group.all_scored and output.score is not None
+        group.count += 1
+        group.score_sum += output.score or 0.0
+        group.all_scored = group.all_scored and output.score is not None
     if not groups:
         raise AllSamplesDiscarded(f"all {len(outputs)} samples discarded")
     _merge_numeric_within_tolerance(groups, config)

@@ -1,5 +1,6 @@
 import copy
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -16,7 +17,7 @@ from pcqa.corpus import (
     reconstruct_code,
     validate_corpus,
 )
-from pcqa.derivation import SpanSetAnswer
+from pcqa.derivation import MAX_NUMERAL_DIGITS, NumericAnswer, SpanSetAnswer
 from pcqa.linearize import Task
 
 
@@ -319,6 +320,31 @@ class TestValidateCorpus:
             "a1-q4",
             "gold answer is not numeric",
         )
+
+    def test_long_numeral_gold_is_not_numeric(self, raw_blocks):
+        # 4,297 digits rendered at 4 places pass the 4,300-digit int/str limit
+        blocks = copy.deepcopy(raw_blocks)
+        blocks[0]["questions"][3]["answer"] = "9" * 4297
+        corpus = corpus_from_obj(blocks)
+        gold = corpus.turn_index()["a1-q4"][1].gold
+        assert gold.canonical == SpanSetAnswer(("9" * 4297,))
+        [finding] = validate_corpus(corpus).findings
+        assert (finding.kind, finding.where, finding.detail) == (
+            "ExecutionMismatch",
+            "a1-q4",
+            "gold answer is not numeric",
+        )
+
+    def test_numeral_digit_limit(self, raw_blocks):
+        for answer, canonical in [
+            ("9" * MAX_NUMERAL_DIGITS, NumericAnswer(Fraction(10**30 - 1))),
+            ("-." + "5" * MAX_NUMERAL_DIGITS, NumericAnswer(-Fraction("." + "5" * 30))),
+            ("9" * (MAX_NUMERAL_DIGITS + 1), SpanSetAnswer(("9" * 31,))),
+        ]:
+            blocks = copy.deepcopy(raw_blocks)
+            blocks[0]["questions"][3]["answer"] = answer
+            gold = corpus_from_obj(blocks).turn_index()["a1-q4"][1].gold
+            assert gold.canonical == canonical
 
     def test_stat_diff_reported(self, small_corpus):
         report = validate_corpus(small_corpus, CorpusExpectations(turns=99))

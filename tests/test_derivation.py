@@ -24,6 +24,7 @@ from pcqa.derivation import (
     TokenKind,
     UnknownCharacterError,
     UnterminatedStringError,
+    decimal_fraction,
     evaluate,
     execute_source,
     numbers_equal,
@@ -114,6 +115,12 @@ class TestTokenize:
             tokenize("1 + x")
         assert err.value.position == 4
 
+    def test_non_decimal_digit_is_unknown(self):
+        # "²" is a digit to str.isdigit but has no decimal value
+        for source in ("²", "1²", "3,711²", ".²"):
+            with pytest.raises(UnknownCharacterError):
+                tokenize(source)
+
     def test_unterminated_string(self):
         with pytest.raises(UnterminatedStringError):
             tokenize('["abc')
@@ -121,6 +128,21 @@ class TestTokenize:
     def test_empty_source(self):
         with pytest.raises(DerivationSyntaxError):
             tokenize("   ")
+
+
+@st.composite
+def decimal_numerals(draw):
+    """Numerals in every form the three decimal callers pass: signed,
+    leading-dot, trailing-dot, and 1 to MAX_NUMERAL_DIGITS digits."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=MAX_NUMERAL_DIGITS))
+    point = draw(st.integers(min_value=-1, max_value=len(digits)))
+    body = digits if point < 0 else digits[:point] + "." + digits[point:]
+    return draw(st.sampled_from(["", "-", "+"])) + body
+
+
+@given(decimal_numerals())
+def test_decimal_fraction_matches_fraction_str(numeral):
+    assert decimal_fraction(numeral) == Fraction(numeral)
 
 
 class TestParse:

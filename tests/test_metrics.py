@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pcqa.corpus import GoldTurnAnswer
-from pcqa.derivation import EvalConfig
+from pcqa.derivation import MAX_NUMERAL_DIGITS, EvalConfig
 from pcqa.metrics import (
     EmptyRecordSet,
     LengthMismatch,
@@ -14,6 +14,7 @@ from pcqa.metrics import (
     classification_prf,
     exact_match,
     numeracy_f1,
+    parse_numeral,
     record_scores,
     rouge1_recall,
     rouge2_f1,
@@ -77,6 +78,22 @@ class TestExactMatch:
     def test_grouping_commas_equal(self):
         g = gold("span", ["148,502"])
         assert exact_match(SpanSetAnswer(("148502",)), "", g, CONFIG) == 1
+
+
+class TestParseNumeral:
+    def test_forms(self):
+        assert parse_numeral("$1,234.50") == (Fraction(2469, 2), "$", "")
+        assert parse_numeral("-.5%") == (Fraction(-1, 2), "", "%")
+        assert parse_numeral("twelve") is None
+
+    def test_digit_limit(self):
+        assert parse_numeral("-" + "9" * MAX_NUMERAL_DIGITS) == (-Fraction(10**30 - 1), "", "")
+        split = "1" * 15 + "." + "1" * 15
+        assert parse_numeral(split) == (Fraction(split), "", "")
+        # a longer digit string is text, however it is grouped or signed
+        assert parse_numeral("9" * (MAX_NUMERAL_DIGITS + 1)) is None
+        assert parse_numeral("-9," + ",".join(["999"] * 10) + "%") is None
+        assert parse_numeral("9" * 4297) is None
 
 
 class TestNumeracyF1:

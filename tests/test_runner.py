@@ -279,6 +279,19 @@ class TestScorePredictions:
         assert (by_turn["a1-q4"]["em"], by_turn["a1-q4"]["f1"]) == (0, 0)
         assert report.overall_em == pytest.approx(15 / 16)
 
+    def test_long_numeral_span_scores_zero(self, small_corpus, tmp_path):
+        # A string item escapes the tokenizer's digit limit; rendering it as a
+        # number at 4 places would pass the 4,300-digit int/str limit.
+        lines = self.gold_prediction_lines(small_corpus)
+        for line in lines:
+            if line["turn_id"] == "a1-q4":
+                line["output"] = f'[clari.] False [resp.] ["{"9" * 4297}"]'
+        path = self.write_predictions(tmp_path, lines)
+        report, logs = score_predictions(path, small_corpus)
+        by_turn = {log["turn_id"]: log for log in logs}
+        assert (by_turn["a1-q4"]["em"], by_turn["a1-q4"]["f1"]) == (0, 0)
+        assert report.overall_em == pytest.approx(15 / 16)
+
     def test_unknown_turn_id(self, small_corpus, tmp_path):
         path = self.write_predictions(tmp_path, [{"turn_id": "bogus", "output": "[clari.] False [resp.] 1"}])
         with pytest.raises(UnknownTurnId):

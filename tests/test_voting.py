@@ -1,9 +1,11 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pcqa import voting
 from pcqa.derivation import EvalConfig
 from pcqa.generation import GeneratedOutput
 from pcqa.voting import (
@@ -199,6 +201,37 @@ class TestConsensusVote:
         assert vote.exemplars == ("[clari.] False [resp.] 1.000", "[clari.] False [resp.] 5")
 
 
+class TestExecutionCount:
+    @pytest.fixture
+    def executed(self, monkeypatch):
+        sources = []
+        original = voting.execute_source
+
+        def counting(source):
+            sources.append(source)
+            return original(source)
+
+        monkeypatch.setattr(voting, "execute_source", counting)
+        return sources
+
+    def test_each_distinct_text_executes_once(self, executed):
+        vote = consensus_vote(table7_case1_samples())
+        assert vote.counts() == [24, 12, 4]
+        assert len(executed) == 4
+        assert len(set(executed)) == 4
+
+    def test_discarded_text_executes_once(self, executed):
+        # seven distinct texts; the one without a flag never reaches execution
+        vote = consensus_vote(table7_case2_samples() * 2)
+        assert vote.discarded == 4
+        assert len(executed) == 6
+
+    def test_executions_do_not_carry_over_between_votes(self, executed):
+        consensus_vote(table7_case1_samples())
+        consensus_vote(table7_case1_samples())
+        assert len(executed) == 8
+
+
 class TestGreedySelect:
     def test_zero_change(self):
         answer = greedy_select(
@@ -251,9 +284,112 @@ DERIVATION_PIECES = list("0123456789.,+-*/()[]'\" ") + ["len"]
 @example(prefix="[clari.] False [resp.] ", body=OVERSIZED_PAYLOADS[1])
 @example(prefix="[clari.] False [resp.] ", body=OVERSIZED_PAYLOADS[2])
 @example(prefix="[clari.] False [resp.] ", body=OVERSIZED_PAYLOADS[3])
+@example(prefix="[clari.] False [resp.] ", body="²")
 def test_canonicalize_never_raises(prefix, body):
     answer = canonicalize(prefix + body)
     if answer is not None:
         config = EvalConfig(render_precision=10)
         answer.text(config)
         answer.describe(config)
+
+
+def reference_vote(samples, config):
+    """`consensus_vote` as plainly as possible: canonicalize every sample."""
+    groups = {}  # vote key -> group, in order of first appearance
+    discarded = 0
+    for index, output in enumerate(samples):
+        answer = canonicalize(output.text)
+        if answer is None:
+            discarded += 1
+            continue
+        group = groups.setdefault(
+            answer.key(),
+            {
+                "answer": answer,
+                "count": 0,
+                "first": index,
+                "sum": 0.0,
+                "scored": True,
+                "text": output.text,
+            },
+        )
+        group["count"] += 1
+        group["sum"] += output.score or 0.0
+        group["scored"] = group["scored"] and output.score is not None
+    if not groups:
+        raise AllSamplesDiscarded
+    tol = Fraction(config.numeric_tolerance)
+    numeric = [key for key in groups if key[0] == "num"]
+    for i, key in enumerate(numeric):
+        if key not in groups:
+            continue
+        for other in numeric[i + 1 :]:
+            if other in groups and abs(key[1] - other[1]) <= tol:
+                guest = groups.pop(other)
+                host = groups[key]
+                host["count"] += guest["count"]
+                host["sum"] += guest["sum"]
+                host["scored"] = host["scored"] and guest["scored"]
+                host["first"] = min(host["first"], guest["first"])
+
+    def compare(a, b):
+        if a["count"] != b["count"]:
+            return -1 if a["count"] > b["count"] else 1
+        if a["scored"] and b["scored"] and a["sum"] != b["sum"]:
+            return -1 if a["sum"] > b["sum"] else 1
+        return -1 if a["first"] < b["first"] else 1
+
+    ordered = sorted(groups.values(), key=functools.cmp_to_key(compare))
+    return (
+        ordered[0]["answer"],
+        tuple((g["answer"], g["count"]) for g in ordered),
+        discarded,
+        tuple(g["text"] for g in ordered),
+    )
+
+
+# Repeats, equivalent derivations, numbers within a loose tolerance,
+# clarifications in two quotings, malformed text and a failing execution.
+VOTE_POOL = [
+    "[clari.] False [resp.] (88-105)/105",
+    "[clari.] False [resp.] 88/105-1",
+    "[clari.] False [resp.] 1.000",
+    "[clari.] False [resp.] 1.001",
+    "[clari.] False [resp.] 1.02",
+    "[clari.] False [resp.] 2",
+    '[clari.] False [resp.] len(["a", "b"])',
+    '[clari.] False [resp.] ["EMEA", "Americas"]',
+    "[clari.] False [resp.] ['americas', 'emea']",
+    '[clari.] True [resp.] ["Which period are you asking about?"]',
+    "[clari.] True [resp.] ['which period are you asking about']",
+    "[clari.] True [resp.] (1+2)",
+    "[clari.] False [resp.] 1/(3-3)",
+    "[resp.] missing flag",
+    "junk",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    samples=st.lists(
+        st.builds(
+            GeneratedOutput,
+            st.sampled_from(VOTE_POOL),
+            st.one_of(st.none(), st.sampled_from([-1.0, -0.5, -0.25]), st.floats(-5, 0)),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    tolerance=st.sampled_from([1e-9, 0.01, 0.05]),
+)
+def test_vote_matches_reference_property(samples, tolerance):
+    config = EvalConfig(numeric_tolerance=tolerance)
+    samples = tuple(samples)
+    try:
+        expected = reference_vote(samples, config)
+    except AllSamplesDiscarded:
+        with pytest.raises(AllSamplesDiscarded):
+            consensus_vote(samples, config)
+        return
+    vote = consensus_vote(samples, config)
+    assert (vote.winner, vote.tallies, vote.discarded, vote.exemplars) == expected
