@@ -167,6 +167,8 @@ def cmd_run(args: argparse.Namespace, config: EvalConfig) -> int:
     finally:
         if log_handle is not None:
             log_handle.close()
+        if isinstance(generator, HttpGenerator):
+            generator.close()
     _emit_report(report, args.report)
     return EXIT_OK
 

@@ -11,17 +11,25 @@ exactly one output in greedy mode and exactly num_samples in sample mode.
 Any model server can implement this in minutes; ReplayGenerator implements
 the same contract from a canned JSONL fixture keyed by (turn_id, mode),
 one line per entry: {"turn_id": ..., "mode": ..., "outputs": [...]}.
+
+HttpGenerator speaks HTTP/1.1 through the standard library's http.client
+and keeps its connections open between requests: one connection per
+request in flight, reused by later requests from any thread. It connects
+directly to the endpoint's host; proxy environment variables and ~/.netrc
+are not consulted.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import select
+import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
-
-import requests
+from urllib.parse import urlsplit
 
 GREEDY = "greedy"
 SAMPLE = "sample"
@@ -95,33 +103,97 @@ def _check_contract(request: GenerationRequest, outputs: list[GeneratedOutput]) 
     return GenerationResponse(outputs=tuple(outputs))
 
 
+_HEADERS = {"Content-Type": "application/json"}
+
+
+def _closed_by_peer(sock) -> bool:
+    """Whether an idle keep-alive socket is readable, which means the server
+    has closed it (or sent bytes no request asked for): it must not be reused."""
+    if hasattr(select, "poll"):
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
+
+
 @dataclass
 class HttpGenerator:
-    """POSTs to <endpoint>/generate with bounded-backoff retries."""
+    """POSTs to <endpoint>/generate with bounded-backoff retries.
+
+    Idle connections are kept on the generator, so they outlive the threads
+    and run_eval calls that used them. A request takes one from the stack
+    (or opens a new one) and puts it back after reading the response, so
+    no two requests share a connection at once and the number of
+    connections is bounded by the number of requests in flight. A
+    connection the server closed while idle is reopened without spending
+    an attempt. close() closes the idle connections.
+    """
 
     endpoint: str
     timeout: float = 60.0
     max_attempts: int = 3
     backoff_base: float = 0.5
-    session: requests.Session = field(default_factory=requests.Session, repr=False)
+
+    def __post_init__(self):
+        url = urlsplit(self.endpoint)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"endpoint must be an http:// or https:// URL, got {self.endpoint!r}")
+        https = url.scheme == "https"
+        self._connection_class = http.client.HTTPSConnection if https else http.client.HTTPConnection
+        self._address = (url.hostname, url.port)
+        self._path = url.path.rstrip("/") + "/generate"
+        self._idle: list[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
+
+    def _acquire(self) -> http.client.HTTPConnection:
+        with self._lock:
+            connection = self._idle.pop() if self._idle else None
+        if connection is None:
+            return self._connection_class(*self._address, timeout=self.timeout)
+        if connection.sock is not None and _closed_by_peer(connection.sock):
+            connection.close()  # the next request on it reconnects
+        return connection
+
+    def _post(self, body: bytes) -> tuple[int, bytes]:
+        connection = self._acquire()
+        try:
+            connection.request("POST", self._path, body, _HEADERS)
+            response = connection.getresponse()
+            result = response.status, response.read()
+        except (OSError, http.client.HTTPException):
+            connection.close()
+            raise
+        with self._lock:
+            self._idle.append(connection)
+        return result
+
+    def close(self) -> None:
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
 
     def generate(self, request: GenerationRequest) -> GenerationResponse:
-        url = self.endpoint.rstrip("/") + "/generate"
+        body = json.dumps(request.to_payload()).encode()
         last_error: Exception | None = None
         for attempt in range(self.max_attempts):
             if attempt:
                 time.sleep(self.backoff_base * 2 ** (attempt - 1))
             try:
-                response = self.session.post(url, json=request.to_payload(), timeout=self.timeout)
-            except requests.RequestException as err:
+                status, data = self._post(body)
+            except (OSError, http.client.HTTPException) as err:
                 last_error = err
                 continue
-            if response.status_code >= 500:
-                last_error = TransportError(f"server error {response.status_code}")
+            if status >= 500:
+                last_error = TransportError(f"server error {status}")
                 continue
-            if response.status_code != 200:
-                raise TransportError(f"generation endpoint returned {response.status_code}")
-            return _check_contract(request, _parse_outputs(response.json()))
+            if status != 200:
+                raise TransportError(f"generation endpoint returned {status}")
+            try:
+                payload = json.loads(data)
+            except (ValueError, RecursionError) as err:
+                raise ContractViolation(f"response body is not JSON: {err}") from err
+            return _check_contract(request, _parse_outputs(payload))
         raise TransportError(
             f"generation failed after {self.max_attempts} attempts: {last_error}"
         )

@@ -6,8 +6,9 @@ the configured precision. Normalization has two flavors. Exact match keeps
 currency/percent symbols attached to numerals (so "148,502" against
 "$148,502" is an EM miss), while the token-F1 side strips them (so the same
 pair keeps a high F1). A numeric mismatch zeroes the pair F1 outright.
-`record_scores` scores one turn; `aggregate_report` sums those per-turn
-scores and never recomputes them.
+Each span is normalized once per turn, to both flavors and its plain
+number. `record_scores` scores one turn; `aggregate_report` sums those
+per-turn scores and never recomputes them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import string
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .corpus import GoldTurnAnswer
 from .derivation import (
@@ -47,9 +48,9 @@ class EmptyRecordSet(MetricError):
 
 _ARTICLES = ("a", "an", "the")
 _CURRENCY = "$€£¥"
-_NUMERAL = re.compile(
-    r"^(?P<prefix>[$€£¥]?)-?(\d{1,3}(,\d{3})+|\d+)?(\.\d+)?(?P<suffix>%?)$"
-)
+# At least one digit: a whole part (with or without thousands separators) and
+# an optional fraction, or a fraction alone.
+_NUMERAL = re.compile(r"^[$€£¥]?-?(?:(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?|\.\d+)%?$")
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
 
@@ -61,8 +62,6 @@ def parse_numeral(token: str) -> tuple[Fraction, str, str] | None:
     could pass Python's 4,300-digit limit on int/str conversion.
     """
     token = token.strip()
-    if not token or not any(ch.isdigit() for ch in token):
-        return None
     if not _NUMERAL.match(token):
         return None
     prefix = token[0] if token[0] in _CURRENCY else ""
@@ -82,27 +81,35 @@ def plain_number(text: str) -> Fraction | None:
     return parsed[0] if parsed else None
 
 
-def normalize_for_match(text: str, precision: int, keep_symbols: bool) -> str:
-    """Shared normalization pipeline for EM and token F1.
+class _Normalized(NamedTuple):
+    """One span normalized for scoring."""
 
-    Lowercase, drop leading articles, canonicalize numerals at the given
-    precision, strip punctuation from non-numeral tokens, collapse spaces.
-    """
+    em: str  # the exact-match form: numerals keep currency and percent marks
+    tokens: list[str]  # the token-F1 form: numerals without marks, no punctuation
+    number: Fraction | None  # the F1 form's value when it is one numeral
+
+
+def _normalize(text: str, precision: int) -> _Normalized:
+    """Lowercase, drop leading articles, canonicalize numerals at the given
+    precision, strip punctuation from non-numeral tokens, collapse spaces."""
     tokens = text.lower().split()
     while tokens and tokens[0] in _ARTICLES:
         tokens.pop(0)
-    out = []
+    em, f1 = [], []
     for token in tokens:
         parsed = parse_numeral(token)
         if parsed is not None:
             value, prefix, suffix = parsed
             rendered = render_decimal(value, precision)
-            out.append(prefix + rendered + suffix if keep_symbols else rendered)
+            em.append(prefix + rendered + suffix)
+            f1.append(rendered)
         else:
             stripped = token.translate(_PUNCT_TABLE)
             if stripped:
-                out.append(stripped)
-    return " ".join(out)
+                em.append(stripped)
+                f1.append(stripped)
+    # Only a lone token can be a numeral; the regex admits no spaces.
+    return _Normalized(" ".join(em), f1, plain_number(f1[0]) if len(f1) == 1 else None)
 
 
 Spans = Union[str, Sequence[str]]
@@ -112,6 +119,20 @@ def _as_spans(side: Spans) -> list[str]:
     if isinstance(side, str):
         return [side]
     return [str(s) for s in side]
+
+
+def _answer_spans(answer: CanonicalAnswer | None, config: EvalConfig) -> list[_Normalized]:
+    if answer is None:
+        return []
+    return [_normalize(s, config.render_precision) for s in answer.text_spans(config)]
+
+
+def _em_comparable(pred: CanonicalAnswer | None, pred_scale: str, gold: GoldTurnAnswer) -> bool:
+    return pred is not None and gold.req_clari == isinstance(pred, ClarifyAnswer) and pred_scale == gold.scale
+
+
+def _same_spans(pred: list[_Normalized], gold: list[_Normalized]) -> int:
+    return int(Counter(p.em for p in pred) == Counter(g.em for g in gold))
 
 
 def exact_match(
@@ -126,16 +147,9 @@ def exact_match(
     span sets compare as normalized multisets; the scale strings must match
     exactly for every answer type.
     """
-    if pred is None:
+    if not _em_comparable(pred, pred_scale, gold):
         return 0
-    if gold.req_clari != isinstance(pred, ClarifyAnswer):
-        return 0
-    if pred_scale != gold.scale:
-        return 0
-    precision = config.render_precision
-    pred_norm = [normalize_for_match(s, precision, keep_symbols=True) for s in pred.text_spans(config)]
-    gold_norm = [normalize_for_match(s, precision, keep_symbols=True) for s in gold.canonical.text_spans(config)]
-    return int(Counter(pred_norm) == Counter(gold_norm))
+    return _same_spans(_answer_spans(pred, config), _answer_spans(gold.canonical, config))
 
 
 def _bag_f1(pred_tokens: Counter, gold_tokens: Counter) -> float:
@@ -151,16 +165,11 @@ def _bag_f1(pred_tokens: Counter, gold_tokens: Counter) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def _pair_f1(pred: str, gold: str, config: EvalConfig) -> float:
-    pred_norm = normalize_for_match(pred, config.render_precision, keep_symbols=False)
-    gold_norm = normalize_for_match(gold, config.render_precision, keep_symbols=False)
-    pred_num = plain_number(pred_norm)
-    gold_num = plain_number(gold_norm)
-    if pred_num is not None or gold_num is not None:
-        if pred_num is not None and gold_num is not None and numbers_equal(pred_num, gold_num, config):
-            return 1.0
-        return 0.0
-    return _bag_f1(Counter(pred_norm.split()), Counter(gold_norm.split()))
+def _pair_f1(pred: _Normalized, gold: _Normalized, config: EvalConfig) -> float:
+    if pred.number is None and gold.number is None:
+        return _bag_f1(Counter(pred.tokens), Counter(gold.tokens))
+    both = pred.number is not None and gold.number is not None
+    return 1.0 if both and numbers_equal(pred.number, gold.number, config) else 0.0
 
 
 def numeracy_f1(pred: Spans, gold: Spans, config: EvalConfig = DEFAULT_CONFIG) -> float:
@@ -170,8 +179,15 @@ def numeracy_f1(pred: Spans, gold: Spans, config: EvalConfig = DEFAULT_CONFIG) -
     answers align greedily one-to-one, maximizing the mean pairwise F1 over
     max(len(pred), len(gold)) slots.
     """
-    pred_list = _as_spans(pred)
-    gold_list = _as_spans(gold)
+    precision = config.render_precision
+    return _greedy_f1(
+        [_normalize(s, precision) for s in _as_spans(pred)],
+        [_normalize(s, precision) for s in _as_spans(gold)],
+        config,
+    )
+
+
+def _greedy_f1(pred_list: list[_Normalized], gold_list: list[_Normalized], config: EvalConfig) -> float:
     if not pred_list and not gold_list:
         return 1.0
     if not pred_list or not gold_list:
@@ -250,11 +266,11 @@ class PredictionRecord:
 
 
 def record_scores(record: PredictionRecord, config: EvalConfig = DEFAULT_CONFIG) -> tuple[int, float]:
-    """(EM, F1) of one turn."""
-    em = exact_match(record.predicted, record.predicted_scale, record.gold, config)
-    pred_spans = record.predicted.text_spans(config) if record.predicted else []
-    f1 = numeracy_f1(pred_spans, record.gold.canonical.text_spans(config), config)
-    return em, f1
+    """(EM, F1) of one turn, normalizing each span once for both."""
+    pred = _answer_spans(record.predicted, config)
+    gold = _answer_spans(record.gold.canonical, config)
+    comparable = _em_comparable(record.predicted, record.predicted_scale, record.gold)
+    return (_same_spans(pred, gold) if comparable else 0), _greedy_f1(pred, gold, config)
 
 
 ScoredRecord = tuple[PredictionRecord, int, float]

@@ -1,4 +1,6 @@
 import json
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
@@ -193,6 +195,41 @@ class TestRun:
         )
         assert code == 3
         assert "transport error" in capsys.readouterr().err
+
+    def test_non_json_reply_exits_1(self, fixtures_dir, capsys):
+        class Handler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                body = b"<html><body>Bad gateway</body></html>"
+                self.send_response(200)
+                self.send_header("Content-Type", "text/html")
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        server = HTTPServer(("127.0.0.1", 0), Handler)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            code = main(
+                [
+                    "run",
+                    str(fixtures_dir / "table7_corpus.json"),
+                    "--endpoint",
+                    f"http://127.0.0.1:{server.server_address[1]}",
+                    "--concurrency",
+                    "1",
+                ]
+            )
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert code == 1
+        assert "not JSON" in capsys.readouterr().err
 
     def test_zero_concurrency_exits_1(self, fixtures_dir, capsys):
         code = main(

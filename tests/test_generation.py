@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+import time
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -38,7 +43,7 @@ def stub_server():
             else:
                 behavior = lambda p: (200, _echo_outputs(1 if p["mode"] == "greedy" else p["num_samples"]))
             status, body = behavior(payload)
-            encoded = json.dumps(body).encode()
+            encoded = body if isinstance(body, bytes) else json.dumps(body).encode()
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(encoded)))
@@ -54,6 +59,7 @@ def stub_server():
     endpoint = f"http://127.0.0.1:{server.server_address[1]}"
     yield endpoint, state
     server.shutdown()
+    server.server_close()
     thread.join(timeout=5)
 
 
@@ -114,8 +120,9 @@ class TestHttpGenerator:
             [{"text": "x"}],
             {"outputs": [{"text": "x", "score": "high"}]},
             {"outputs": [{"text": "x", "score": [1.0]}]},
+            b"<html><body>Bad gateway</body></html>",
         ],
-        ids=["list-body", "score-not-numeric", "score-is-list"],
+        ids=["list-body", "score-not-numeric", "score-is-list", "html-body"],
     )
     def test_malformed_body_is_contract_violation(self, stub_server, body):
         endpoint, state = stub_server
@@ -130,6 +137,154 @@ class TestHttpGenerator:
         )
         with pytest.raises(TransportError):
             generator.generate(GenerationRequest(input="x", mode="greedy"))
+
+
+class _KeepAliveStub(ThreadingHTTPServer):
+    """HTTP/1.1 stub answering each request with its own turn id as the decode.
+
+    Counts the TCP connections it accepts and the requests it serves; with
+    close_after_reply it closes every connection after one keep-alive reply.
+    """
+
+    daemon_threads = True
+
+    def __init__(self, close_after_reply: bool = False):
+        self.close_after_reply = close_after_reply
+        self.connections = 0
+        self.paths = []
+        self.closed = threading.Event()
+        stub = self
+
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def setup(self):
+                super().setup()
+                with stub.lock:
+                    stub.connections += 1
+
+            def do_POST(self):
+                payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                with stub.lock:
+                    stub.paths.append(self.path)
+                encoded = json.dumps({"outputs": [{"text": payload["turn_id"]}]}).encode()
+                self.send_response(200)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(encoded)))
+                self.end_headers()
+                self.wfile.write(encoded)
+                self.close_connection = stub.close_after_reply
+
+            def log_message(self, *args):
+                pass
+
+        self.lock = threading.Lock()
+        super().__init__(("127.0.0.1", 0), Handler)
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.closed.set()
+
+    @property
+    def endpoint(self) -> str:
+        return f"http://127.0.0.1:{self.server_address[1]}"
+
+
+@pytest.fixture
+def keepalive_stub(request):
+    server = _KeepAliveStub(close_after_reply=getattr(request, "param", False))
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+
+
+@pytest.fixture
+def generator(keepalive_stub):
+    generator = HttpGenerator(endpoint=keepalive_stub.endpoint, backoff_base=0.01)
+    yield generator
+    generator.close()
+
+
+def _greedy(turn_id: str) -> GenerationRequest:
+    return GenerationRequest(input="x", mode="greedy", turn_id=turn_id)
+
+
+class TestPersistentConnections:
+    def test_sequential_requests_reuse_one_connection(self, keepalive_stub, generator):
+        for i in range(10):
+            assert generator.generate(_greedy(f"t{i}")).outputs[0].text == f"t{i}"
+        assert len(keepalive_stub.paths) == 10
+        assert keepalive_stub.connections == 1
+
+    @pytest.mark.parametrize("keepalive_stub", [True], indirect=True)
+    def test_connection_closed_while_idle_costs_no_attempt(self, keepalive_stub):
+        generator = HttpGenerator(endpoint=keepalive_stub.endpoint, backoff_base=5)
+        try:
+            assert generator.generate(_greedy("t1")).outputs[0].text == "t1"
+            assert keepalive_stub.closed.wait(5)
+            time.sleep(0.05)  # let the FIN reach the client's idle socket
+            started = time.perf_counter()
+            assert generator.generate(_greedy("t2")).outputs[0].text == "t2"
+            assert time.perf_counter() - started < 1.0
+        finally:
+            generator.close()
+        assert len(keepalive_stub.paths) == 2
+        assert keepalive_stub.connections == 2
+
+    def test_endpoint_path_prefix(self, keepalive_stub):
+        generator = HttpGenerator(endpoint=keepalive_stub.endpoint + "/v1/", backoff_base=0.01)
+        try:
+            generator.generate(_greedy("t1"))
+        finally:
+            generator.close()
+        assert keepalive_stub.paths == ["/v1/generate"]
+
+    def test_threads_never_share_a_connection(self, keepalive_stub, generator):
+        mismatches = []
+        errors = []
+
+        def worker(k: int) -> None:
+            try:
+                for i in range(20):
+                    turn_id = f"w{k}-t{i}"
+                    text = generator.generate(_greedy(turn_id)).outputs[0].text
+                    if text != turn_id:
+                        mismatches.append((turn_id, text))
+            except Exception as err:  # surfaced by the assertion below
+                errors.append(err)
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, inside the pool's critical sections too
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors and not mismatches
+        assert len(keepalive_stub.paths) == 160
+        assert keepalive_stub.connections <= 8
+
+    @pytest.mark.parametrize("endpoint", ["127.0.0.1:8000", "ftp://127.0.0.1/", "http://"])
+    def test_endpoint_must_be_http_url(self, endpoint):
+        with pytest.raises(ValueError):
+            HttpGenerator(endpoint=endpoint)
+
+
+def test_import_loads_no_third_party_http_client():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    subprocess.run(
+        [sys.executable, "-c", "import pcqa, sys; assert 'requests' not in sys.modules"],
+        env=env,
+        check=True,
+    )
 
 
 class TestReplayGenerator:

@@ -1,11 +1,14 @@
 import json
+import re
+import string
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pcqa.corpus import GoldTurnAnswer
-from pcqa.derivation import MAX_NUMERAL_DIGITS, EvalConfig
+from pcqa.derivation import MAX_NUMERAL_DIGITS, EvalConfig, decimal_fraction, numbers_equal, render_decimal
 from pcqa.metrics import (
     EmptyRecordSet,
     LengthMismatch,
@@ -285,3 +288,161 @@ def test_bag_f1_symmetry_property(a, b):
     assert numeracy_f1(" ".join(a), " ".join(b), CONFIG) == pytest.approx(
         numeracy_f1(" ".join(b), " ".join(a), CONFIG)
     )
+
+
+# Scoring as it was before each span was normalized once per turn: every
+# metric, and every pair in the F1 matrix, normalizes its spans afresh, and
+# a numeral is first screened for a digit, then matched.
+_REF_NUMERAL = re.compile(r"^(?P<prefix>[$€£¥]?)-?(\d{1,3}(,\d{3})+|\d+)?(\.\d+)?(?P<suffix>%?)$")
+
+
+def _ref_parse_numeral(token):
+    token = token.strip()
+    if not token or not any(ch.isdigit() for ch in token) or not _REF_NUMERAL.match(token):
+        return None
+    prefix = token[0] if token[0] in "$€£¥" else ""
+    body = token[len(prefix) :]
+    suffix = "%" if body.endswith("%") else ""
+    number = (body[:-1] if suffix else body).replace(",", "")
+    if len(number) - number.startswith("-") - ("." in number) > MAX_NUMERAL_DIGITS:
+        return None
+    return decimal_fraction(number), prefix, suffix
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.text(alphabet="0123456789$€%,.-+ a²٣", max_size=12))
+def test_parse_numeral_matches_reference_property(token):
+    assert parse_numeral(token) == _ref_parse_numeral(token)
+
+
+def _ref_plain_number(text):
+    parsed = _ref_parse_numeral(text)
+    return parsed[0] if parsed else None
+
+
+def _ref_normalize_for_match(text, precision, keep_symbols):
+    tokens = text.lower().split()
+    while tokens and tokens[0] in ("a", "an", "the"):
+        tokens.pop(0)
+    out = []
+    for token in tokens:
+        parsed = _ref_parse_numeral(token)
+        if parsed is not None:
+            value, prefix, suffix = parsed
+            rendered = render_decimal(value, precision)
+            out.append(prefix + rendered + suffix if keep_symbols else rendered)
+        else:
+            stripped = "".join(ch for ch in token if ch not in string.punctuation)
+            if stripped:
+                out.append(stripped)
+    return " ".join(out)
+
+
+def _ref_pair_f1(pred, gold, config):
+    pred_norm = _ref_normalize_for_match(pred, config.render_precision, keep_symbols=False)
+    gold_norm = _ref_normalize_for_match(gold, config.render_precision, keep_symbols=False)
+    pred_num = _ref_plain_number(pred_norm)
+    gold_num = _ref_plain_number(gold_norm)
+    if pred_num is not None or gold_num is not None:
+        same = pred_num is not None and gold_num is not None and numbers_equal(pred_num, gold_num, config)
+        return 1.0 if same else 0.0
+    pred_tokens, gold_tokens = Counter(pred_norm.split()), Counter(gold_norm.split())
+    if not pred_tokens and not gold_tokens:
+        return 1.0
+    overlap = sum((pred_tokens & gold_tokens).values())
+    if overlap == 0:
+        return 0.0
+    precision = overlap / sum(pred_tokens.values())
+    recall = overlap / sum(gold_tokens.values())
+    return 2 * precision * recall / (precision + recall)
+
+
+def _ref_record_scores(record, config):
+    pred, gold_answer = record.predicted, record.gold
+    precision = config.render_precision
+    pred_spans = pred.text_spans(config) if pred is not None else []
+    gold_spans = gold_answer.canonical.text_spans(config)
+    em = 0
+    same_kind = gold_answer.req_clari == isinstance(pred, ClarifyAnswer)
+    if pred is not None and same_kind and record.predicted_scale == gold_answer.scale:
+        em = int(
+            Counter(_ref_normalize_for_match(s, precision, True) for s in pred_spans)
+            == Counter(_ref_normalize_for_match(s, precision, True) for s in gold_spans)
+        )
+    if not pred_spans and not gold_spans:
+        return em, 1.0
+    if not pred_spans or not gold_spans:
+        return em, 0.0
+    matrix = [[_ref_pair_f1(p, g, config) for g in gold_spans] for p in pred_spans]
+    free_pred, free_gold = set(range(len(pred_spans))), set(range(len(gold_spans)))
+    total = 0.0
+    while free_pred and free_gold:
+        score, i, j = max((matrix[i][j], -i, -j) for i in free_pred for j in free_gold)
+        total += score
+        free_pred.remove(-i)
+        free_gold.remove(-j)
+    return em, total / max(len(pred_spans), len(gold_spans))
+
+
+# Numerals with and without currency, percent and thousands marks, so that
+# the EM and F1 forms of one span differ; words with and without punctuation.
+_TOKENS = [
+    "7", "€7", "7%", "1,234.5", "$1,234.5", "1234.50", "5", "(5)", "5a", "0.5", ".5", "-0.5",
+    "1", "1.00004", "0.99995", "0", "-0", "3", "٣", "²", "9" * 31, "$", "%", "-", ".",
+    "the", "a", "An", "revenue", "Revenue,", "EMEA",
+]
+_span_text = st.lists(st.sampled_from(_TOKENS), max_size=3).map(" ".join)
+_number = st.one_of(
+    st.sampled_from([Fraction(n, d) for n, d in [(7, 1), (5, 1), (1, 2), (-1, 2), (2469, 2), (1, 1), (0, 1)]]),
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**5),
+)
+_predicted = st.one_of(
+    st.none(),
+    _number.map(NumericAnswer),
+    st.integers(0, 12).map(CountAnswer),
+    st.lists(_span_text, min_size=1, max_size=3).map(lambda spans: SpanSetAnswer(tuple(spans))),
+    _span_text.map(ClarifyAnswer),
+)
+_scale = st.sampled_from(["", "percent"])
+_gold = st.one_of(
+    st.builds(
+        lambda v, sc: gold("arithmetic", str(v), derivation=str(v), scale=sc),
+        st.one_of(_number.map(float), _span_text),
+        _scale,
+    ),
+    st.builds(lambda n, sc: gold("count", str(n), scale=sc), st.integers(0, 12), _scale),
+    st.builds(lambda t, sc: gold("span", [t], scale=sc), _span_text, _scale),
+    st.builds(lambda ts, sc: gold("multi-span", ts, scale=sc), st.lists(_span_text, min_size=1, max_size=3), _scale),
+    st.builds(lambda t: gold("clarification", t, clari=t), _span_text),
+)
+
+
+
+@st.composite
+def _marked_pair(draw):
+    """The same numerals and words on both sides, each marked at random:
+    numerals with currency and percent signs, words with case and
+    punctuation. EM turns on the numeral marks; F1 ignores all of them."""
+    stems = st.sampled_from(["7", "1,234.5", "1234.50", ".5", "0.99995", "revenue", "emea"])
+    spans = draw(st.lists(st.lists(stems, min_size=1, max_size=2), min_size=1, max_size=3))
+
+    def mark(stem):
+        if stem[0].isalpha():
+            return draw(st.sampled_from([stem, stem.title(), stem + ",", f"({stem})"]))
+        return draw(st.sampled_from(["", "$", "€"])) + stem + draw(st.sampled_from(["", "%"]))
+
+    predicted = SpanSetAnswer(tuple(" ".join(mark(t) for t in span) for span in spans))
+    golds = [" ".join(mark(t) for t in span) for span in draw(st.permutations(spans))]
+    return predicted, "", gold("multi-span" if len(golds) > 1 else "span", golds)
+
+@settings(max_examples=500, deadline=None)
+@given(
+    turn=st.one_of(st.tuples(_predicted, _scale, _gold), _marked_pair()),
+    config=st.sampled_from(
+        [EvalConfig(), EvalConfig(render_precision=0), EvalConfig(render_precision=2, numeric_tolerance=0.01)]
+    ),
+)
+def test_record_scores_matches_reference_property(turn, config):
+    predicted, scale, g = turn
+    record = make_record("p", predicted, g, scale=scale)
+    assert record_scores(record, config) == _ref_record_scores(record, config)
