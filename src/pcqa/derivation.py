@@ -39,12 +39,13 @@ raises `DerivationSyntaxError` like any other malformed source.
 
 from __future__ import annotations
 
+import math
 import re
 import string
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 
 MAX_TOKENS = 256
@@ -120,11 +121,25 @@ class TokenKind(Enum):
     LEN = "len"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     position: int
+
+
+# One match per token, leading whitespace included. `\s` and `\d` are the
+# characters of str.isspace and str.isdecimal. A grouping comma is followed
+# by exactly three digits and then no digit ("3,711" and "1,000,000" merge;
+# "1,06" and "1,0623" do not); inside a bracketed list no comma groups.
+_LEXEME = (
+    r"\s*(?:(?P<NUMBER>{number})|(?P<STRING>\"[^\"]*\"|'[^']*')|(?P<LEN>len)|(?P<PUNCT>[-+*/()\[\],]))"
+)
+_LEX_GROUPED = re.compile(_LEXEME.format(number=r"\d+(?:,\d{3}(?!\d))*(?:\.\d+)?|\.\d+")).match
+_LEX_LISTED = re.compile(_LEXEME.format(number=r"\d+(?:\.\d+)?|\.\d+")).match
+_SPACES = re.compile(r"\s*").match
+_PUNCT_KINDS = {kind.value: kind for kind in TokenKind if len(kind.value) == 1}
+# Token(kind, text, position) without the Python-level __new__ of a NamedTuple.
+_new_token = tuple.__new__
 
 
 def tokenize(source: str) -> list[Token]:
@@ -139,88 +154,41 @@ def tokenize(source: str) -> list[Token]:
     if not source or not source.strip():
         raise DerivationSyntaxError(0, "non-empty derivation source")
     tokens: list[Token] = []
-    i = 0
-    n = len(source)
+    append = tokens.append
+    pos = 0
     bracket_depth = 0
-    while i < n:
-        ch = source[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "(":
-            tokens.append(Token(TokenKind.LPAREN, ch, i)); i += 1
-        elif ch == ")":
-            tokens.append(Token(TokenKind.RPAREN, ch, i)); i += 1
-        elif ch == "[":
-            bracket_depth += 1
-            tokens.append(Token(TokenKind.LBRACKET, ch, i)); i += 1
-        elif ch == "]":
-            bracket_depth = max(0, bracket_depth - 1)
-            tokens.append(Token(TokenKind.RBRACKET, ch, i)); i += 1
-        elif ch == "+":
-            tokens.append(Token(TokenKind.PLUS, ch, i)); i += 1
-        elif ch == "-":
-            tokens.append(Token(TokenKind.MINUS, ch, i)); i += 1
-        elif ch == "*":
-            tokens.append(Token(TokenKind.STAR, ch, i)); i += 1
-        elif ch == "/":
-            tokens.append(Token(TokenKind.SLASH, ch, i)); i += 1
-        elif ch == ",":
-            tokens.append(Token(TokenKind.COMMA, ch, i)); i += 1
-        elif ch in "\"'":
-            quote = ch
-            j = i + 1
-            while j < n and source[j] != quote:
-                j += 1
-            if j >= n:
-                raise UnterminatedStringError(i)
-            tokens.append(Token(TokenKind.STRING, source[i + 1 : j], i))
-            i = j + 1
-        elif ch.isdecimal() or (ch == "." and i + 1 < n and source[i + 1].isdecimal()):
-            start = i
-            text, i = _lex_number(source, i, grouping=bracket_depth == 0)
+    lex = _LEX_GROUPED
+    while (match := lex(source, pos)) is not None:
+        group = match.lastindex  # 1 NUMBER, 2 STRING, 3 LEN, 4 PUNCT
+        start, pos = match.span(group)
+        text = match[group]
+        if group == 4:
+            if text == "[":
+                bracket_depth += 1
+                lex = _LEX_LISTED
+            elif text == "]" and bracket_depth:
+                bracket_depth -= 1
+                lex = _LEX_LISTED if bracket_depth else _LEX_GROUPED
+            append(_new_token(Token, (_PUNCT_KINDS[text], text, start)))
+        elif group == 1:
+            text = text.replace(",", "")
             if len(text) - ("." in text) > MAX_NUMERAL_DIGITS:
                 raise DerivationSyntaxError(
                     start, f"a numeral of at most {MAX_NUMERAL_DIGITS} digits"
                 )
-            tokens.append(Token(TokenKind.NUMBER, text, start))
-        elif source.startswith("len", i):
-            tokens.append(Token(TokenKind.LEN, "len", i))
-            i += 3
+            append(_new_token(Token, (TokenKind.NUMBER, text, start)))
+        elif group == 2:
+            append(_new_token(Token, (TokenKind.STRING, text[1:-1], start)))
         else:
-            raise UnknownCharacterError(ch, i)
+            append(_new_token(Token, (TokenKind.LEN, text, start)))
+    pos = _SPACES(source, pos).end()
+    if pos < len(source):
+        if source[pos] in "\"'":
+            raise UnterminatedStringError(pos)
+        raise UnknownCharacterError(source[pos], pos)
     if len(tokens) > MAX_TOKENS:
         raise DerivationSyntaxError(tokens[MAX_TOKENS].position, f"at most {MAX_TOKENS} tokens")
     return tokens
-
-
-def _lex_number(source: str, i: int, grouping: bool) -> tuple[str, int]:
-    """Lex one numeral starting at i; returns (text with commas removed, next index)."""
-    n = len(source)
-    out: list[str] = []
-    while i < n and source[i].isdecimal():
-        out.append(source[i])
-        i += 1
-    if grouping:
-        # "3,711" and "1,000,000" merge; "1,06" and "1,0623" do not.
-        while i < n and source[i] == "," and out and out[-1].isdecimal():
-            group = source[i + 1 : i + 4]
-            if (
-                len(group) == 3
-                and group.isdecimal()
-                and (i + 4 >= n or not source[i + 4].isdecimal())
-            ):
-                out.append(group)
-                i += 4
-            else:
-                break
-    if i < n and source[i] == "." and i + 1 < n and source[i + 1].isdecimal():
-        out.append(".")
-        i += 1
-        while i < n and source[i].isdecimal():
-            out.append(source[i])
-            i += 1
-    return "".join(out), i
 
 
 def decimal_fraction(text: str) -> Fraction:
@@ -292,25 +260,27 @@ _ARITH_KINDS = frozenset(_OP_TOKENS)
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
+        self.stream = [*tokens, None]  # None after the last token: end of input
         self.pos = 0
 
     def peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        return self.stream[self.pos]
 
     def advance(self) -> Token:
-        tok = self.peek()
+        tok = self.stream[self.pos]
         if tok is None:
             raise DerivationSyntaxError(self._end(), "more input")
         self.pos += 1
         return tok
 
     def expect(self, kind: TokenKind, what: str) -> Token:
-        tok = self.peek()
+        tok = self.stream[self.pos]
         if tok is None or tok.kind is not kind:
             raise DerivationSyntaxError(
                 tok.position if tok else self._end(), what, tok.text if tok else ""
             )
-        return self.advance()
+        self.pos += 1
+        return tok
 
     def _end(self) -> int:
         return self.tokens[-1].position + len(self.tokens[-1].text) if self.tokens else 0
@@ -438,7 +408,9 @@ class EvalConfig:
     render_precision: decimal places used when rendering exact rationals
     (round half away from zero, trailing zeros dropped). numeric_tolerance:
     absolute tolerance applied to exact values before falling back to a
-    rendered-string comparison. Division by zero is always an error.
+    rendered-string comparison; it must be finite and non-negative, and
+    `exact_tolerance` holds its exact value. Division by zero is always an
+    error.
     """
 
     render_precision: int = 4
@@ -447,6 +419,11 @@ class EvalConfig:
     def __post_init__(self):
         if not 0 <= self.render_precision <= 10:
             raise ValueError("render_precision must be in [0, 10]")
+        if not math.isfinite(self.numeric_tolerance) or self.numeric_tolerance < 0:
+            raise ValueError("numeric_tolerance must be finite and non-negative")
+        # Built once here rather than on every comparison; not a field, so it
+        # takes no part in equality, hashing or repr.
+        object.__setattr__(self, "exact_tolerance", Fraction(self.numeric_tolerance))
 
 
 DEFAULT_CONFIG = EvalConfig()
@@ -459,10 +436,9 @@ def render_decimal(value: Fraction, precision: int) -> str:
     fractional zeros ("2.0033", "0.7854", 0 -> "0"). Pure integer
     arithmetic, so the output is platform-independent.
     """
-    negative = value < 0
-    scaled = abs(value) * 10**precision
-    units, rem = divmod(scaled.numerator, scaled.denominator)
-    if 2 * rem >= scaled.denominator:
+    numerator, denominator = value.numerator, value.denominator
+    units, rem = divmod(abs(numerator) * 10**precision, denominator)
+    if 2 * rem >= denominator:
         units += 1
     digits = str(units)
     if precision > 0:
@@ -471,14 +447,14 @@ def render_decimal(value: Fraction, precision: int) -> str:
         out = whole + ("." + frac if frac else "")
     else:
         out = digits
-    if negative and out.strip("0.") != "":
+    if numerator < 0 and units:
         out = "-" + out
     return out
 
 
 def numbers_equal(a: Fraction, b: Fraction, config: EvalConfig = DEFAULT_CONFIG) -> bool:
     """Equality on exact rationals: within tolerance, or identical once rendered."""
-    if abs(a - b) <= Fraction(config.numeric_tolerance):
+    if abs(a - b) <= config.exact_tolerance:
         return True
     return render_decimal(a, config.render_precision) == render_decimal(b, config.render_precision)
 

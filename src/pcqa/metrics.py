@@ -7,7 +7,8 @@ currency/percent symbols attached to numerals (so "148,502" against
 "$148,502" is an EM miss), while the token-F1 side strips them (so the same
 pair keeps a high F1). A numeric mismatch zeroes the pair F1 outright.
 Each span is normalized once per turn, to both flavors and its plain
-number. `record_scores` scores one turn; `aggregate_report` sums those
+number; a numeric answer goes there straight from its value, rendered and
+parsed once. `record_scores` scores one turn; `aggregate_report` sums those
 per-turn scores and never recomputes them.
 """
 
@@ -27,9 +28,9 @@ from .derivation import (
     CanonicalAnswer,
     ClarifyAnswer,
     EvalConfig,
+    NumericAnswer,
     decimal_fraction,
     normalize_answer_text,
-    numbers_equal,
     render_decimal,
 )
 
@@ -86,7 +87,9 @@ class _Normalized(NamedTuple):
 
     em: str  # the exact-match form: numerals keep currency and percent marks
     tokens: list[str]  # the token-F1 form: numerals without marks, no punctuation
-    number: Fraction | None  # the F1 form's value when it is one numeral
+    # The F1 form's value when it is one numeral; `tokens` is then that value
+    # rendered, so two numbers with the same tokens are equal.
+    number: Fraction | None
 
 
 def _normalize(text: str, precision: int) -> _Normalized:
@@ -96,6 +99,7 @@ def _normalize(text: str, precision: int) -> _Normalized:
     while tokens and tokens[0] in _ARTICLES:
         tokens.pop(0)
     em, f1 = [], []
+    value = None  # of the last token kept, when it is a numeral
     for token in tokens:
         parsed = parse_numeral(token)
         if parsed is not None:
@@ -108,8 +112,28 @@ def _normalize(text: str, precision: int) -> _Normalized:
             if stripped:
                 em.append(stripped)
                 f1.append(stripped)
+                value = None
     # Only a lone token can be a numeral; the regex admits no spaces.
-    return _Normalized(" ".join(em), f1, plain_number(f1[0]) if len(f1) == 1 else None)
+    if len(f1) != 1:
+        return _Normalized(" ".join(em), f1, None)
+    if value is not None:
+        # Rendering rounds only a value with more than `precision` places.
+        if 10**precision % value.denominator:
+            value = decimal_fraction(f1[0])
+        return _Normalized(em[0], f1, value)
+    # A token that is a numeral once stripped of punctuation, as "(2019)".
+    value = plain_number(f1[0])
+    if value is None:
+        return _Normalized(em[0], f1, None)
+    return _Normalized(em[0], [render_decimal(value, precision)], value)
+
+
+def _numeric_span(value: Fraction, precision: int) -> _Normalized:
+    """`_normalize` of the rendered value, rendering and parsing it once."""
+    rendered = render_decimal(value, precision)
+    if len(rendered) - (rendered[0] == "-") - ("." in rendered) > MAX_NUMERAL_DIGITS:
+        return _normalize(rendered, precision)  # too long to be a numeral: text
+    return _Normalized(rendered, [rendered], decimal_fraction(rendered))
 
 
 Spans = Union[str, Sequence[str]]
@@ -124,6 +148,8 @@ def _as_spans(side: Spans) -> list[str]:
 def _answer_spans(answer: CanonicalAnswer | None, config: EvalConfig) -> list[_Normalized]:
     if answer is None:
         return []
+    if isinstance(answer, NumericAnswer):
+        return [_numeric_span(answer.value, config.render_precision)]
     return [_normalize(s, config.render_precision) for s in answer.text_spans(config)]
 
 
@@ -132,6 +158,8 @@ def _em_comparable(pred: CanonicalAnswer | None, pred_scale: str, gold: GoldTurn
 
 
 def _same_spans(pred: list[_Normalized], gold: list[_Normalized]) -> int:
+    if len(pred) == 1 and len(gold) == 1:
+        return int(pred[0].em == gold[0].em)
     return int(Counter(p.em for p in pred) == Counter(g.em for g in gold))
 
 
@@ -167,17 +195,26 @@ def _bag_f1(pred_tokens: Counter, gold_tokens: Counter) -> float:
 
 def _pair_f1(pred: _Normalized, gold: _Normalized, config: EvalConfig) -> float:
     if pred.number is None and gold.number is None:
+        if pred.tokens == gold.tokens:
+            return 1.0
         return _bag_f1(Counter(pred.tokens), Counter(gold.tokens))
-    both = pred.number is not None and gold.number is not None
-    return 1.0 if both and numbers_equal(pred.number, gold.number, config) else 0.0
+    if pred.number is None or gold.number is None:
+        return 0.0
+    # `numbers_equal` without rendering: the tokens are the renderings.
+    if pred.tokens == gold.tokens or abs(pred.number - gold.number) <= config.exact_tolerance:
+        return 1.0
+    return 0.0
 
 
 def numeracy_f1(pred: Spans, gold: Spans, config: EvalConfig = DEFAULT_CONFIG) -> float:
     """Numeracy-focused token F1.
 
     A numeric side that disagrees with the other side scores zero. Multi-span
-    answers align greedily one-to-one, maximizing the mean pairwise F1 over
-    max(len(pred), len(gold)) slots.
+    answers pair greedily one-to-one: the highest-scoring free pair first,
+    ties to the lowest indices, and the sum is divided by
+    max(len(pred), len(gold)). Greedy pairing can miss the pairing with the
+    highest mean F1; ROADMAP.md tracks that under "Make metrics and loaders
+    agree with their own references".
     """
     precision = config.render_precision
     return _greedy_f1(
@@ -192,6 +229,8 @@ def _greedy_f1(pred_list: list[_Normalized], gold_list: list[_Normalized], confi
         return 1.0
     if not pred_list or not gold_list:
         return 0.0
+    if len(pred_list) == 1 and len(gold_list) == 1:
+        return _pair_f1(pred_list[0], gold_list[0], config)
     matrix = [[_pair_f1(p, g, config) for g in gold_list] for p in pred_list]
     free_pred = set(range(len(pred_list)))
     free_gold = set(range(len(gold_list)))

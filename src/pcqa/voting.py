@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 
 # The answer classes live with the evaluator that produces them; voting is
 # where most callers look for them, so they are re-exported here.
@@ -162,7 +161,6 @@ def _merge_numeric_within_tolerance(groups: dict[tuple, _Group], config: EvalCon
     same thing for voting as for scoring. Earlier-seen groups absorb later
     ones and keep their exemplar.
     """
-    tol = Fraction(config.numeric_tolerance)
     numeric_keys = [k for k in groups if k[0] == "num"]
     absorbed: set[tuple] = set()
     for i, key in enumerate(numeric_keys):
@@ -171,7 +169,7 @@ def _merge_numeric_within_tolerance(groups: dict[tuple, _Group], config: EvalCon
         for other in numeric_keys[i + 1 :]:
             if other in absorbed:
                 continue
-            if abs(key[1] - other[1]) <= tol:
+            if abs(key[1] - other[1]) <= config.exact_tolerance:
                 host, guest = groups[key], groups[other]
                 host.count += guest.count
                 host.score_sum += guest.score_sum

@@ -3,7 +3,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pcqa.derivation import (
     MAX_NUMERAL_DIGITS,
@@ -19,6 +19,7 @@ from pcqa.derivation import (
     NumericAnswer,
     SpanSetAnswer,
     CountAnswer,
+    DerivationError,
     StringList,
     Token,
     TokenKind,
@@ -35,6 +36,7 @@ from pcqa.derivation import (
     tokenize,
 )
 from oracle_rational import oracle_eval, random_arithmetic_expr
+from reference_tokenize import reference_tokenize
 
 
 def kinds(source):
@@ -128,6 +130,38 @@ class TestTokenize:
     def test_empty_source(self):
         with pytest.raises(DerivationSyntaxError):
             tokenize("   ")
+
+
+# The derivation alphabet: ASCII digits and one non-ASCII decimal digit
+# (Arabic-Indic three), grouping and list commas, points, both quotes,
+# brackets, parentheses, operators, len, two kinds of space and one
+# character the language does not know.
+_DERIVATION_PIECES = [*"0123456789", "\u0663", ",", ".", '"', "'", "[", "]", "(", ")",
+                      "+", "-", "*", "/", "len", " ", "\u00a0", "x"]
+
+
+def _lexed(lex, source):
+    """Tokens as (kind, text, position), or the error's class, message and position."""
+    try:
+        return [tuple(token) for token in lex(source)]
+    except DerivationError as err:
+        return type(err), str(err), err.position
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(_DERIVATION_PIECES), max_size=60).map("".join))
+@example("3,711 + 1,882")
+@example("[1,234,567]")
+@example("1,234,5678.5,")
+@example("(1,000 ,000)")
+@example("9," + ",".join(["999"] * 10))
+@example("1+" * 128 + "1")
+@example("1+" * 200 + "x")
+@example("1+" * 200 + "'")
+@example("lens")
+@example(" \u00a0 ")
+def test_tokenize_matches_reference_property(source):
+    assert _lexed(tokenize, source) == _lexed(reference_tokenize, source)
 
 
 @st.composite
@@ -304,6 +338,17 @@ class TestRenderDecimal:
     def test_cases(self, value, precision, expected):
         assert render_decimal(value, precision) == expected
 
+    @given(st.fractions(max_denominator=10**15), st.integers(0, 10))
+    def test_matches_half_away_rounding_property(self, value, precision):
+        units = int(abs(value) * 10**precision + Fraction(1, 2))  # floor: half away from zero
+        whole, frac = divmod(units, 10**precision)
+        expected = str(whole)
+        if frac:
+            expected += "." + str(frac).zfill(precision).rstrip("0")
+        if value < 0 and units:
+            expected = "-" + expected
+        assert render_decimal(value, precision) == expected
+
     def test_rendering_is_deterministic(self):
         for _ in range(3):
             assert render_decimal(Fraction(2, 3), 6) == "0.666667"
@@ -317,6 +362,18 @@ class TestRenderDecimal:
     def test_precision_bounds(self):
         with pytest.raises(ValueError):
             EvalConfig(render_precision=11)
+
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), float("-inf"), -1e-9])
+    def test_tolerance_must_be_finite_and_non_negative(self, tolerance):
+        with pytest.raises(ValueError, match="numeric_tolerance"):
+            EvalConfig(numeric_tolerance=tolerance)
+
+    def test_exact_tolerance_is_the_tolerance_and_no_field(self):
+        config = EvalConfig(numeric_tolerance=0.01)
+        assert config.exact_tolerance == Fraction(0.01)
+        assert EvalConfig(numeric_tolerance=0.0).exact_tolerance == 0
+        assert config == EvalConfig(numeric_tolerance=0.01)
+        assert "exact_tolerance" not in repr(config)
 
 
 class TestRenderRoundTrip:

@@ -5,7 +5,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pcqa.corpus import GoldTurnAnswer
 from pcqa.derivation import MAX_NUMERAL_DIGITS, EvalConfig, decimal_fraction, numbers_equal, render_decimal
@@ -446,3 +446,52 @@ def test_record_scores_matches_reference_property(turn, config):
     predicted, scale, g = turn
     record = make_record("p", predicted, g, scale=scale)
     assert record_scores(record, config) == _ref_record_scores(record, config)
+
+
+# A numeric answer is scored from its value (one rendering, one parse); a
+# span answer through its text. Both must score like the rendered text.
+_FAST_PATH_CONFIGS = [EvalConfig(render_precision=0), EvalConfig(), EvalConfig(render_precision=10)]
+_fast_path_value = st.one_of(
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**12),
+    # Negatives that round to "0" at every precision but 10.
+    st.fractions(min_value=Fraction(-1, 10**10), max_value=0),
+    # Around 10**30, where rounding can carry the rendering past 30 digits.
+    st.builds(lambda n, k: Fraction(n, 10**k), st.integers(-(10**36), 10**36), st.integers(0, 6)),
+)
+
+
+def _as_rendered_text(answer, config):
+    return SpanSetAnswer(tuple(answer.text_spans(config)))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    value=_fast_path_value,
+    # Gold is the predicted value moved by a few units at some place, so
+    # renderings differ by less, and more, than the 1e-9 tolerance.
+    offset=st.integers(-20, 20),
+    places=st.sampled_from([0, 4, 9, 10, 11, 12]),
+    config=st.sampled_from(_FAST_PATH_CONFIGS),
+)
+@example(value=Fraction(10**35 - 1, 10**5), offset=0, places=0, config=_FAST_PATH_CONFIGS[1])
+@example(value=Fraction(-1, 10**6), offset=0, places=0, config=_FAST_PATH_CONFIGS[1])
+@example(value=Fraction(1234567891, 10**10), offset=1, places=10, config=_FAST_PATH_CONFIGS[2])
+@example(value=Fraction(5, 2), offset=-1, places=10, config=_FAST_PATH_CONFIGS[0])
+def test_numeric_fast_path_matches_text_path_property(value, offset, places, config):
+    gold_numeral = render_decimal(value + Fraction(offset, 10**places), 12)
+    numeric_gold = gold("arithmetic", gold_numeral, derivation=gold_numeral)
+    text_gold = gold("span", numeric_gold.canonical.text_spans(config))
+    predicted = NumericAnswer(value)
+    # The reference scores every answer through its rendered text.
+    expected = _ref_record_scores(make_record("p", predicted, numeric_gold), config)
+    for pred in (predicted, _as_rendered_text(predicted, config)):
+        for g in (numeric_gold, text_gold):
+            assert record_scores(make_record("p", pred, g), config) == expected
+
+
+def test_lone_numeral_compares_at_its_rendered_value():
+    # 1.00005 and 1.0000499999 lie within the 1e-9 tolerance, but score at
+    # their renderings "1.0001" and "1", which do not.
+    for pred, g in (("1.00005", "1.0000499999"), ("$1.00005", "1.0000499999%")):
+        assert numeracy_f1(pred, g, CONFIG) == _ref_pair_f1(pred, g, CONFIG) == 0.0
+    assert numeracy_f1("1.00005", "1.00014999", CONFIG) == 1.0
