@@ -37,7 +37,7 @@ print(" ", linearize_history(history))
 print("model input:")
 print(" ", build_model_input(doc, history))
 
-# Target formats, one per task.
+# Training targets, one per task; the service decodes the multi-task one.
 print()
 print("CNP target:      ", format_target(Task.CNP, False, ""))
 print("CQA target:      ", format_target(Task.CQA, False, "(105-88)/88"))
@@ -46,6 +46,6 @@ print("MultiTask target:", format_target(Task.MULTI, False, "(105-88)/88"))
 
 # Decoded outputs split back into flag + payload.
 print()
-parsed = parse_output("[clari.] True [resp.] ['Which year are you asking about?']", Task.MULTI)
+parsed = parse_output("[clari.] True [resp.] ['Which year are you asking about?']")
 print("flag:   ", parsed.clarification_flag)
 print("payload:", parsed.response_payload)

@@ -18,7 +18,6 @@ from pcqa import (
     SpanSetAnswer,
     aggregate_report,
     classification_prf,
-    exact_match,
     numeracy_f1,
     record_scores,
     rouge2_f1,
@@ -40,7 +39,7 @@ def gold(answer_type, answer, derivation="", scale="", source="table", clari="")
 # A value-correct but symbol-dropping prediction: EM misses, F1 forgives.
 g = gold("span", ["$148,502"], source="text")
 pred = SpanSetAnswer(("148,502",))
-print("EM :", exact_match(pred, "", g))
+print("EM :", record_scores(PredictionRecord("t0", pred, "", g))[0])
 print("F1 :", numeracy_f1("148,502", "$148,502"))
 
 # Numeric mistakes are not forgiven at all.

@@ -66,7 +66,6 @@ from .metrics import (
     PredictionRecord,
     aggregate_report,
     classification_prf,
-    exact_match,
     numeracy_f1,
     record_scores,
     rouge1_recall,
@@ -75,7 +74,6 @@ from .metrics import (
 from .generation import (
     GeneratedOutput,
     GenerationRequest,
-    GenerationResponse,
     HttpGenerator,
     ReplayGenerator,
 )

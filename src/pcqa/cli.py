@@ -9,7 +9,7 @@ import argparse
 import json
 import sys
 
-from .corpus import CorpusExpectations, CorpusError, load_corpus, validate_corpus
+from .corpus import CorpusExpectations, CorpusError, load_corpus, read_json, validate_corpus
 from .derivation import DerivationError, EvalConfig, SpanSetAnswer, execute_source
 from .generation import GenerationError, HttpGenerator, ReplayGenerator, TransportError
 from .metrics import EmptyRecordSet, MetricReport
@@ -91,8 +91,7 @@ def cmd_validate(args: argparse.Namespace, config: EvalConfig) -> int:
     corpus = load_corpus(args.corpus)
     expected = None
     if args.expected:
-        with open(args.expected, encoding="utf-8") as handle:
-            expected = CorpusExpectations.from_obj(json.load(handle))
+        expected = CorpusExpectations.from_obj(read_json(args.expected, "expected statistics"))
     report = validate_corpus(corpus, expected, config)
     if args.report in ("text", "both"):
         stats = report.stats
@@ -192,10 +191,7 @@ def main(argv: list[str] | None = None) -> int:
     except TransportError as err:
         print(f"transport error: {err}", file=sys.stderr)
         return EXIT_TRANSPORT
-    except CorpusError as err:
-        print(f"schema error: {err}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except (OSError, json.JSONDecodeError) as err:
+    except (CorpusError, OSError) as err:
         print(f"schema error: {err}", file=sys.stderr)
         return EXIT_SCHEMA
     except (DerivationError, GenerationError, EmptyRecordSet, UnknownTurnId, ValueError) as err:

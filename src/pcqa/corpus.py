@@ -175,7 +175,6 @@ class Dialogue:
 class Corpus:
     documents: dict[str, HybridDocument]
     dialogues: tuple[Dialogue, ...]
-    split: str = ""
 
     def turn_index(self) -> dict[str, tuple[Dialogue, DialogueTurn]]:
         return {
@@ -188,17 +187,20 @@ class Corpus:
         return sum(len(d.turns) for d in self.dialogues)
 
 
-def load_corpus(path: str | Path, split: str = "") -> Corpus:
-    """Load and fully validate a corpus file."""
-    path = Path(path)
+def read_json(path: str | Path, what: str) -> Any:
+    """Parse a UTF-8 JSON file; any failure to read it is a SchemaError."""
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as err:
-        raise SchemaError(str(path), f"cannot read corpus JSON: {err}") from err
-    return corpus_from_obj(raw, split=split, location=str(path))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
+        raise SchemaError(str(path), f"cannot read {what} JSON: {err}") from err
 
 
-def corpus_from_obj(raw: Any, split: str = "", location: str = "<memory>") -> Corpus:
+def load_corpus(path: str | Path) -> Corpus:
+    """Load and fully validate a corpus file."""
+    return corpus_from_obj(read_json(path, "corpus"), location=str(path))
+
+
+def corpus_from_obj(raw: Any, location: str = "<memory>") -> Corpus:
     if not isinstance(raw, list) or not raw:
         raise SchemaError(location, "corpus must be a non-empty list of dialogue blocks")
     documents: dict[str, HybridDocument] = {}
@@ -214,15 +216,15 @@ def corpus_from_obj(raw: Any, split: str = "", location: str = "<memory>") -> Co
             raise InvariantViolation(dialogue.dialogue_id, "duplicate dialogue id")
         seen_dialogue_ids.add(dialogue.dialogue_id)
         dialogues.append(dialogue)
-    return Corpus(documents=documents, dialogues=tuple(dialogues), split=split)
+    return Corpus(documents=documents, dialogues=tuple(dialogues))
 
 
 def _load_block_document(block: dict, where: str, documents: dict[str, HybridDocument]) -> str:
     table = block.get("table")
     if table is None:
         doc_uid = block.get("doc_uid")
-        if not doc_uid:
-            raise SchemaError(where, "block needs either a table or a doc_uid reference")
+        if not doc_uid or not isinstance(doc_uid, str):
+            raise SchemaError(where, "block needs either a table or a doc_uid string")
         if doc_uid not in documents:
             raise InvariantViolation(where, f"dialogue references missing document {doc_uid!r}")
         return doc_uid
@@ -476,6 +478,9 @@ class CorpusExpectations:
         fields = {k: v for k, v in raw.items() if k in known}
         if "turns" not in fields and "total_questions" in raw:
             fields["turns"] = raw["total_questions"]
+        for name in ("by_type", "by_source"):
+            if not isinstance(fields.get(name, {}), dict):
+                raise SchemaError(f"expectations.{name}", "must be a JSON object")
         return cls(**fields)
 
 
@@ -588,7 +593,7 @@ def _diff_stats(stats: CorpusStats, expected: CorpusExpectations) -> list[Findin
     return findings
 
 
-def load_release_file(path: str | Path, split: str = "") -> Corpus:
+def load_release_file(path: str | Path) -> Corpus:
     """Schema-migration shim for the public source-dataset release format.
 
     Maps blocks shaped like {"table": {"uid", "table": [[...]]},
@@ -596,11 +601,7 @@ def load_release_file(path: str | Path, split: str = "") -> Corpus:
     the top of this module. Clarifying turns are recognized by a truthy
     "req_clari" field or an explicit "clarification" answer type.
     """
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as err:
-        raise SchemaError(str(path), f"cannot read release JSON: {err}") from err
+    raw = read_json(path, "release")
     if not isinstance(raw, list):
         raise SchemaError(str(path), "release file must be a list of blocks")
     blocks = []
@@ -641,4 +642,4 @@ def load_release_file(path: str | Path, split: str = "") -> Corpus:
                 "questions": questions,
             }
         )
-    return corpus_from_obj(blocks, split=split, location=str(path))
+    return corpus_from_obj(blocks, location=str(path))

@@ -39,7 +39,6 @@ raises `DerivationSyntaxError` like any other malformed source.
 
 from __future__ import annotations
 
-import math
 import re
 import string
 from dataclasses import dataclass, field
@@ -125,6 +124,7 @@ class Token(NamedTuple):
     kind: TokenKind
     text: str
     position: int
+    end: int  # just past the token's source text, quotes and grouping commas included
 
 
 # One match per token, leading whitespace included. `\s` and `\d` are the
@@ -138,7 +138,7 @@ _LEX_GROUPED = re.compile(_LEXEME.format(number=r"\d+(?:,\d{3}(?!\d))*(?:\.\d+)?
 _LEX_LISTED = re.compile(_LEXEME.format(number=r"\d+(?:\.\d+)?|\.\d+")).match
 _SPACES = re.compile(r"\s*").match
 _PUNCT_KINDS = {kind.value: kind for kind in TokenKind if len(kind.value) == 1}
-# Token(kind, text, position) without the Python-level __new__ of a NamedTuple.
+# Token(kind, text, position, end) without the Python-level __new__ of a NamedTuple.
 _new_token = tuple.__new__
 
 
@@ -169,18 +169,18 @@ def tokenize(source: str) -> list[Token]:
             elif text == "]" and bracket_depth:
                 bracket_depth -= 1
                 lex = _LEX_LISTED if bracket_depth else _LEX_GROUPED
-            append(_new_token(Token, (_PUNCT_KINDS[text], text, start)))
+            append(_new_token(Token, (_PUNCT_KINDS[text], text, start, pos)))
         elif group == 1:
             text = text.replace(",", "")
             if len(text) - ("." in text) > MAX_NUMERAL_DIGITS:
                 raise DerivationSyntaxError(
                     start, f"a numeral of at most {MAX_NUMERAL_DIGITS} digits"
                 )
-            append(_new_token(Token, (TokenKind.NUMBER, text, start)))
+            append(_new_token(Token, (TokenKind.NUMBER, text, start, pos)))
         elif group == 2:
-            append(_new_token(Token, (TokenKind.STRING, text[1:-1], start)))
+            append(_new_token(Token, (TokenKind.STRING, text[1:-1], start, pos)))
         else:
-            append(_new_token(Token, (TokenKind.LEN, text, start)))
+            append(_new_token(Token, (TokenKind.LEN, text, start, pos)))
     pos = _SPACES(source, pos).end()
     if pos < len(source):
         if source[pos] in "\"'":
@@ -283,7 +283,7 @@ class _Parser:
         return tok
 
     def _end(self) -> int:
-        return self.tokens[-1].position + len(self.tokens[-1].text) if self.tokens else 0
+        return self.tokens[-1].end if self.tokens else 0
 
     def top_level(self) -> DerivationExpr:
         tok = self.peek()
@@ -401,29 +401,25 @@ def _quote(item: str) -> str:
     raise UnreconstructibleDerivation(f"item mixes both quote styles: {item!r}")
 
 
+# Two numbers within this absolute distance are equal before any rendering:
+# the exact value of the float 1e-9.
+NUMERIC_TOLERANCE = Fraction(1e-9)
+
+
 @dataclass(frozen=True)
 class EvalConfig:
-    """Numeric rendering and comparison knobs.
+    """Numeric rendering knob.
 
     render_precision: decimal places used when rendering exact rationals
-    (round half away from zero, trailing zeros dropped). numeric_tolerance:
-    absolute tolerance applied to exact values before falling back to a
-    rendered-string comparison; it must be finite and non-negative, and
-    `exact_tolerance` holds its exact value. Division by zero is always an
-    error.
+    (round half away from zero, trailing zeros dropped). Two numbers are
+    equal within NUMERIC_TOLERANCE, or else when their renderings are.
     """
 
     render_precision: int = 4
-    numeric_tolerance: float = 1e-9
 
     def __post_init__(self):
         if not 0 <= self.render_precision <= 10:
             raise ValueError("render_precision must be in [0, 10]")
-        if not math.isfinite(self.numeric_tolerance) or self.numeric_tolerance < 0:
-            raise ValueError("numeric_tolerance must be finite and non-negative")
-        # Built once here rather than on every comparison; not a field, so it
-        # takes no part in equality, hashing or repr.
-        object.__setattr__(self, "exact_tolerance", Fraction(self.numeric_tolerance))
 
 
 DEFAULT_CONFIG = EvalConfig()
@@ -453,8 +449,8 @@ def render_decimal(value: Fraction, precision: int) -> str:
 
 
 def numbers_equal(a: Fraction, b: Fraction, config: EvalConfig = DEFAULT_CONFIG) -> bool:
-    """Equality on exact rationals: within tolerance, or identical once rendered."""
-    if abs(a - b) <= config.exact_tolerance:
+    """Equality on exact rationals: within NUMERIC_TOLERANCE, or identical once rendered."""
+    if abs(a - b) <= NUMERIC_TOLERANCE:
         return True
     return render_decimal(a, config.render_precision) == render_decimal(b, config.render_precision)
 

@@ -84,23 +84,20 @@ class GeneratedOutput:
     score: float | None = None
 
 
-@dataclass(frozen=True)
-class GenerationResponse:
-    outputs: tuple[GeneratedOutput, ...]
-
-
 class Generator(Protocol):
-    def generate(self, request: GenerationRequest) -> GenerationResponse: ...
+    def generate(self, request: GenerationRequest) -> tuple[GeneratedOutput, ...]: ...
 
 
-def _check_contract(request: GenerationRequest, outputs: list[GeneratedOutput]) -> GenerationResponse:
+def _check_contract(
+    request: GenerationRequest, outputs: list[GeneratedOutput]
+) -> tuple[GeneratedOutput, ...]:
     expected = request.expected_outputs()
     if len(outputs) != expected:
         raise ContractViolation(
             f"{request.mode} request for turn {request.turn_id!r} expected "
             f"{expected} outputs, got {len(outputs)}"
         )
-    return GenerationResponse(outputs=tuple(outputs))
+    return tuple(outputs)
 
 
 _HEADERS = {"Content-Type": "application/json"}
@@ -173,7 +170,7 @@ class HttpGenerator:
         for connection in idle:
             connection.close()
 
-    def generate(self, request: GenerationRequest) -> GenerationResponse:
+    def generate(self, request: GenerationRequest) -> tuple[GeneratedOutput, ...]:
         body = json.dumps(request.to_payload()).encode()
         last_error: Exception | None = None
         for attempt in range(self.max_attempts):
@@ -228,7 +225,7 @@ class ReplayGenerator:
         path = Path(path)
         try:
             lines = path.read_text(encoding="utf-8").splitlines()
-        except OSError as err:
+        except (OSError, UnicodeDecodeError) as err:
             raise TransportError(f"cannot read replay fixture {path}: {err}") from err
         for lineno, line in enumerate(lines, start=1):
             if not line.strip():
@@ -236,12 +233,12 @@ class ReplayGenerator:
             try:
                 record = json.loads(line)
                 key = (str(record["turn_id"]), str(record.get("mode", SAMPLE)))
-            except (json.JSONDecodeError, KeyError, TypeError) as err:
+            except (json.JSONDecodeError, RecursionError, KeyError, TypeError) as err:
                 raise TransportError(f"{path}:{lineno}: bad replay line: {err}") from err
             entries[key] = _parse_outputs(record)
         return cls(entries)
 
-    def generate(self, request: GenerationRequest) -> GenerationResponse:
+    def generate(self, request: GenerationRequest) -> tuple[GeneratedOutput, ...]:
         key = (request.turn_id, request.mode)
         if key not in self.entries:
             raise TransportError(f"replay fixture has no entry for {key}")

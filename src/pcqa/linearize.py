@@ -1,7 +1,9 @@
 """Hybrid input linearization and target sequence formats.
 
 These are public wire formats: the generation service consumes the
-linearized document+history string and produces target-format strings.
+linearized document+history string and produces multi-task target strings,
+which `parse_output` splits back into flag and payload. The single-task
+formats exist only as training targets (`format_target`).
 
 Input template (single spaces everywhere):
 
@@ -141,10 +143,6 @@ class ConversationHistory:
                 flat.append(normalize_whitespace(responses[i]))
         return cls(tuple(flat))
 
-    @property
-    def current_query(self) -> str:
-        return self.utterances[-1]
-
 
 def linearize_document(doc: HybridDocument) -> str:
     parts = ["[paragraph]"]
@@ -202,25 +200,18 @@ def format_target(task: Task, clarification: bool, response: str) -> str:
 class ParsedOutput:
     """Decoded model output split into clarification flag and payload."""
 
-    clarification_flag: bool | None
+    clarification_flag: bool
     response_payload: str
 
 
-def parse_output(decoded: str, task: Task = Task.MULTI) -> ParsedOutput:
-    """Inverse of format_target. Raises MalformedOutput on anything else.
+def parse_output(decoded: str) -> ParsedOutput:
+    """Inverse of the multi-task format_target. Raises MalformedOutput on
+    anything else.
 
-    For the multi-task format the flag token must be literally "True" or
-    "False" between the "[clari.]" and "[resp.]" markers.
+    The flag token must be literally "True" or "False" between the
+    "[clari.]" and "[resp.]" markers, and the payload must be non-empty.
     """
     text = decoded.strip()
-    if task is Task.CNP:
-        if text not in ("True", "False"):
-            raise MalformedOutput(f"CNP output must be True/False, got {text!r}")
-        return ParsedOutput(text == "True", "")
-    if task in (Task.CQG, Task.CQA):
-        if not text:
-            raise MalformedOutput("empty output")
-        return ParsedOutput(None, text)
     if not text.startswith("[clari.]"):
         raise MalformedOutput("missing [clari.] marker")
     rest = text[len("[clari.]") :].strip()

@@ -25,6 +25,7 @@ from .corpus import GoldTurnAnswer
 from .derivation import (
     DEFAULT_CONFIG,
     MAX_NUMERAL_DIGITS,
+    NUMERIC_TOLERANCE,
     CanonicalAnswer,
     ClarifyAnswer,
     EvalConfig,
@@ -163,23 +164,6 @@ def _same_spans(pred: list[_Normalized], gold: list[_Normalized]) -> int:
     return int(Counter(p.em for p in pred) == Counter(g.em for g in gold))
 
 
-def exact_match(
-    pred: CanonicalAnswer | None,
-    pred_scale: str,
-    gold: GoldTurnAnswer,
-    config: EvalConfig = DEFAULT_CONFIG,
-) -> int:
-    """1 iff the normalized prediction equals the normalized gold answer.
-
-    Clarification questions only ever match clarification predictions;
-    span sets compare as normalized multisets; the scale strings must match
-    exactly for every answer type.
-    """
-    if not _em_comparable(pred, pred_scale, gold):
-        return 0
-    return _same_spans(_answer_spans(pred, config), _answer_spans(gold.canonical, config))
-
-
 def _bag_f1(pred_tokens: Counter, gold_tokens: Counter) -> float:
     if not pred_tokens and not gold_tokens:
         return 1.0
@@ -193,7 +177,7 @@ def _bag_f1(pred_tokens: Counter, gold_tokens: Counter) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def _pair_f1(pred: _Normalized, gold: _Normalized, config: EvalConfig) -> float:
+def _pair_f1(pred: _Normalized, gold: _Normalized) -> float:
     if pred.number is None and gold.number is None:
         if pred.tokens == gold.tokens:
             return 1.0
@@ -201,7 +185,7 @@ def _pair_f1(pred: _Normalized, gold: _Normalized, config: EvalConfig) -> float:
     if pred.number is None or gold.number is None:
         return 0.0
     # `numbers_equal` without rendering: the tokens are the renderings.
-    if pred.tokens == gold.tokens or abs(pred.number - gold.number) <= config.exact_tolerance:
+    if pred.tokens == gold.tokens or abs(pred.number - gold.number) <= NUMERIC_TOLERANCE:
         return 1.0
     return 0.0
 
@@ -220,18 +204,17 @@ def numeracy_f1(pred: Spans, gold: Spans, config: EvalConfig = DEFAULT_CONFIG) -
     return _greedy_f1(
         [_normalize(s, precision) for s in _as_spans(pred)],
         [_normalize(s, precision) for s in _as_spans(gold)],
-        config,
     )
 
 
-def _greedy_f1(pred_list: list[_Normalized], gold_list: list[_Normalized], config: EvalConfig) -> float:
+def _greedy_f1(pred_list: list[_Normalized], gold_list: list[_Normalized]) -> float:
     if not pred_list and not gold_list:
         return 1.0
     if not pred_list or not gold_list:
         return 0.0
     if len(pred_list) == 1 and len(gold_list) == 1:
-        return _pair_f1(pred_list[0], gold_list[0], config)
-    matrix = [[_pair_f1(p, g, config) for g in gold_list] for p in pred_list]
+        return _pair_f1(pred_list[0], gold_list[0])
+    matrix = [[_pair_f1(p, g) for g in gold_list] for p in pred_list]
     free_pred = set(range(len(pred_list)))
     free_gold = set(range(len(gold_list)))
     total = 0.0
@@ -305,11 +288,16 @@ class PredictionRecord:
 
 
 def record_scores(record: PredictionRecord, config: EvalConfig = DEFAULT_CONFIG) -> tuple[int, float]:
-    """(EM, F1) of one turn, normalizing each span once for both."""
+    """(EM, F1) of one turn, normalizing each span once for both.
+
+    EM is 1 iff the normalized spans are equal as multisets. Clarification
+    questions only ever match clarification predictions, and the scale
+    strings must match exactly for every answer type.
+    """
     pred = _answer_spans(record.predicted, config)
     gold = _answer_spans(record.gold.canonical, config)
     comparable = _em_comparable(record.predicted, record.predicted_scale, record.gold)
-    return (_same_spans(pred, gold) if comparable else 0), _greedy_f1(pred, gold, config)
+    return (_same_spans(pred, gold) if comparable else 0), _greedy_f1(pred, gold)
 
 
 ScoredRecord = tuple[PredictionRecord, int, float]

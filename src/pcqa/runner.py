@@ -129,17 +129,17 @@ def run_turn(
                 max_target_length=config.max_target_length,
                 turn_id=turn.turn_id,
             )
-        ).outputs
+        )
         try:
-            vote = consensus_vote(outputs, config.eval_config)
+            vote = consensus_vote(outputs)
             answer = vote.winner
         except AllSamplesDiscarded:
             fallback = True
     else:
-        outputs = generator.generate(greedy).outputs
+        outputs = generator.generate(greedy)
         answer = greedy_select(outputs)
     if fallback:
-        answer = greedy_select(generator.generate(greedy).outputs)
+        answer = greedy_select(generator.generate(greedy))
     return TurnResult(
         turn_id=turn.turn_id,
         samples=[o.text for o in outputs],

@@ -5,9 +5,10 @@ returned them; a sample's index is its position in that tuple. Each decoded
 text is canonicalized by executing its payload, which yields one of the four
 canonical answers defined in `pcqa.derivation`; samples whose answers share a
 vote key form one group, so distinct derivations with the same value
-("(88-105)/105" vs "88/105-1", or permuted count lists) pool their votes. The
-plurality group wins. Samples that fail to parse or execute, including those
-beyond the derivation language's size limits, cast no vote.
+("(88-105)/105" vs "88/105-1", or permuted count lists) pool their votes, and
+numeric groups within `NUMERIC_TOLERANCE` of each other merge. The plurality
+group wins. Samples that fail to parse or execute, including those beyond the
+derivation language's size limits, cast no vote.
 
 Sampled decodes repeat, so each distinct decoded text is executed once per
 vote and its later samples only add to its group. Nothing is remembered
@@ -16,13 +17,13 @@ between votes.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 # The answer classes live with the evaluator that produces them; voting is
 # where most callers look for them, so they are re-exported here.
 from .derivation import (
     DEFAULT_CONFIG,
+    NUMERIC_TOLERANCE,
     CanonicalAnswer,
     ClarifyAnswer,
     CountAnswer,
@@ -51,7 +52,7 @@ def canonicalize(text: str) -> CanonicalAnswer | None:
         answer = execute_source(parsed.response_payload)
     except (MalformedOutput, DerivationError):
         return None
-    if parsed.clarification_flag is not True:
+    if not parsed.clarification_flag:
         return answer
     if not isinstance(answer, SpanSetAnswer) or len(answer.spans) != 1:
         return None
@@ -94,14 +95,13 @@ class VoteResult:
 _UNSEEN = object()
 
 
-def consensus_vote(
-    outputs: tuple[GeneratedOutput, ...], config: EvalConfig = DEFAULT_CONFIG
-) -> VoteResult:
+def consensus_vote(outputs: tuple[GeneratedOutput, ...]) -> VoteResult:
     """Plurality vote over the canonicalized outputs of one sampling request.
 
-    Ties break on higher total sequence score when every sample in the tied
-    groups carries one, then on the lowest exemplar sampling index; both
-    rules make repeated runs deterministic.
+    Groups with the same count are tied. Ties break on higher total sequence
+    score when every sample in the tied groups carries one, then on the
+    lowest exemplar sampling index; both rules make repeated runs
+    deterministic.
     """
     groups: dict[tuple, _Group] = {}
     # Each distinct text's group, or None when its samples are discarded.
@@ -135,16 +135,13 @@ def consensus_vote(
         group.all_scored = group.all_scored and output.score is not None
     if not groups:
         raise AllSamplesDiscarded(f"all {len(outputs)} samples discarded")
-    _merge_numeric_within_tolerance(groups, config)
-
-    def compare(a: _Group, b: _Group) -> int:
-        if a.count != b.count:
-            return -1 if a.count > b.count else 1
-        if a.all_scored and b.all_scored and a.score_sum != b.score_sum:
-            return -1 if a.score_sum > b.score_sum else 1
-        return -1 if a.min_index < b.min_index else 1
-
-    ordered = sorted(groups.values(), key=functools.cmp_to_key(compare))
+    _merge_numeric_within_tolerance(groups)
+    # A count whose groups all carry full scores ranks them by score sum.
+    unscored = {g.count for g in groups.values() if not g.all_scored}
+    ordered = sorted(
+        groups.values(),
+        key=lambda g: (-g.count, 0.0 if g.count in unscored else -g.score_sum, g.min_index),
+    )
     return VoteResult(
         winner=ordered[0].answer,
         tallies=tuple((g.answer, g.count) for g in ordered),
@@ -153,13 +150,13 @@ def consensus_vote(
     )
 
 
-def _merge_numeric_within_tolerance(groups: dict[tuple, _Group], config: EvalConfig) -> None:
-    """Fold numeric groups whose exact values differ by at most the tolerance.
+def _merge_numeric_within_tolerance(groups: dict[tuple, _Group]) -> None:
+    """Fold numeric groups whose exact values differ by at most NUMERIC_TOLERANCE.
 
     Exact rational execution makes equivalent derivations collide exactly, so
-    this almost never fires; it exists so the configured tolerance means the
-    same thing for voting as for scoring. Earlier-seen groups absorb later
-    ones and keep their exemplar.
+    this almost never fires; it exists so "the same number" means the same
+    thing for voting as for scoring. Earlier-seen groups absorb later ones
+    and keep their exemplar.
     """
     numeric_keys = [k for k in groups if k[0] == "num"]
     absorbed: set[tuple] = set()
@@ -169,7 +166,7 @@ def _merge_numeric_within_tolerance(groups: dict[tuple, _Group], config: EvalCon
         for other in numeric_keys[i + 1 :]:
             if other in absorbed:
                 continue
-            if abs(key[1] - other[1]) <= config.exact_tolerance:
+            if abs(key[1] - other[1]) <= NUMERIC_TOLERANCE:
                 host, guest = groups[key], groups[other]
                 host.count += guest.count
                 host.score_sum += guest.score_sum

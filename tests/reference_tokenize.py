@@ -30,10 +30,10 @@ _SINGLE = {
 }
 
 
-def reference_tokenize(source: str) -> list[tuple[TokenKind, str, int]]:
+def reference_tokenize(source: str) -> list[tuple[TokenKind, str, int, int]]:
     if not source or not source.strip():
         raise DerivationSyntaxError(0, "non-empty derivation source")
-    tokens: list[tuple[TokenKind, str, int]] = []
+    tokens: list[tuple[TokenKind, str, int, int]] = []
     i = 0
     n = len(source)
     bracket_depth = 0
@@ -47,7 +47,7 @@ def reference_tokenize(source: str) -> list[tuple[TokenKind, str, int]]:
                 bracket_depth += 1
             elif ch == "]":
                 bracket_depth = max(0, bracket_depth - 1)
-            tokens.append((_SINGLE[ch], ch, i))
+            tokens.append((_SINGLE[ch], ch, i, i + 1))
             i += 1
         elif ch in "\"'":
             j = i + 1
@@ -55,16 +55,16 @@ def reference_tokenize(source: str) -> list[tuple[TokenKind, str, int]]:
                 j += 1
             if j >= n:
                 raise UnterminatedStringError(i)
-            tokens.append((TokenKind.STRING, source[i + 1 : j], i))
+            tokens.append((TokenKind.STRING, source[i + 1 : j], i, j + 1))
             i = j + 1
         elif ch.isdecimal() or (ch == "." and i + 1 < n and source[i + 1].isdecimal()):
             start = i
             text, i = _lex_number(source, i, grouping=bracket_depth == 0)
             if len(text) - ("." in text) > MAX_NUMERAL_DIGITS:
                 raise DerivationSyntaxError(start, f"a numeral of at most {MAX_NUMERAL_DIGITS} digits")
-            tokens.append((TokenKind.NUMBER, text, start))
+            tokens.append((TokenKind.NUMBER, text, start, i))
         elif source.startswith("len", i):
-            tokens.append((TokenKind.LEN, "len", i))
+            tokens.append((TokenKind.LEN, "len", i, i + 3))
             i += 3
         else:
             raise UnknownCharacterError(ch, i)

@@ -166,7 +166,7 @@ def test_corpus_validation_statistics(fixtures_dir):
         for split, want in OFFICIAL_EXPECTATIONS.items():
             split_file = _find_split_file(data_dir, split)
             assert split_file is not None, f"missing {split} file under {data_dir}"
-            corpus = load_release_file(split_file, split=split)
+            corpus = load_release_file(split_file)
             stats = corpus_stats(corpus)
             assert stats.dialogues == want["dialogues"], split
             assert stats.turns == want["turns"], split
@@ -201,7 +201,7 @@ def test_reconstruction_soundness(fixtures_dir):
     data_dir = _official_data_dir()
     if data_dir is not None:
         corpora = [
-            load_release_file(_find_split_file(data_dir, split), split=split)
+            load_release_file(_find_split_file(data_dir, split))
             for split in OFFICIAL_EXPECTATIONS
         ]
     else:
@@ -306,7 +306,7 @@ def test_offline_scoring_throughput(tmp_path):
     rounds = 200
     started = time.perf_counter()
     for _ in range(rounds):
-        vote = consensus_vote(samples, CONFIG)
+        vote = consensus_vote(samples)
     per_vote = (time.perf_counter() - started) / rounds
     assert vote.counts() == [24, 12, 4]
     assert per_vote < 0.005, f"vote took {per_vote * 1000:.2f} ms"

@@ -60,6 +60,19 @@ class TestValidate:
         expected.write_text("[16]")
         assert main(["validate", corpus_path, "--expected", str(expected)]) == 2
 
+    @pytest.mark.parametrize("field", ["by_type", "by_source"])
+    def test_expected_tallies_not_objects_exit_2(self, corpus_path, tmp_path, capsys, field):
+        expected = tmp_path / "exp.json"
+        expected.write_text(json.dumps({field: 5}))
+        assert main(["validate", corpus_path, "--expected", str(expected)]) == 2
+        assert "schema error" in capsys.readouterr().err
+
+    def test_non_utf8_corpus_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'[{"uid": "caf\xe9"}]')
+        assert main(["validate", str(bad)]) == 2
+        assert "schema error" in capsys.readouterr().err
+
     def test_findings_exit_1(self, corpus_path, tmp_path, capsys):
         expected = tmp_path / "exp.json"
         expected.write_text(json.dumps({"turns": 99}))

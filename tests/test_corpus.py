@@ -128,6 +128,7 @@ _RELEASE = [
         (False, _set((0, "questions", 1), 7)),
         (False, _set((2, "paragraphs", 0, "order"), "1")),
         (False, _set((0, "questions", 1, "order"), "2")),
+        (False, _set((1, "doc_uid"), ["doc-alpha"])),
         (True, _set((0,), "a bare string")),
         (True, _set((0, "table"), ["not", "an", "object"])),
         (True, _set((0, "questions", 0), None)),
@@ -137,6 +138,7 @@ _RELEASE = [
         "question-not-object",
         "paragraph-order-mixes-int-and-str",
         "question-order-mixes-int-and-str",
+        "doc-uid-not-string",
         "release-block-not-object",
         "release-table-not-object",
         "release-question-not-object",
@@ -149,6 +151,23 @@ def test_malformed_entries_are_schema_errors(raw_blocks, tmp_path, release, muta
     path.write_text(json.dumps(blocks))
     with pytest.raises(SchemaError):
         (load_release_file if release else load_corpus)(path)
+
+
+@pytest.mark.parametrize(
+    "content", [b"\xff\xfe[]", b"[" * 100_000], ids=["not-utf-8", "nested-too-deep"]
+)
+@pytest.mark.parametrize("loader", [load_corpus, load_release_file], ids=["corpus", "release"])
+def test_unreadable_json_is_schema_error(tmp_path, loader, content):
+    path = tmp_path / "corpus.json"
+    path.write_bytes(content)
+    with pytest.raises(SchemaError):
+        loader(path)
+
+
+@pytest.mark.parametrize("field", ["by_type", "by_source"])
+def test_expected_tallies_must_be_objects(field):
+    with pytest.raises(SchemaError):
+        CorpusExpectations.from_obj({field: ["span", 5]})
 
 
 def test_expectations_key_total_questions_means_turns():
@@ -393,8 +412,7 @@ class TestReleaseShim:
         ]
         path = tmp_path / "release.json"
         path.write_text(json.dumps(release))
-        corpus = load_release_file(path, split="dev")
-        assert corpus.split == "dev"
+        corpus = load_release_file(path)
         stats = corpus_stats(corpus)
         assert stats.turns == 2
         assert stats.clarifying_turns == 1

@@ -141,7 +141,7 @@ _DERIVATION_PIECES = [*"0123456789", "\u0663", ",", ".", '"', "'", "[", "]", "("
 
 
 def _lexed(lex, source):
-    """Tokens as (kind, text, position), or the error's class, message and position."""
+    """Tokens as (kind, text, position, end), or the error's class, message and position."""
     try:
         return [tuple(token) for token in lex(source)]
     except DerivationError as err:
@@ -222,6 +222,16 @@ class TestParse:
     def test_syntax_errors(self, source):
         with pytest.raises(DerivationSyntaxError):
             parse_source(source)
+
+    @pytest.mark.parametrize(
+        "source, position",
+        [('["abc"', 6), ("(3,711", 6), ("(1,000,000", 10), ("(3711  ", 5), ('len(["abc"]', 11)],
+    )
+    def test_end_of_input_is_just_past_the_last_token(self, source, position):
+        # The last token's source text includes its quotes and grouping commas.
+        with pytest.raises(DerivationSyntaxError) as err:
+            parse_source(source)
+        assert err.value.position == position
 
     def test_list_items_trimmed_and_nonempty(self):
         assert parse_source('[" EMEA "]') == StringList(("EMEA",))
@@ -363,17 +373,6 @@ class TestRenderDecimal:
         with pytest.raises(ValueError):
             EvalConfig(render_precision=11)
 
-    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), float("-inf"), -1e-9])
-    def test_tolerance_must_be_finite_and_non_negative(self, tolerance):
-        with pytest.raises(ValueError, match="numeric_tolerance"):
-            EvalConfig(numeric_tolerance=tolerance)
-
-    def test_exact_tolerance_is_the_tolerance_and_no_field(self):
-        config = EvalConfig(numeric_tolerance=0.01)
-        assert config.exact_tolerance == Fraction(0.01)
-        assert EvalConfig(numeric_tolerance=0.0).exact_tolerance == 0
-        assert config == EvalConfig(numeric_tolerance=0.01)
-        assert "exact_tolerance" not in repr(config)
 
 
 class TestRenderRoundTrip:

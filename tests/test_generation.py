@@ -67,19 +67,19 @@ class TestHttpGenerator:
     def test_greedy_returns_one(self, stub_server):
         endpoint, state = stub_server
         generator = HttpGenerator(endpoint=endpoint, backoff_base=0.01)
-        response = generator.generate(GenerationRequest(input="x", mode="greedy", turn_id="t1"))
-        assert len(response.outputs) == 1
+        outputs = generator.generate(GenerationRequest(input="x", mode="greedy", turn_id="t1"))
+        assert len(outputs) == 1
         assert state.requests[0][0] == "/generate"
         assert state.requests[0][1]["turn_id"] == "t1"
 
     def test_sample_returns_n(self, stub_server):
         endpoint, _ = stub_server
         generator = HttpGenerator(endpoint=endpoint, backoff_base=0.01)
-        response = generator.generate(
+        outputs = generator.generate(
             GenerationRequest(input="x", mode="sample", num_samples=40)
         )
-        assert len(response.outputs) == 40
-        assert response.outputs[3].score == -3.0
+        assert len(outputs) == 40
+        assert outputs[3].score == -3.0
 
     def test_decode_defaults_on_wire(self, stub_server):
         endpoint, state = stub_server
@@ -95,8 +95,8 @@ class TestHttpGenerator:
         endpoint, state = stub_server
         state.behaviors.append(lambda p: (503, {}))
         generator = HttpGenerator(endpoint=endpoint, backoff_base=0.01)
-        response = generator.generate(GenerationRequest(input="x", mode="greedy"))
-        assert len(response.outputs) == 1
+        outputs = generator.generate(GenerationRequest(input="x", mode="greedy"))
+        assert len(outputs) == 1
         assert len(state.requests) == 2
 
     def test_gives_up_after_bounded_attempts(self, stub_server):
@@ -215,7 +215,7 @@ def _greedy(turn_id: str) -> GenerationRequest:
 class TestPersistentConnections:
     def test_sequential_requests_reuse_one_connection(self, keepalive_stub, generator):
         for i in range(10):
-            assert generator.generate(_greedy(f"t{i}")).outputs[0].text == f"t{i}"
+            assert generator.generate(_greedy(f"t{i}"))[0].text == f"t{i}"
         assert len(keepalive_stub.paths) == 10
         assert keepalive_stub.connections == 1
 
@@ -223,11 +223,11 @@ class TestPersistentConnections:
     def test_connection_closed_while_idle_costs_no_attempt(self, keepalive_stub):
         generator = HttpGenerator(endpoint=keepalive_stub.endpoint, backoff_base=5)
         try:
-            assert generator.generate(_greedy("t1")).outputs[0].text == "t1"
+            assert generator.generate(_greedy("t1"))[0].text == "t1"
             assert keepalive_stub.closed.wait(5)
             time.sleep(0.05)  # let the FIN reach the client's idle socket
             started = time.perf_counter()
-            assert generator.generate(_greedy("t2")).outputs[0].text == "t2"
+            assert generator.generate(_greedy("t2"))[0].text == "t2"
             assert time.perf_counter() - started < 1.0
         finally:
             generator.close()
@@ -250,7 +250,7 @@ class TestPersistentConnections:
             try:
                 for i in range(20):
                     turn_id = f"w{k}-t{i}"
-                    text = generator.generate(_greedy(turn_id)).outputs[0].text
+                    text = generator.generate(_greedy(turn_id))[0].text
                     if text != turn_id:
                         mismatches.append((turn_id, text))
             except Exception as err:  # surfaced by the assertion below
@@ -293,13 +293,13 @@ class TestReplayGenerator:
         greedy = generator.generate(
             GenerationRequest(input="ignored", mode="greedy", turn_id="t7c1-q1")
         )
-        assert greedy.outputs == (
+        assert greedy == (
             GeneratedOutput(text="[clari.] False [resp.] (1.06+0.91+4.01)/3", score=None),
         )
         sampled = generator.generate(
             GenerationRequest(input="ignored", mode="sample", num_samples=40, turn_id="t7c1-q1")
         )
-        assert len(sampled.outputs) == 40
+        assert len(sampled) == 40
 
     def test_missing_entry(self, table7_replay_path):
         generator = ReplayGenerator.from_jsonl(table7_replay_path)
@@ -325,6 +325,15 @@ class TestReplayGenerator:
     def test_missing_file(self, tmp_path):
         with pytest.raises(TransportError):
             ReplayGenerator.from_jsonl(tmp_path / "nope.jsonl")
+
+    @pytest.mark.parametrize(
+        "content", [b"\xff\xfe{}\n", b"[" * 100_000 + b"\n"], ids=["not-utf-8", "nested-too-deep"]
+    )
+    def test_unreadable_line_is_transport_error(self, tmp_path, content):
+        path = tmp_path / "replay.jsonl"
+        path.write_bytes(content)
+        with pytest.raises(TransportError):
+            ReplayGenerator.from_jsonl(path)
 
 
 class TestGenerationRequest:

@@ -145,35 +145,25 @@ class TestFormatTarget:
 
 class TestParseOutput:
     def test_multitask(self):
-        parsed = parse_output("[clari.] False [resp.] (88-105)/105", Task.MULTI)
+        parsed = parse_output("[clari.] False [resp.] (88-105)/105")
         assert parsed.clarification_flag is False
         assert parsed.response_payload == "(88-105)/105"
 
     def test_missing_flag_marker(self):
         with pytest.raises(MalformedOutput):
-            parse_output("[resp.] only", Task.MULTI)
+            parse_output("[resp.] only")
 
     def test_missing_resp_marker(self):
         with pytest.raises(MalformedOutput):
-            parse_output("[clari.] False 42", Task.MULTI)
+            parse_output("[clari.] False 42")
 
     def test_bad_flag_token(self):
         with pytest.raises(MalformedOutput):
-            parse_output("[clari.] maybe [resp.] 42", Task.MULTI)
+            parse_output("[clari.] maybe [resp.] 42")
 
     def test_empty_payload(self):
         with pytest.raises(MalformedOutput):
-            parse_output("[clari.] True [resp.] ", Task.MULTI)
-
-    def test_cnp(self):
-        assert parse_output("True", Task.CNP).clarification_flag is True
-        with pytest.raises(MalformedOutput):
-            parse_output("yes", Task.CNP)
-
-    def test_single_task_passthrough(self):
-        parsed = parse_output(" (1+2)/3 ", Task.CQA)
-        assert parsed.clarification_flag is None
-        assert parsed.response_payload == "(1+2)/3"
+            parse_output("[clari.] True [resp.] ")
 
 
 _payloads = st.text(
@@ -187,11 +177,7 @@ _payloads = st.text(
 @given(flag=st.booleans(), response=_payloads)
 def test_format_parse_round_trip(flag, response):
     decoded = format_target(Task.MULTI, flag, response)
-    parsed = parse_output(decoded, Task.MULTI)
+    parsed = parse_output(decoded)
     assert parsed.clarification_flag is flag
     assert parsed.response_payload == response
 
-
-@given(flag=st.booleans())
-def test_cnp_round_trip(flag):
-    assert parse_output(format_target(Task.CNP, flag, ""), Task.CNP).clarification_flag is flag

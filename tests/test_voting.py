@@ -1,4 +1,3 @@
-import functools
 import random
 from fractions import Fraction
 
@@ -6,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pcqa import voting
-from pcqa.derivation import EvalConfig
+from pcqa.derivation import NUMERIC_TOLERANCE, EvalConfig
 from pcqa.generation import GeneratedOutput
 from pcqa.voting import (
     AllSamplesDiscarded,
@@ -173,6 +172,19 @@ class TestConsensusVote:
         vote = consensus_vote(samples)
         assert vote.winner == NumericAnswer(Fraction(7))
 
+    def test_tie_with_an_unscored_group_breaks_on_lowest_index(self):
+        # Not every tied sample carries a score, so the scores of 1 and 3 are
+        # not compared: the lowest index wins.
+        samples = outputs(
+            ["[clari.] False [resp.] 1", "[clari.] False [resp.] 3", "[clari.] False [resp.] 2"],
+            [-3.0, -1.0, None],
+        )
+        vote = consensus_vote(samples)
+        assert vote.winner == NumericAnswer(Fraction(1))
+        assert [answer for answer, _ in vote.tallies] == [
+            NumericAnswer(Fraction(n)) for n in (1, 3, 2)
+        ]
+
     def test_monotonicity_duplicating_never_demotes(self):
         texts = (
             ["[clari.] False [resp.] 1"] * 3
@@ -188,17 +200,22 @@ class TestConsensusVote:
         assert boosted_rank.index(target) <= base_rank.index(target)
 
     def test_numeric_tolerance_merges_groups(self):
-        config = EvalConfig(numeric_tolerance=0.01)
+        assert NUMERIC_TOLERANCE == Fraction(1e-9)
         samples = outputs(
             [
-                "[clari.] False [resp.] 1.000",
-                "[clari.] False [resp.] 1.001",
+                "[clari.] False [resp.] 1",
+                "[clari.] False [resp.] 1.0000000001",
+                "[clari.] False [resp.] 1.000000002",
                 "[clari.] False [resp.] 5",
             ]
         )
-        vote = consensus_vote(samples, config)
-        assert vote.counts() == [2, 1]
-        assert vote.exemplars == ("[clari.] False [resp.] 1.000", "[clari.] False [resp.] 5")
+        vote = consensus_vote(samples)
+        assert vote.counts() == [2, 1, 1]
+        assert vote.exemplars == (
+            "[clari.] False [resp.] 1",
+            "[clari.] False [resp.] 1.000000002",
+            "[clari.] False [resp.] 5",
+        )
 
 
 class TestExecutionCount:
@@ -293,7 +310,7 @@ def test_canonicalize_never_raises(prefix, body):
         answer.describe(config)
 
 
-def reference_vote(samples, config):
+def reference_vote(samples):
     """`consensus_vote` as plainly as possible: canonicalize every sample."""
     groups = {}  # vote key -> group, in order of first appearance
     discarded = 0
@@ -318,7 +335,7 @@ def reference_vote(samples, config):
         group["scored"] = group["scored"] and output.score is not None
     if not groups:
         raise AllSamplesDiscarded
-    tol = Fraction(config.numeric_tolerance)
+    tol = Fraction(1e-9)
     numeric = [key for key in groups if key[0] == "num"]
     for i, key in enumerate(numeric):
         if key not in groups:
@@ -332,14 +349,14 @@ def reference_vote(samples, config):
                 host["scored"] = host["scored"] and guest["scored"]
                 host["first"] = min(host["first"], guest["first"])
 
-    def compare(a, b):
-        if a["count"] != b["count"]:
-            return -1 if a["count"] > b["count"] else 1
-        if a["scored"] and b["scored"] and a["sum"] != b["sum"]:
-            return -1 if a["sum"] > b["sum"] else 1
-        return -1 if a["first"] < b["first"] else 1
-
-    ordered = sorted(groups.values(), key=functools.cmp_to_key(compare))
+    # Groups with the same count are tied. A tie ranks by higher score sum
+    # only when every one of its groups is fully scored, then by lowest index.
+    ordered = []
+    for count in sorted({g["count"] for g in groups.values()}, reverse=True):
+        tied = sorted((g for g in groups.values() if g["count"] == count), key=lambda g: g["first"])
+        if all(g["scored"] for g in tied):
+            tied.sort(key=lambda g: -g["sum"])  # stable: equal sums keep index order
+        ordered += tied
     return (
         ordered[0]["answer"],
         tuple((g["answer"], g["count"]) for g in ordered),
@@ -348,14 +365,15 @@ def reference_vote(samples, config):
     )
 
 
-# Repeats, equivalent derivations, numbers within a loose tolerance,
+# Repeats, equivalent derivations, numbers within the tolerance (1 absorbs
+# 1.0000000008 but not 1.0000000016, unless 1.0000000008 comes first),
 # clarifications in two quotings, malformed text and a failing execution.
 VOTE_POOL = [
     "[clari.] False [resp.] (88-105)/105",
     "[clari.] False [resp.] 88/105-1",
-    "[clari.] False [resp.] 1.000",
-    "[clari.] False [resp.] 1.001",
-    "[clari.] False [resp.] 1.02",
+    "[clari.] False [resp.] 1",
+    "[clari.] False [resp.] 1.0000000008",
+    "[clari.] False [resp.] 1.0000000016",
     "[clari.] False [resp.] 2",
     '[clari.] False [resp.] len(["a", "b"])',
     '[clari.] False [resp.] ["EMEA", "Americas"]',
@@ -380,16 +398,16 @@ VOTE_POOL = [
         min_size=1,
         max_size=40,
     ),
-    tolerance=st.sampled_from([1e-9, 0.01, 0.05]),
 )
-def test_vote_matches_reference_property(samples, tolerance):
-    config = EvalConfig(numeric_tolerance=tolerance)
+# Three groups tied at one vote, one of them unscored: the lowest index wins.
+@example(samples=outputs(["[clari.] False [resp.] 1", "[clari.] False [resp.] 2", "junk", "[clari.] False [resp.] 88/105-1"], [-3.0, -1.0, None, None]))
+def test_vote_matches_reference_property(samples):
     samples = tuple(samples)
     try:
-        expected = reference_vote(samples, config)
+        expected = reference_vote(samples)
     except AllSamplesDiscarded:
         with pytest.raises(AllSamplesDiscarded):
-            consensus_vote(samples, config)
+            consensus_vote(samples)
         return
-    vote = consensus_vote(samples, config)
+    vote = consensus_vote(samples)
     assert (vote.winner, vote.tallies, vote.discarded, vote.exemplars) == expected
