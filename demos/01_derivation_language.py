@@ -26,7 +26,7 @@ print("source:   ", source)
 print("tokens:   ", [t.text for t in tokenize(source)])
 answer = execute_source(source)
 print("answer:   ", answer)                # NumericAnswer(value=Fraction(161, 205))
-print("rendered: ", answer.rendered())     # 0.7854 (4 places, half away from zero)
+print("rendered: ", answer.text())     # 0.7854 (4 places, half away from zero)
 
 # Counting is a len() call over a string list.
 print()
@@ -43,7 +43,7 @@ print("spans:    ", spans.text_spans(), " vote key:", spans.key())
 # Digit-grouping commas merge into numerals outside lists.
 print()
 grouped = execute_source("3,711 + 4,801 + 1,882")
-print("3,711 + 4,801 + 1,882 =", grouped.rendered())
+print("3,711 + 4,801 + 1,882 =", grouped.text())
 
 # Two derivations with the same value collide exactly, not approximately.
 print()
@@ -56,7 +56,7 @@ assert a == b == Fraction(-17, 105)
 print()
 for places in (2, 4, 6):
     config = EvalConfig(render_precision=places)
-    print(f"precision {places}:", answer.rendered(config))
+    print(f"precision {places}:", answer.text(config))
 
 # Parsing is strict: only this grammar runs, nothing else, and only up to
 # MAX_TOKENS tokens with numerals of at most MAX_NUMERAL_DIGITS digits.

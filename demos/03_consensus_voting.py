@@ -26,9 +26,9 @@ case1 = decodes(
 )
 vote = consensus_vote(case1)
 print("case 1 tallies:", vote.counts(), "discarded:", vote.discarded)
-print("winner:", vote.winner.rendered(), "  (greedy alone would have said", end=" ")
+print("winner:", vote.winner.text(), "  (greedy alone would have said", end=" ")
 greedy = greedy_select(decodes(["[clari.] False [resp.] (1.06+0.91+4.01)/3"]))
-print(f"{greedy.rendered()})")
+print(f"{greedy.text()})")
 
 # An ambiguous question: the period is unspecified, so the sampled
 # derivations disagree and the clarification question carries the vote.

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 import logging
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -36,7 +35,6 @@ from typing import Any
 
 from .derivation import (
     DEFAULT_CONFIG,
-    MAX_NUMERAL_DIGITS,
     CanonicalAnswer,
     ClarifyAnswer,
     DerivationError,
@@ -45,7 +43,7 @@ from .derivation import (
     SpanSetAnswer,
     StringList,
     UnreconstructibleDerivation,
-    decimal_fraction,
+    decimal_value,
     execute_source,
     parse_source,
     render,
@@ -66,11 +64,6 @@ logger = logging.getLogger(__name__)
 ANSWER_TYPES = ("span", "multi-span", "count", "arithmetic", "clarification")
 SOURCES = ("table", "text", "table-text")
 SCALES = ("", "thousand", "million", "billion", "percent")
-
-# A gold number is a decimal numeral of at most MAX_NUMERAL_DIGITS digits.
-# Exponent notation is not one, and neither is a longer digit string: either
-# could build a number too long for int/str conversion to render ("1e5000").
-_DECIMAL = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)")
 
 
 class CorpusError(Exception):
@@ -127,12 +120,7 @@ class GoldTurnAnswer:
 
     def numeric_value(self) -> Fraction | None:
         """The gold answer as an exact rational, when it is a decimal numeral."""
-        text = str(self.answer).strip().replace(",", "")
-        if not _DECIMAL.fullmatch(text):
-            return None
-        if len(text) - (text[0] in "+-") - ("." in text) > MAX_NUMERAL_DIGITS:
-            return None
-        return decimal_fraction(text)
+        return decimal_value(str(self.answer).strip().replace(",", ""))
 
     def count_items(self) -> list[str]:
         """Enumerated items behind a counting answer.
@@ -159,7 +147,6 @@ class GoldTurnAnswer:
 @dataclass(frozen=True)
 class DialogueTurn:
     turn_id: str
-    order: int
     question: str
     gold: GoldTurnAnswer
 
@@ -175,13 +162,6 @@ class Dialogue:
 class Corpus:
     documents: dict[str, HybridDocument]
     dialogues: tuple[Dialogue, ...]
-
-    def turn_index(self) -> dict[str, tuple[Dialogue, DialogueTurn]]:
-        return {
-            turn.turn_id: (dialogue, turn)
-            for dialogue in self.dialogues
-            for turn in dialogue.turns
-        }
 
     def turn_count(self) -> int:
         return sum(len(d.turns) for d in self.dialogues)
@@ -211,7 +191,7 @@ def corpus_from_obj(raw: Any, location: str = "<memory>") -> Corpus:
         if not isinstance(block, dict):
             raise SchemaError(where, "dialogue block must be an object")
         doc_uid = _load_block_document(block, where, documents)
-        dialogue = _load_block_dialogue(block, where, doc_uid, documents)
+        dialogue = _load_block_dialogue(block, where, doc_uid)
         if dialogue.dialogue_id in seen_dialogue_ids:
             raise InvariantViolation(dialogue.dialogue_id, "duplicate dialogue id")
         seen_dialogue_ids.add(dialogue.dialogue_id)
@@ -250,9 +230,7 @@ def _load_block_document(block: dict, where: str, documents: dict[str, HybridDoc
     return uid
 
 
-def _load_block_dialogue(
-    block: dict, where: str, doc_uid: str, documents: dict[str, HybridDocument]
-) -> Dialogue:
+def _load_block_dialogue(block: dict, where: str, doc_uid: str) -> Dialogue:
     questions = block.get("questions")
     if not isinstance(questions, list) or not questions:
         raise SchemaError(where, "block must carry a non-empty questions list")
@@ -310,9 +288,7 @@ def _load_block_dialogue(
             check_no_markers(gold.response_text())
         except LinearizeError as err:
             raise InvariantViolation(turn_id, str(err)) from err
-        turns.append(DialogueTurn(turn_id=turn_id, order=order, question=question_text, gold=gold))
-    if doc_uid not in documents:
-        raise InvariantViolation(dialogue_id, f"dialogue references missing document {doc_uid!r}")
+        turns.append(DialogueTurn(turn_id=turn_id, question=question_text, gold=gold))
     return Dialogue(dialogue_id=dialogue_id, doc_uid=doc_uid, turns=tuple(turns))
 
 
@@ -548,7 +524,7 @@ def validate_corpus(
                 )
                 continue
             executed = answer.text(config)
-            rendered_gold = gold.canonical.rendered(config)
+            rendered_gold = gold.canonical.text(config)
             if executed != rendered_gold:
                 findings.append(
                     Finding(

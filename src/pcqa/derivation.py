@@ -202,6 +202,21 @@ def decimal_fraction(text: str) -> Fraction:
     return Fraction(int(whole + frac), 10 ** len(frac))
 
 
+_SIGNED_DECIMAL = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)").fullmatch
+
+
+def decimal_value(text: str) -> Fraction | None:
+    """Exact value of a signed decimal numeral of at most MAX_NUMERAL_DIGITS
+    digits ("-12.5", ".5", "3."); None for anything else, such as exponent
+    notation ("1e5000"), which could build a number too long to render.
+    """
+    if not _SIGNED_DECIMAL(text):
+        return None
+    if len(text) - (text[0] in "+-") - ("." in text) > MAX_NUMERAL_DIGITS:
+        return None
+    return decimal_fraction(text)
+
+
 @dataclass(frozen=True)
 class Number:
     """Decimal literal. The literal string preserves the written precision."""
@@ -266,13 +281,6 @@ class _Parser:
     def peek(self) -> Token | None:
         return self.stream[self.pos]
 
-    def advance(self) -> Token:
-        tok = self.stream[self.pos]
-        if tok is None:
-            raise DerivationSyntaxError(self._end(), "more input")
-        self.pos += 1
-        return tok
-
     def expect(self, kind: TokenKind, what: str) -> Token:
         tok = self.stream[self.pos]
         if tok is None or tok.kind is not kind:
@@ -292,7 +300,7 @@ class _Parser:
         if tok.kind is TokenKind.LBRACKET:
             node: DerivationExpr = self.string_list()
         elif tok.kind is TokenKind.LEN:
-            self.advance()
+            self.pos += 1
             self.expect(TokenKind.LPAREN, "'(' after len")
             node = Length(self.string_list())
             self.expect(TokenKind.RPAREN, "')' closing len")
@@ -308,14 +316,14 @@ class _Parser:
     def expr(self) -> DerivationExpr:
         node = self.term()
         while (tok := self.peek()) is not None and tok.kind in (TokenKind.PLUS, TokenKind.MINUS):
-            self.advance()
+            self.pos += 1
             node = BinaryOp(_OP_TOKENS[tok.kind], node, self.term())
         return node
 
     def term(self) -> DerivationExpr:
         node = self.factor()
         while (tok := self.peek()) is not None and tok.kind in (TokenKind.STAR, TokenKind.SLASH):
-            self.advance()
+            self.pos += 1
             node = BinaryOp(_OP_TOKENS[tok.kind], node, self.factor())
         return node
 
@@ -324,10 +332,10 @@ class _Parser:
         if tok is None:
             raise DerivationSyntaxError(self._end(), "number, '(' or '-'")
         if tok.kind is TokenKind.NUMBER:
-            self.advance()
+            self.pos += 1
             return Number(tok.text)
         if tok.kind is TokenKind.MINUS:
-            self.advance()
+            self.pos += 1
             inner = self.factor()
             if isinstance(inner, Number):
                 if inner.literal.startswith("-"):
@@ -336,7 +344,7 @@ class _Parser:
             # Negated subexpression folds to 0 - x; the tree has no unary node.
             return BinaryOp("sub", Number("0"), inner)
         if tok.kind is TokenKind.LPAREN:
-            self.advance()
+            self.pos += 1
             node = self.expr()
             self.expect(TokenKind.RPAREN, "')'")
             return node
@@ -348,7 +356,7 @@ class _Parser:
         self.expect(TokenKind.LBRACKET, "'['")
         items = [self.expect(TokenKind.STRING, "string item").text]
         while (tok := self.peek()) is not None and tok.kind is TokenKind.COMMA:
-            self.advance()
+            self.pos += 1
             items.append(self.expect(TokenKind.STRING, "string item").text)
         self.expect(TokenKind.RBRACKET, "']'")
         return StringList(tuple(items))
@@ -448,13 +456,6 @@ def render_decimal(value: Fraction, precision: int) -> str:
     return out
 
 
-def numbers_equal(a: Fraction, b: Fraction, config: EvalConfig = DEFAULT_CONFIG) -> bool:
-    """Equality on exact rationals: within NUMERIC_TOLERANCE, or identical once rendered."""
-    if abs(a - b) <= NUMERIC_TOLERANCE:
-        return True
-    return render_decimal(a, config.render_precision) == render_decimal(b, config.render_precision)
-
-
 _PUNCT = re.compile("[" + re.escape(string.punctuation) + "]")
 _WS = re.compile(r"\s+")
 
@@ -480,14 +481,11 @@ class NumericAnswer(_Answer):
         """Vote key; a count with the same value shares it."""
         return ("num", self.value)
 
-    def rendered(self, config: EvalConfig = DEFAULT_CONFIG) -> str:
-        return render_decimal(self.value, config.render_precision)
-
     def text_spans(self, config: EvalConfig = DEFAULT_CONFIG) -> list[str]:
-        return [self.rendered(config)]
+        return [render_decimal(self.value, config.render_precision)]
 
     def describe(self, config: EvalConfig = DEFAULT_CONFIG) -> dict:
-        return {"kind": "number", "value": str(self.value), "rendered": self.rendered(config)}
+        return {"kind": "number", "value": str(self.value), "rendered": self.text(config)}
 
 
 @dataclass(frozen=True, slots=True)

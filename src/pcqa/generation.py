@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import math
 import select
 import threading
 import time
@@ -209,6 +210,8 @@ def _parse_outputs(body: object) -> list[GeneratedOutput]:
             score = None if score is None else float(score)
         except (TypeError, ValueError) as err:
             raise ContractViolation(f"output score is not a number: {score!r}") from err
+        if score is not None and not math.isfinite(score):
+            raise ContractViolation(f"output score is not finite: {score!r}")
         parsed.append(GeneratedOutput(text=str(item["text"]), score=score))
     return parsed
 

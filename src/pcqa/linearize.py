@@ -175,9 +175,10 @@ def format_target(task: Task, clarification: bool, response: str) -> str:
     """Render the target sequence for one task.
 
     CNP carries only the label; CQG and CQA carry the bare payload;
-    MultiTask prefixes the label: "[clari.] y [resp.] r".
+    MultiTask prefixes the label: "[clari.] y [resp.] r". A payload holding
+    a reserved marker raises MarkerCollisionError: parse_output rejects it.
     """
-    response = response.strip()
+    response = check_no_markers(response.strip())
     if task is Task.CNP:
         if response:
             raise InvalidCombination("CNP target carries no response payload")
@@ -209,7 +210,8 @@ def parse_output(decoded: str) -> ParsedOutput:
     anything else.
 
     The flag token must be literally "True" or "False" between the
-    "[clari.]" and "[resp.]" markers, and the payload must be non-empty.
+    "[clari.]" and "[resp.]" markers, and the payload must be non-empty and
+    hold no reserved marker.
     """
     text = decoded.strip()
     if not text.startswith("[clari.]"):
@@ -224,4 +226,8 @@ def parse_output(decoded: str) -> ParsedOutput:
     payload = rest[marker + len("[resp.]") :].strip()
     if not payload:
         raise MalformedOutput("empty response payload")
+    try:
+        check_no_markers(payload)
+    except MarkerCollisionError as err:
+        raise MalformedOutput(str(err)) from err
     return ParsedOutput(flag_token == "True", payload)

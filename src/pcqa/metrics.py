@@ -24,13 +24,13 @@ from typing import NamedTuple, Sequence, Union
 from .corpus import GoldTurnAnswer
 from .derivation import (
     DEFAULT_CONFIG,
-    MAX_NUMERAL_DIGITS,
     NUMERIC_TOLERANCE,
     CanonicalAnswer,
     ClarifyAnswer,
     EvalConfig,
     NumericAnswer,
     decimal_fraction,
+    decimal_value,
     normalize_answer_text,
     render_decimal,
 )
@@ -71,16 +71,8 @@ def parse_numeral(token: str) -> tuple[Fraction, str, str] | None:
     suffix = "%" if body.endswith("%") else ""
     if suffix:
         body = body[:-1]
-    number = body.replace(",", "")
-    if len(number) - number.startswith("-") - ("." in number) > MAX_NUMERAL_DIGITS:
-        return None
-    return decimal_fraction(number), prefix, suffix
-
-
-def plain_number(text: str) -> Fraction | None:
-    """The numeric value of a whole answer side, ignoring currency/percent marks."""
-    parsed = parse_numeral(text.strip())
-    return parsed[0] if parsed else None
+    value = decimal_value(body.replace(",", ""))
+    return None if value is None else (value, prefix, suffix)
 
 
 class _Normalized(NamedTuple):
@@ -123,18 +115,19 @@ def _normalize(text: str, precision: int) -> _Normalized:
             value = decimal_fraction(f1[0])
         return _Normalized(em[0], f1, value)
     # A token that is a numeral once stripped of punctuation, as "(2019)".
-    value = plain_number(f1[0])
-    if value is None:
+    parsed = parse_numeral(f1[0])
+    if parsed is None:
         return _Normalized(em[0], f1, None)
-    return _Normalized(em[0], [render_decimal(value, precision)], value)
+    return _Normalized(em[0], [render_decimal(parsed[0], precision)], parsed[0])
 
 
 def _numeric_span(value: Fraction, precision: int) -> _Normalized:
     """`_normalize` of the rendered value, rendering and parsing it once."""
     rendered = render_decimal(value, precision)
-    if len(rendered) - (rendered[0] == "-") - ("." in rendered) > MAX_NUMERAL_DIGITS:
+    number = decimal_value(rendered)
+    if number is None:
         return _normalize(rendered, precision)  # too long to be a numeral: text
-    return _Normalized(rendered, [rendered], decimal_fraction(rendered))
+    return _Normalized(rendered, [rendered], number)
 
 
 Spans = Union[str, Sequence[str]]
@@ -165,10 +158,6 @@ def _same_spans(pred: list[_Normalized], gold: list[_Normalized]) -> int:
 
 
 def _bag_f1(pred_tokens: Counter, gold_tokens: Counter) -> float:
-    if not pred_tokens and not gold_tokens:
-        return 1.0
-    if not pred_tokens or not gold_tokens:
-        return 0.0
     overlap = sum((pred_tokens & gold_tokens).values())
     if overlap == 0:
         return 0.0
@@ -184,7 +173,7 @@ def _pair_f1(pred: _Normalized, gold: _Normalized) -> float:
         return _bag_f1(Counter(pred.tokens), Counter(gold.tokens))
     if pred.number is None or gold.number is None:
         return 0.0
-    # `numbers_equal` without rendering: the tokens are the renderings.
+    # Equal within NUMERIC_TOLERANCE, or rendered alike: the tokens are the renderings.
     if pred.tokens == gold.tokens or abs(pred.number - gold.number) <= NUMERIC_TOLERANCE:
         return 1.0
     return 0.0
@@ -281,10 +270,6 @@ class PredictionRecord:
     @property
     def clarification_pred(self) -> bool:
         return isinstance(self.predicted, ClarifyAnswer)
-
-    @property
-    def clarification_gold(self) -> bool:
-        return self.gold.req_clari
 
 
 def record_scores(record: PredictionRecord, config: EvalConfig = DEFAULT_CONFIG) -> tuple[int, float]:
@@ -436,10 +421,10 @@ def aggregate_report(
     overall_em = sum(em for _, em, _ in per_record) / len(per_record)
     overall_f1 = sum(f1 for _, _, f1 in per_record) / len(per_record)
     cnp_p, cnp_r, cnp_f = classification_prf(
-        [r.clarification_pred for r in records], [r.clarification_gold for r in records]
+        [r.clarification_pred for r in records], [r.gold.req_clari for r in records]
     )
-    clarifying = [r for r in records if r.clarification_gold]
-    answering = [(r, em, f1) for r, em, f1 in per_record if not r.clarification_gold]
+    clarifying = [r for r in records if r.gold.req_clari]
+    answering = [(r, em, f1) for r, em, f1 in per_record if not r.gold.req_clari]
     cqg_rouge = cqg_em = cqg_f1 = None
     if clarifying:
         rouge_scores = []

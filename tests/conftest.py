@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from pcqa.corpus import Corpus, load_corpus
+from pcqa.corpus import Corpus, DialogueTurn, load_corpus
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -34,3 +34,9 @@ def table7_replay_path() -> Path:
 @pytest.fixture(scope="session")
 def golden_input() -> str:
     return (FIXTURES / "linearize_golden.txt").read_text(encoding="utf-8").rstrip("\n")
+
+
+def turn_by_id(corpus: Corpus, turn_id: str) -> DialogueTurn:
+    """The corpus turn with this id."""
+    turns = (turn for dialogue in corpus.dialogues for turn in dialogue.turns)
+    return next(turn for turn in turns if turn.turn_id == turn_id)

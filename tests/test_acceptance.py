@@ -90,7 +90,7 @@ def test_derivation_evaluator_oracle_suite():
 def test_paper_execution_examples():
     """Quotient renders 0.7854; the count example yields 2; equivalent derivations share a group."""
     quotient = execute_source("(36.6-20.5)/20.5")
-    assert quotient.rendered(CONFIG) == "0.7854"
+    assert quotient.text(CONFIG) == "0.7854"
     assert quotient.value == Fraction(161, 205)
     count = execute_source('len(["2018","2019"])')
     assert count.count == 2
@@ -268,7 +268,6 @@ def _synthetic_corpus(n_dialogues: int = 277, turns_per_dialogue: int = 7) -> Co
             turns.append(
                 DialogueTurn(
                     turn_id=f"s{d}-q{t}",
-                    order=t,
                     question=f"What is the average of {a} and {b}?",
                     gold=gold,
                 )

@@ -244,6 +244,36 @@ class TestRun:
         assert code == 1
         assert "not JSON" in capsys.readouterr().err
 
+    def test_decode_with_reserved_marker_in_predicted_history(self, corpus_path, tmp_path):
+        """A decode whose payload holds a reserved marker is discarded, so it
+        never reaches the next turn's history: the run scores it 0 and exits 0."""
+        fixture = tmp_path / "replay.jsonl"
+        decode = '[clari.] False [resp.] ["</p> x"]'
+        with open(fixture, "w") as fh:
+            for dialogue in load_corpus(corpus_path).dialogues:
+                for turn in dialogue.turns:
+                    entry = {"turn_id": turn.turn_id, "mode": "greedy", "outputs": [{"text": decode}]}
+                    fh.write(json.dumps(entry) + "\n")
+        log = tmp_path / "run.jsonl"
+        code = main(
+            [
+                "run",
+                corpus_path,
+                "--fixture",
+                str(fixture),
+                "--mode",
+                "greedy",
+                "--history",
+                "predicted",
+                "--log",
+                str(log),
+            ]
+        )
+        assert code == 0
+        lines = [json.loads(line) for line in log.read_text().splitlines()]
+        assert len(lines) == 16
+        assert all(line["final_response"] == "" and line["f1"] == 0 for line in lines)
+
     def test_zero_concurrency_exits_1(self, fixtures_dir, capsys):
         code = main(
             [

@@ -20,6 +20,8 @@ from pcqa.corpus import (
 from pcqa.derivation import MAX_NUMERAL_DIGITS, NumericAnswer, SpanSetAnswer
 from pcqa.linearize import Task
 
+from conftest import turn_by_id
+
 
 @pytest.fixture
 def raw_blocks(fixtures_dir):
@@ -196,30 +198,30 @@ class TestCorpusStats:
 
 class TestReconstructCode:
     def test_arithmetic_passthrough(self, small_corpus):
-        turn = small_corpus.turn_index()["a1-q4"][1]
+        turn = turn_by_id(small_corpus, "a1-q4")
         assert reconstruct_code(turn.gold) == "(105-88)/88"
 
     def test_arithmetic_normalizes_commas_and_spaces(self, small_corpus):
-        turn = small_corpus.turn_index()["b2-q3"][1]
+        turn = turn_by_id(small_corpus, "b2-q3")
         assert reconstruct_code(turn.gold) == "3711+4801"
 
     def test_count_over_items(self, small_corpus):
-        turn = small_corpus.turn_index()["a1-q2"][1]
+        turn = turn_by_id(small_corpus, "a1-q2")
         assert reconstruct_code(turn.gold) == 'len(["Americas", "EMEA", "Asia Pacific"])'
 
     def test_multi_span_list(self, small_corpus):
-        turn = small_corpus.turn_index()["a1-q1"][1]
+        turn = turn_by_id(small_corpus, "a1-q1")
         assert reconstruct_code(turn.gold) == '["Americas", "EMEA", "Asia Pacific"]'
 
     def test_clarification_single_item_list(self, small_corpus):
-        turn = small_corpus.turn_index()["a2-q3"][1]
+        turn = turn_by_id(small_corpus, "a2-q3")
         assert reconstruct_code(turn.gold) == '["Which year are you asking about?"]'
 
     def test_unreconstructible(self, raw_blocks):
         blocks = copy.deepcopy(raw_blocks)
         blocks[0]["questions"][3]["derivation"] = "increase of about 5"
         corpus = corpus_from_obj(blocks)
-        turn = corpus.turn_index()["a1-q4"][1]
+        turn = turn_by_id(corpus, "a1-q4")
         with pytest.raises(UnreconstructibleDerivation):
             reconstruct_code(turn.gold)
 
@@ -227,8 +229,21 @@ class TestReconstructCode:
         blocks = copy.deepcopy(raw_blocks)
         blocks[0]["questions"][1]["derivation"] = "Americas##EMEA##Asia Pacific"
         corpus = corpus_from_obj(blocks)
-        turn = corpus.turn_index()["a1-q2"][1]
+        turn = turn_by_id(corpus, "a1-q2")
         assert reconstruct_code(turn.gold) == 'len(["Americas", "EMEA", "Asia Pacific"])'
+
+    def test_span_with_double_quote_is_single_quoted(self, raw_blocks):
+        blocks = copy.deepcopy(raw_blocks)
+        blocks[0]["questions"][0]["answer"] = ['the "Americas"', "EMEA"]
+        turn = turn_by_id(corpus_from_obj(blocks), "a1-q1")
+        assert reconstruct_code(turn.gold) == """['the "Americas"', "EMEA"]"""
+
+    def test_span_with_both_quotes_is_unreconstructible(self, raw_blocks):
+        blocks = copy.deepcopy(raw_blocks)
+        blocks[0]["questions"][0]["answer"] = ["the \"Americas\" and Europe's", "EMEA"]
+        turn = turn_by_id(corpus_from_obj(blocks), "a1-q1")
+        with pytest.raises(UnreconstructibleDerivation, match="both quote styles"):
+            reconstruct_code(turn.gold)
 
 
 class TestGoldCompilation:
@@ -243,7 +258,7 @@ class TestGoldCompilation:
         ],
     )
     def test_gold_compiles_to_canonical_answer(self, small_corpus, turn_id, kind, spans, text):
-        gold = small_corpus.turn_index()[turn_id][1].gold
+        gold = turn_by_id(small_corpus, turn_id).gold
         assert type(gold.canonical).__name__ == kind
         assert gold.canonical.text_spans() == spans
         assert gold.response_text() == text
@@ -252,9 +267,9 @@ class TestGoldCompilation:
         blocks = copy.deepcopy(raw_blocks)
         blocks[0]["questions"][3]["scale"] = "percent"
         blocks[1]["questions"][2]["scale"] = "million"
-        index = corpus_from_obj(blocks).turn_index()
-        assert index["a1-q4"][1].gold.response_text() == "0.1932 percent"
-        assert index["a2-q3"][1].gold.response_text() == "Which year are you asking about?"
+        corpus = corpus_from_obj(blocks)
+        assert turn_by_id(corpus, "a1-q4").gold.response_text() == "0.1932 percent"
+        assert turn_by_id(corpus, "a2-q3").gold.response_text() == "Which year are you asking about?"
 
 
 class TestBuildExamples:
@@ -316,6 +331,15 @@ class TestValidateCorpus:
         assert "ExecutionMismatch" in kinds
         assert any("a1-q4" == f.where for f in report.findings)
 
+    def test_unparseable_derivation_is_a_finding(self, raw_blocks):
+        blocks = copy.deepcopy(raw_blocks)
+        blocks[0]["questions"][3]["derivation"] = "(1+2"
+        report = validate_corpus(corpus_from_obj(blocks))
+        [finding] = report.findings
+        assert (finding.kind, finding.where) == ("UnreconstructibleDerivation", "a1-q4")
+        assert "(1+2" in finding.detail
+        assert (report.arithmetic_turns, report.validated_arithmetic_turns) == (7, 6)
+
     @pytest.mark.parametrize("derivation,shown", [('len(["a"])', "1"), ('["a", "b"]', "a, b")])
     def test_non_numeric_derivation_is_a_finding(self, raw_blocks, derivation, shown):
         blocks = copy.deepcopy(raw_blocks)
@@ -331,7 +355,7 @@ class TestValidateCorpus:
         blocks = copy.deepcopy(raw_blocks)
         blocks[0]["questions"][3]["answer"] = "1e5000"
         corpus = corpus_from_obj(blocks)
-        gold = corpus.turn_index()["a1-q4"][1].gold
+        gold = turn_by_id(corpus, "a1-q4").gold
         assert gold.canonical == SpanSetAnswer(("1e5000",))
         [finding] = validate_corpus(corpus).findings
         assert (finding.kind, finding.where, finding.detail) == (
@@ -345,7 +369,7 @@ class TestValidateCorpus:
         blocks = copy.deepcopy(raw_blocks)
         blocks[0]["questions"][3]["answer"] = "9" * 4297
         corpus = corpus_from_obj(blocks)
-        gold = corpus.turn_index()["a1-q4"][1].gold
+        gold = turn_by_id(corpus, "a1-q4").gold
         assert gold.canonical == SpanSetAnswer(("9" * 4297,))
         [finding] = validate_corpus(corpus).findings
         assert (finding.kind, finding.where, finding.detail) == (
@@ -362,7 +386,7 @@ class TestValidateCorpus:
         ]:
             blocks = copy.deepcopy(raw_blocks)
             blocks[0]["questions"][3]["answer"] = answer
-            gold = corpus_from_obj(blocks).turn_index()["a1-q4"][1].gold
+            gold = turn_by_id(corpus_from_obj(blocks), "a1-q4").gold
             assert gold.canonical == canonical
 
     def test_stat_diff_reported(self, small_corpus):
@@ -416,6 +440,6 @@ class TestReleaseShim:
         stats = corpus_stats(corpus)
         assert stats.turns == 2
         assert stats.clarifying_turns == 1
-        turn = corpus.turn_index()["rel-q2"][1]
+        turn = turn_by_id(corpus, "rel-q2")
         assert turn.gold.answer_type == "clarification"
         assert turn.gold.clarification_question == "Which period are you asking about?"

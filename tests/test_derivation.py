@@ -28,7 +28,6 @@ from pcqa.derivation import (
     decimal_fraction,
     evaluate,
     execute_source,
-    numbers_equal,
     parse,
     parse_source,
     render,
@@ -243,7 +242,7 @@ class TestEvaluate:
     def test_paper_quotient(self):
         result = evaluate(parse_source("(36.6-20.5)/20.5"))
         assert result == NumericAnswer(Fraction(161, 205))
-        assert result.rendered() == "0.7854"
+        assert result.text() == "0.7854"
 
     def test_length_counts(self):
         result = evaluate(Length(StringList(("2018", "2019"))))
@@ -252,7 +251,7 @@ class TestEvaluate:
     def test_x_minus_x_is_zero(self):
         result = evaluate(BinaryOp("sub", Number("7"), Number("7")))
         assert result == NumericAnswer(Fraction(0))
-        assert result.rendered() == "0"
+        assert result.text() == "0"
 
     def test_operand_order_equivalence(self):
         a = evaluate(parse_source("(88-105)/105"))
@@ -281,7 +280,7 @@ class TestExecuteSource:
     def test_average(self):
         result = execute_source("(1.06+0.91+4.04)/3")
         assert result == NumericAnswer(Fraction(601, 300))
-        assert result.rendered() == "2.0033"
+        assert result.text() == "2.0033"
 
     def test_stage_errors(self):
         with pytest.raises(ExecutionFailure) as err:
@@ -362,12 +361,6 @@ class TestRenderDecimal:
     def test_rendering_is_deterministic(self):
         for _ in range(3):
             assert render_decimal(Fraction(2, 3), 6) == "0.666667"
-
-    def test_numbers_equal_tolerance_and_rendering(self):
-        config = EvalConfig()
-        assert numbers_equal(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**12), config)
-        assert numbers_equal(Fraction("0.78541"), Fraction("0.78539"), config)
-        assert not numbers_equal(Fraction(2), Fraction(3), config)
 
     def test_precision_bounds(self):
         with pytest.raises(ValueError):

@@ -120,9 +120,20 @@ class TestHttpGenerator:
             [{"text": "x"}],
             {"outputs": [{"text": "x", "score": "high"}]},
             {"outputs": [{"text": "x", "score": [1.0]}]},
+            {"outputs": [{"text": "x", "score": "nan"}]},
+            b'{"outputs": [{"text": "x", "score": NaN}]}',
+            b'{"outputs": [{"text": "x", "score": Infinity}]}',
             b"<html><body>Bad gateway</body></html>",
         ],
-        ids=["list-body", "score-not-numeric", "score-is-list", "html-body"],
+        ids=[
+            "list-body",
+            "score-not-numeric",
+            "score-is-list",
+            "score-nan-string",
+            "score-raw-nan",
+            "score-raw-infinity",
+            "html-body",
+        ],
     )
     def test_malformed_body_is_contract_violation(self, stub_server, body):
         endpoint, state = stub_server
@@ -130,6 +141,14 @@ class TestHttpGenerator:
         generator = HttpGenerator(endpoint=endpoint, backoff_base=0.01)
         with pytest.raises(ContractViolation):
             generator.generate(GenerationRequest(input="x", mode="greedy"))
+
+    def test_client_error_fails_without_retry(self, stub_server):
+        endpoint, state = stub_server
+        state.behaviors.extend([lambda p: (404, {})] * 3)
+        generator = HttpGenerator(endpoint=endpoint, backoff_base=0.01, max_attempts=3)
+        with pytest.raises(TransportError, match="returned 404"):
+            generator.generate(GenerationRequest(input="x", mode="greedy"))
+        assert len(state.requests) == 1
 
     def test_unreachable_endpoint(self):
         generator = HttpGenerator(
@@ -320,6 +339,13 @@ class TestReplayGenerator:
             + "\n"
         )
         with pytest.raises(ContractViolation):
+            ReplayGenerator.from_jsonl(path)
+
+    @pytest.mark.parametrize("score", ["NaN", "Infinity", '"-inf"'])
+    def test_non_finite_score_is_contract_violation(self, tmp_path, score):
+        path = tmp_path / "replay.jsonl"
+        path.write_text('{"turn_id": "t", "mode": "greedy", "outputs": [{"text": "x", "score": %s}]}\n' % score)
+        with pytest.raises(ContractViolation, match="not finite"):
             ReplayGenerator.from_jsonl(path)
 
     def test_missing_file(self, tmp_path):

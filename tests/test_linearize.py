@@ -166,17 +166,27 @@ class TestParseOutput:
             parse_output("[clari.] True [resp.] ")
 
 
-_payloads = st.text(
-    alphabet="abcdefghijklmnopqrstuvwxyz0123456789+-*/()[],.\"' ?",
-    min_size=1,
-    max_size=60,
+_text = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789+-*/()[],.\"' ?<>", max_size=60)
+_payloads = st.one_of(
+    _text,
+    # A reserved marker somewhere in the payload.
+    st.builds(lambda a, m, b: a + m + b, _text, st.sampled_from(RESERVED_MARKERS), _text),
 ).map(str.strip).filter(bool)
 
 
 @settings(max_examples=1000, deadline=None)
 @given(flag=st.booleans(), response=_payloads)
 def test_format_parse_round_trip(flag, response):
-    decoded = format_target(Task.MULTI, flag, response)
+    """Marker-free payloads round-trip; a payload holding a marker is
+    rejected by both directions."""
+    decoded = f"[clari.] {flag} [resp.] {response}"
+    if any(marker in response for marker in RESERVED_MARKERS):
+        with pytest.raises(MarkerCollisionError):
+            format_target(Task.MULTI, flag, response)
+        with pytest.raises(MalformedOutput):
+            parse_output(decoded)
+        return
+    assert format_target(Task.MULTI, flag, response) == decoded
     parsed = parse_output(decoded)
     assert parsed.clarification_flag is flag
     assert parsed.response_payload == response

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pcqa.corpus import GoldTurnAnswer
-from pcqa.derivation import MAX_NUMERAL_DIGITS, EvalConfig, decimal_fraction, numbers_equal, render_decimal
+from pcqa.derivation import (
+    MAX_NUMERAL_DIGITS,
+    NUMERIC_TOLERANCE,
+    EvalConfig,
+    decimal_fraction,
+    render_decimal,
+)
 from pcqa.metrics import (
     EmptyRecordSet,
     LengthMismatch,
@@ -319,6 +325,13 @@ def test_parse_numeral_matches_reference_property(token):
     assert parse_numeral(token) == _ref_parse_numeral(token)
 
 
+def _ref_numbers_equal(a, b, config):
+    """Equal within NUMERIC_TOLERANCE, or identical once rendered."""
+    if abs(a - b) <= NUMERIC_TOLERANCE:
+        return True
+    return render_decimal(a, config.render_precision) == render_decimal(b, config.render_precision)
+
+
 def _ref_plain_number(text):
     parsed = _ref_parse_numeral(text)
     return parsed[0] if parsed else None
@@ -348,7 +361,7 @@ def _ref_pair_f1(pred, gold, config):
     pred_num = _ref_plain_number(pred_norm)
     gold_num = _ref_plain_number(gold_norm)
     if pred_num is not None or gold_num is not None:
-        same = pred_num is not None and gold_num is not None and numbers_equal(pred_num, gold_num, config)
+        same = pred_num is not None and gold_num is not None and _ref_numbers_equal(pred_num, gold_num, config)
         return 1.0 if same else 0.0
     pred_tokens, gold_tokens = Counter(pred_norm.split()), Counter(gold_norm.split())
     if not pred_tokens and not gold_tokens:
