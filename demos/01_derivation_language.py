@@ -2,8 +2,9 @@
 
 Answers are small programs: arithmetic over written decimals, a len() call
 for counting, and bracketed string lists for span or clarification answers.
-Everything numeric runs in exact rational arithmetic and is rendered to a
-decimal string only at the very end. Executing a derivation yields the
+Everything numeric runs in exact integer arithmetic while the source is
+parsed, becomes one Fraction per answer, and is rendered to a decimal
+string only at the very end. Executing a derivation yields the
 canonical answer itself (NumericAnswer, CountAnswer or SpanSetAnswer), the
 same objects that voting groups and the metrics score.
 """
@@ -13,9 +14,8 @@ from fractions import Fraction
 from pcqa import (
     EvalConfig,
     ExecutionFailure,
+    canonical_source,
     execute_source,
-    parse_source,
-    render,
     tokenize,
 )
 from pcqa.derivation import MAX_NUMERAL_DIGITS, MAX_TOKENS
@@ -32,7 +32,7 @@ print("rendered: ", answer.text())     # 0.7854 (4 places, half away from zero)
 print()
 count = execute_source('len(["Americas", "EMEA", "Asia Pacific"])')
 print("count:    ", count.count)
-print("vote key: ", count.key())           # ('num', Fraction(3, 1)): a count votes with the number 3
+print("vote key: ", count.key())           # ('num', 3, 1): a count votes with the number 3/1
 print("log entry:", count.describe())
 
 # A span list keeps its items as written.
@@ -68,6 +68,7 @@ for bad in ("import os", '["a"] + 1', "1/(2-2)", "+".join(["1"] * 1000), "9" * 5
     except ExecutionFailure as err:
         print(f"rejected {bad[:20]!r}: {err.stage} stage, {err.detail}")
 
-# Round trip: parse then render gives canonical source.
+# The same parser with render actions gives canonical source, which parses
+# to the same value and renders to itself.
 print()
-print("canonical:", render(parse_source("3,711  +  1,882")))
+print("canonical:", canonical_source("3,711  +  (1,882*2)"))

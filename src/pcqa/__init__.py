@@ -9,19 +9,15 @@ against any sequence-generation service.
 
 from .derivation import (
     DEFAULT_CONFIG,
-    BinaryOp,
     DerivationError,
     EvalConfig,
     ExecutionFailure,
-    Length,
-    Number,
-    StringList,
+    canonical_source,
     evaluate,
     execute_source,
     parse,
-    parse_source,
-    render,
     render_decimal,
+    render_list,
     tokenize,
 )
 from .linearize import (
@@ -68,7 +64,6 @@ from .metrics import (
     classification_prf,
     numeracy_f1,
     record_scores,
-    rouge1_recall,
     rouge2_f1,
 )
 from .generation import (

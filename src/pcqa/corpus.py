@@ -41,12 +41,11 @@ from .derivation import (
     EvalConfig,
     NumericAnswer,
     SpanSetAnswer,
-    StringList,
     UnreconstructibleDerivation,
+    canonical_source,
     decimal_value,
     execute_source,
-    parse_source,
-    render,
+    render_list,
 )
 from .linearize import (
     ConversationHistory,
@@ -168,10 +167,11 @@ class Corpus:
 
 
 def read_json(path: str | Path, what: str) -> Any:
-    """Parse a UTF-8 JSON file; any failure to read it is a SchemaError."""
+    """Parse a UTF-8 JSON file; any failure to read it is a SchemaError,
+    including an integer beyond Python's digit limit (a ValueError)."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
+    except (OSError, ValueError, RecursionError) as err:
         raise SchemaError(str(path), f"cannot read {what} JSON: {err}") from err
 
 
@@ -350,10 +350,10 @@ def reconstruct_code(gold: GoldTurnAnswer) -> str:
     -> single-item string-list literal with the question.
     """
     if gold.req_clari:
-        return render(StringList((gold.clarification_question,)))
+        return render_list([gold.clarification_question])
     if gold.answer_type == "arithmetic":
         try:
-            return render(parse_source(gold.derivation))
+            return canonical_source(gold.derivation)
         except DerivationError as err:
             raise UnreconstructibleDerivation(
                 f"derivation {gold.derivation!r}: {err}"
@@ -362,12 +362,12 @@ def reconstruct_code(gold: GoldTurnAnswer) -> str:
         items = gold.count_items()
         if not items:
             raise UnreconstructibleDerivation("count turn without enumerable items")
-        return "len(" + render(StringList(tuple(items))) + ")"
+        return f"len({render_list(items)})"
     spans = gold.span_values()
     if not spans or any(not s for s in spans):
         raise UnreconstructibleDerivation("span turn without span text")
     try:
-        return render(StringList(tuple(spans)))
+        return render_list(spans)
     except DerivationError as err:
         raise UnreconstructibleDerivation(str(err)) from err
 

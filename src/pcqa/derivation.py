@@ -1,4 +1,4 @@
-"""Executable derivation language: tokenizer, parser, evaluator, reconstruction.
+"""Executable derivation language: tokenizer, parser and canonical source.
 
 Answers to numerical questions are expressed as small executable derivations
 ("(36.6-20.5)/20.5"), counting answers as a length call over a string list
@@ -7,11 +7,15 @@ lists. This module defines that language and executes it with exact rational
 arithmetic, so that derivations which are algebraically equal ("(88-105)/105"
 vs "88/105-1") produce identical values.
 
-Execution yields the canonical answer directly: a `NumericAnswer`,
-`CountAnswer` or `SpanSetAnswer` (`ClarifyAnswer` is the fourth kind, made by
-voting from a clarifying decode and by the corpus from a clarifying gold
-turn). Each answer knows its vote key, its text spans at a rendering
-precision and its log description; numbers are rendered only when asked.
+Execution runs in three stages: `tokenize`; `parse`, one recursive-descent
+pass that computes the value in integer numerator/denominator pairs, with no
+tree; and `evaluate`, which makes the canonical answer, one `Fraction` per
+number. The same parser with render actions gives `canonical_source`.
+
+The answer is a `NumericAnswer`, `CountAnswer` or `SpanSetAnswer`
+(`ClarifyAnswer` is the fourth kind, made by voting from a clarifying decode
+and by the corpus from a clarifying gold turn). Each answer knows its vote
+key, its text spans at a rendering precision and its log description.
 
 Grammar:
 
@@ -30,10 +34,10 @@ a bracketed list, where commas separate items. Strings are single- or
 double-quoted with no escape sequences. There are no variables, loops, or
 function calls other than ``len``.
 
-The two limits keep the recursive parser and evaluator below the
-interpreter's recursion limit (255 open parentheses is the deepest source),
-and every numerator and denominator, even of a product of 128 numerals,
-below Python's 4,300-digit limit on int/str conversion. A source beyond them
+The two limits keep the recursive parser below the interpreter's recursion
+limit (255 open parentheses is the deepest source), and every numerator and
+denominator, even of a product of 128 numerals, below Python's 4,300-digit
+limit on int/str conversion. A source beyond them
 raises `DerivationSyntaxError` like any other malformed source.
 """
 
@@ -41,7 +45,7 @@ from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Union
@@ -120,6 +124,12 @@ class TokenKind(Enum):
     LEN = "len"
 
 
+# The kinds as module globals, in definition order: looking a member up on
+# the enum class costs ten times as much on the hot path.
+(_NUMBER, _STRING, _PLUS, _MINUS, _STAR, _SLASH,
+ _LPAREN, _RPAREN, _LBRACKET, _RBRACKET, _COMMA, _LEN) = TokenKind
+
+
 class Token(NamedTuple):
     kind: TokenKind
     text: str
@@ -176,11 +186,11 @@ def tokenize(source: str) -> list[Token]:
                 raise DerivationSyntaxError(
                     start, f"a numeral of at most {MAX_NUMERAL_DIGITS} digits"
                 )
-            append(_new_token(Token, (TokenKind.NUMBER, text, start, pos)))
+            append(_new_token(Token, (_NUMBER, text, start, pos)))
         elif group == 2:
-            append(_new_token(Token, (TokenKind.STRING, text[1:-1], start, pos)))
+            append(_new_token(Token, (_STRING, text[1:-1], start, pos)))
         else:
-            append(_new_token(Token, (TokenKind.LEN, text, start, pos)))
+            append(_new_token(Token, (_LEN, text, start, pos)))
     pos = _SPACES(source, pos).end()
     if pos < len(source):
         if source[pos] in "\"'":
@@ -217,69 +227,30 @@ def decimal_value(text: str) -> Fraction | None:
     return decimal_fraction(text)
 
 
-@dataclass(frozen=True)
-class Number:
-    """Decimal literal. The literal string preserves the written precision."""
-
-    literal: str
-    value: Fraction = field(compare=False)
-
-    def __init__(self, literal: str):
-        object.__setattr__(self, "literal", literal)
-        object.__setattr__(self, "value", decimal_fraction(literal))
-
-    def __eq__(self, other):
-        return isinstance(other, Number) and self.value == other.value
-
-    def __hash__(self):
-        return hash(("Number", self.value))
-
-
-@dataclass(frozen=True)
-class StringList:
-    """Ordered list of non-empty (after trimming) text items."""
-
-    items: tuple[str, ...]
-
-    def __post_init__(self):
-        trimmed = tuple(item.strip() for item in self.items)
-        if any(not item for item in trimmed):
-            raise DerivationSyntaxError(0, "non-empty string item")
-        object.__setattr__(self, "items", trimmed)
-
-
-@dataclass(frozen=True)
-class Length:
-    arg: StringList
-
-
-@dataclass(frozen=True)
-class BinaryOp:
-    op: str  # one of "add", "sub", "mul", "div"
-    left: "DerivationExpr"
-    right: "DerivationExpr"
-
-
-DerivationExpr = Union[Number, BinaryOp, Length, StringList]
-
-_OP_TOKENS = {
-    TokenKind.PLUS: "add",
-    TokenKind.MINUS: "sub",
-    TokenKind.STAR: "mul",
-    TokenKind.SLASH: "div",
-}
-_OP_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
-_ARITH_KINDS = frozenset(_OP_TOKENS)
+_ADDITIVE = (_PLUS, _MINUS)
+_MULTIPLICATIVE = (_STAR, _SLASH)
+_ARITH_KINDS = frozenset(_ADDITIVE + _MULTIPLICATIVE)
+_NON_NUMERIC_KINDS = (_LBRACKET, _LEN, _STRING)
 
 
 class _Parser:
+    """Recursive descent with standard precedence, computing values as it goes.
+
+    The grammar methods call five actions, `number`, `negate`, `binary`,
+    `strings` and `length`; the ones here compute the value, and
+    `_Renderer` overrides them to build canonical source instead. A number
+    is an integer (numerator, denominator) pair, left unreduced; a string
+    list is its trimmed items and `len(...)` their count. A division by
+    zero does not stop the parse, so a syntax error later in the source
+    still wins: the first one, in post-order, is kept and returned in place
+    of the value.
+    """
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.stream = [*tokens, None]  # None after the last token: end of input
         self.pos = 0
-
-    def peek(self) -> Token | None:
-        return self.stream[self.pos]
+        self.zero_division: DivisionByZeroError | None = None
 
     def expect(self, kind: TokenKind, what: str) -> Token:
         tok = self.stream[self.pos]
@@ -293,112 +264,169 @@ class _Parser:
     def _end(self) -> int:
         return self.tokens[-1].end if self.tokens else 0
 
-    def top_level(self) -> DerivationExpr:
-        tok = self.peek()
+    def top_level(self):
+        tok = self.stream[0]
         if tok is None:
             raise DerivationSyntaxError(0, "expression")
-        if tok.kind is TokenKind.LBRACKET:
-            node: DerivationExpr = self.string_list()
-        elif tok.kind is TokenKind.LEN:
+        listed = tok.kind is _LBRACKET or tok.kind is _LEN
+        if tok.kind is _LBRACKET:
+            value = self.strings(self.string_items())
+        elif tok.kind is _LEN:
             self.pos += 1
-            self.expect(TokenKind.LPAREN, "'(' after len")
-            node = Length(self.string_list())
-            self.expect(TokenKind.RPAREN, "')' closing len")
+            self.expect(_LPAREN, "'(' after len")
+            value = self.length(self.string_items())
+            self.expect(_RPAREN, "')' closing len")
         else:
-            node = self.expr()
-        rest = self.peek()
+            value = self.expr()
+        rest = self.stream[self.pos]
         if rest is not None:
-            if rest.kind in _ARITH_KINDS and isinstance(node, (StringList, Length)):
+            if listed and rest.kind in _ARITH_KINDS:
                 raise MixedTypeError(rest.position)
             raise DerivationSyntaxError(rest.position, "end of input", rest.text)
-        return node
+        return value if self.zero_division is None else self.zero_division
 
-    def expr(self) -> DerivationExpr:
-        node = self.term()
-        while (tok := self.peek()) is not None and tok.kind in (TokenKind.PLUS, TokenKind.MINUS):
+    def expr(self):
+        value = self.term()
+        stream = self.stream
+        while (tok := stream[self.pos]) is not None and tok.kind in _ADDITIVE:
             self.pos += 1
-            node = BinaryOp(_OP_TOKENS[tok.kind], node, self.term())
-        return node
+            value = self.binary(tok.kind, value, self.term(), 0)
+        return value
 
-    def term(self) -> DerivationExpr:
-        node = self.factor()
-        while (tok := self.peek()) is not None and tok.kind in (TokenKind.STAR, TokenKind.SLASH):
+    def term(self):
+        start = self.pos
+        value = self.factor()
+        stream = self.stream
+        while (tok := stream[self.pos]) is not None and tok.kind in _MULTIPLICATIVE:
             self.pos += 1
-            node = BinaryOp(_OP_TOKENS[tok.kind], node, self.factor())
-        return node
+            value = self.binary(tok.kind, value, self.factor(), start)
+        return value
 
-    def factor(self) -> DerivationExpr:
-        tok = self.peek()
+    def factor(self):
+        tok = self.stream[self.pos]
         if tok is None:
             raise DerivationSyntaxError(self._end(), "number, '(' or '-'")
-        if tok.kind is TokenKind.NUMBER:
-            self.pos += 1
-            return Number(tok.text)
-        if tok.kind is TokenKind.MINUS:
-            self.pos += 1
-            inner = self.factor()
-            if isinstance(inner, Number):
-                if inner.literal.startswith("-"):
-                    return Number(inner.literal[1:])
-                return Number("-" + inner.literal)
-            # Negated subexpression folds to 0 - x; the tree has no unary node.
-            return BinaryOp("sub", Number("0"), inner)
-        if tok.kind is TokenKind.LPAREN:
-            self.pos += 1
-            node = self.expr()
-            self.expect(TokenKind.RPAREN, "')'")
-            return node
-        if tok.kind in (TokenKind.LBRACKET, TokenKind.LEN, TokenKind.STRING):
+        kind = tok.kind
+        self.pos += 1
+        if kind is _NUMBER:
+            return self.number(tok.text)
+        if kind is _MINUS:
+            return self.negate(self.factor())
+        if kind is _LPAREN:
+            value = self.expr()
+            self.expect(_RPAREN, "')'")
+            return value
+        if kind in _NON_NUMERIC_KINDS:
             raise MixedTypeError(tok.position)
         raise DerivationSyntaxError(tok.position, "number, '(' or '-'", tok.text)
 
-    def string_list(self) -> StringList:
-        self.expect(TokenKind.LBRACKET, "'['")
-        items = [self.expect(TokenKind.STRING, "string item").text]
-        while (tok := self.peek()) is not None and tok.kind is TokenKind.COMMA:
+    def string_items(self) -> list[str]:
+        self.expect(_LBRACKET, "'['")
+        items = [self.expect(_STRING, "string item").text]
+        while (tok := self.stream[self.pos]) is not None and tok.kind is _COMMA:
             self.pos += 1
-            items.append(self.expect(TokenKind.STRING, "string item").text)
-        self.expect(TokenKind.RBRACKET, "']'")
-        return StringList(tuple(items))
+            items.append(self.expect(_STRING, "string item").text)
+        self.expect(_RBRACKET, "']'")
+        return items
+
+    def number(self, text: str) -> tuple[int, int]:
+        whole, _, frac = text.partition(".")
+        return int(whole + frac), 10 ** len(frac)
+
+    def negate(self, value: tuple[int, int]) -> tuple[int, int]:
+        return -value[0], value[1]
+
+    def binary(self, kind: TokenKind, left: tuple[int, int], right: tuple[int, int], start: int):
+        """`left <kind> right`; a term's operands begin at token `start`."""
+        (a, b), (c, d) = left, right
+        if kind is _PLUS:
+            return (a + c, b) if b == d else (a * d + c * b, b * d)
+        if kind is _MINUS:
+            return (a - c, b) if b == d else (a * d - c * b, b * d)
+        if kind is _STAR:
+            return a * c, b * d
+        if c:
+            return a * d, b * c
+        if self.zero_division is None:
+            source = _Renderer(self.tokens[start : self.pos]).term()[0]
+            self.zero_division = DivisionByZeroError(source)
+        return 0, 1
+
+    def strings(self, items: list[str]) -> list[str]:
+        return _trimmed(items)
+
+    def length(self, items: list[str]) -> int:
+        return len(_trimmed(items))
 
 
-def parse(tokens: list[Token]) -> DerivationExpr:
-    """Parse a token sequence into an AST with standard precedence."""
+_ATOM = 3  # precedence of a numeral: above "*" and "/" (2) and "+" and "-" (1)
+_PRECEDENCE = {_PLUS: 1, _MINUS: 1, _STAR: 2, _SLASH: 2}
+
+
+class _Renderer(_Parser):
+    """The parser with render actions: each value is (canonical text, precedence).
+
+    Canonical form has no spaces around operators and ", " between list
+    items, and parentheses exactly where the precedence needs them. A minus
+    before a numeral folds into it ("--5" is "5"); before anything else it
+    renders as "0-".
+    """
+
+    def number(self, text: str) -> tuple[str, int]:
+        return text, _ATOM
+
+    def negate(self, value: tuple[str, int]) -> tuple[str, int]:
+        text, prec = value
+        if prec == _ATOM:
+            return (text[1:] if text[0] == "-" else "-" + text), _ATOM
+        return "0-" + (f"({text})" if prec == 1 else text), 1
+
+    def binary(self, kind: TokenKind, left: tuple[str, int], right: tuple[str, int], start: int):
+        prec = _PRECEDENCE[kind]
+        text = f"({left[0]})" if left[1] < prec else left[0]
+        if right[1] <= prec or (right[1] == _ATOM and right[0][0] == "-"):
+            return f"{text}{kind.value}({right[0]})", prec
+        return text + kind.value + right[0], prec
+
+    def strings(self, items: list[str]) -> tuple[str, int]:
+        return render_list(items), _ATOM
+
+    def length(self, items: list[str]) -> tuple[str, int]:
+        return f"len({render_list(items)})", _ATOM
+
+
+def parse(tokens: list[Token]):
+    """Parse and compute a token sequence in one pass.
+
+    The value is an integer (numerator, denominator) pair for arithmetic, a
+    list of trimmed items for a string list, an int for `len(...)`, or the
+    `DivisionByZeroError` of the first division by zero; `evaluate` makes
+    it an answer.
+    """
     return _Parser(tokens).top_level()
 
 
-def parse_source(source: str) -> DerivationExpr:
-    return parse(tokenize(source))
+def canonical_source(source: str) -> str:
+    """The canonical form of a derivation source.
 
-
-_PRECEDENCE = {"add": 1, "sub": 1, "mul": 2, "div": 2}
-
-
-def render(expr: DerivationExpr) -> str:
-    """Render an AST back to canonical source.
-
-    Canonical form uses no spaces around operators and ", " between list
-    items; parentheses appear exactly where the tree shape requires them, so
-    parsing the rendered text reproduces the same tree.
+    Parsing it computes the same value, and rendering it again returns it
+    unchanged.
     """
-    if isinstance(expr, Number):
-        return expr.literal
-    if isinstance(expr, StringList):
-        return "[" + ", ".join(_quote(item) for item in expr.items) + "]"
-    if isinstance(expr, Length):
-        return "len(" + render(expr.arg) + ")"
-    if isinstance(expr, BinaryOp):
-        prec = _PRECEDENCE[expr.op]
-        left = render(expr.left)
-        if isinstance(expr.left, BinaryOp) and _PRECEDENCE[expr.left.op] < prec:
-            left = f"({left})"
-        right = render(expr.right)
-        if isinstance(expr.right, BinaryOp) and _PRECEDENCE[expr.right.op] <= prec:
-            right = f"({right})"
-        elif isinstance(expr.right, Number) and expr.right.literal.startswith("-"):
-            right = f"({right})"
-        return f"{left}{_OP_SYMBOL[expr.op]}{right}"
-    raise TypeError(f"not a derivation expression: {expr!r}")
+    return _Renderer(tokenize(source)).top_level()[0]
+
+
+def _trimmed(items: list[str]) -> list[str]:
+    trimmed = [item.strip() for item in items]
+    if not all(trimmed):
+        raise DerivationSyntaxError(0, "non-empty string item")
+    return trimmed
+
+
+def render_list(items) -> str:
+    """A string-list literal of the trimmed items: double quotes unless an
+    item holds one, then single quotes. An empty item or one that holds
+    both quotes has no literal."""
+    return "[" + ", ".join(_quote(item) for item in _trimmed(items)) + "]"
 
 
 def _quote(item: str) -> str:
@@ -479,7 +507,7 @@ class NumericAnswer(_Answer):
 
     def key(self) -> tuple:
         """Vote key; a count with the same value shares it."""
-        return ("num", self.value)
+        return ("num", self.value.numerator, self.value.denominator)
 
     def text_spans(self, config: EvalConfig = DEFAULT_CONFIG) -> list[str]:
         return [render_decimal(self.value, config.render_precision)]
@@ -494,7 +522,7 @@ class CountAnswer(_Answer):
 
     def key(self) -> tuple:
         # "len([...])" and a numeral with the same value are one answer.
-        return ("num", Fraction(self.count))
+        return ("num", self.count, 1)
 
     def text_spans(self, config: EvalConfig = DEFAULT_CONFIG) -> list[str]:
         return [str(self.count)]
@@ -542,31 +570,16 @@ class ClarifyAnswer(_Answer):
 CanonicalAnswer = Union[NumericAnswer, CountAnswer, SpanSetAnswer, ClarifyAnswer]
 
 
-def evaluate(expr: DerivationExpr) -> CanonicalAnswer:
-    """Evaluate an AST: numerics in exact rational arithmetic, lists and counts directly."""
-    if isinstance(expr, StringList):
-        return SpanSetAnswer(expr.items)
-    if isinstance(expr, Length):
-        return CountAnswer(len(expr.arg.items))
-    return NumericAnswer(_eval_numeric(expr))
-
-
-def _eval_numeric(expr: DerivationExpr) -> Fraction:
-    if isinstance(expr, Number):
-        return expr.value
-    if isinstance(expr, BinaryOp):
-        left = _eval_numeric(expr.left)
-        right = _eval_numeric(expr.right)
-        if expr.op == "add":
-            return left + right
-        if expr.op == "sub":
-            return left - right
-        if expr.op == "mul":
-            return left * right
-        if right == 0:
-            raise DivisionByZeroError(render(expr))
-        return left / right
-    raise MixedTypeError(0)
+def evaluate(value) -> CanonicalAnswer:
+    """The canonical answer of a parsed value: one Fraction for a number, the
+    items or their count for a list; a deferred division by zero is raised."""
+    if type(value) is tuple:
+        return NumericAnswer(Fraction(*value))
+    if type(value) is list:
+        return SpanSetAnswer(tuple(value))
+    if type(value) is int:
+        return CountAnswer(value)
+    raise value
 
 
 def execute_source(source: str) -> CanonicalAnswer:
@@ -576,10 +589,10 @@ def execute_source(source: str) -> CanonicalAnswer:
     except DerivationError as err:
         raise ExecutionFailure("tokenize", err) from err
     try:
-        expr = parse(tokens)
+        value = parse(tokens)
     except DerivationError as err:
         raise ExecutionFailure("parse", err) from err
     try:
-        return evaluate(expr)
+        return evaluate(value)
     except DerivationError as err:
         raise ExecutionFailure("evaluate", err) from err

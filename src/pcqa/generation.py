@@ -208,7 +208,7 @@ def _parse_outputs(body: object) -> list[GeneratedOutput]:
         score = item.get("score")
         try:
             score = None if score is None else float(score)
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:
             raise ContractViolation(f"output score is not a number: {score!r}") from err
         if score is not None and not math.isfinite(score):
             raise ContractViolation(f"output score is not finite: {score!r}")
@@ -236,7 +236,7 @@ class ReplayGenerator:
             try:
                 record = json.loads(line)
                 key = (str(record["turn_id"]), str(record.get("mode", SAMPLE)))
-            except (json.JSONDecodeError, RecursionError, KeyError, TypeError) as err:
+            except (ValueError, RecursionError, KeyError, TypeError) as err:
                 raise TransportError(f"{path}:{lineno}: bad replay line: {err}") from err
             entries[key] = _parse_outputs(record)
         return cls(entries)

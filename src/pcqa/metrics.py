@@ -186,8 +186,8 @@ def numeracy_f1(pred: Spans, gold: Spans, config: EvalConfig = DEFAULT_CONFIG) -
     answers pair greedily one-to-one: the highest-scoring free pair first,
     ties to the lowest indices, and the sum is divided by
     max(len(pred), len(gold)). Greedy pairing can miss the pairing with the
-    highest mean F1; ROADMAP.md tracks that under "Make metrics and loaders
-    agree with their own references".
+    highest mean F1; ROADMAP.md tracks that under "Score multi-span answers
+    with the optimal pairing".
     """
     precision = config.render_precision
     return _greedy_f1(
@@ -218,19 +218,15 @@ def _greedy_f1(pred_list: list[_Normalized], gold_list: list[_Normalized]) -> fl
     return total / max(len(pred_list), len(gold_list))
 
 
-def _ngrams(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
-
-
-def _rouge_counts(pred: str, gold: str, n: int) -> tuple[int, int, int]:
-    pred_grams = _ngrams(pred.lower().split(), n)
-    gold_grams = _ngrams(gold.lower().split(), n)
-    overlap = sum((pred_grams & gold_grams).values())
-    return overlap, sum(pred_grams.values()), sum(gold_grams.values())
+def _bigrams(text: str) -> Counter:
+    tokens = text.lower().split()
+    return Counter(zip(tokens, tokens[1:]))
 
 
 def rouge2_f1(pred: str, gold: str) -> float:
-    overlap, n_pred, n_gold = _rouge_counts(pred, gold, 2)
+    pred_grams, gold_grams = _bigrams(pred), _bigrams(gold)
+    overlap = sum((pred_grams & gold_grams).values())
+    n_pred, n_gold = sum(pred_grams.values()), sum(gold_grams.values())
     if n_pred == 0 and n_gold == 0:
         return 1.0
     if n_pred == 0 or n_gold == 0 or overlap == 0:
@@ -238,13 +234,6 @@ def rouge2_f1(pred: str, gold: str) -> float:
     precision = overlap / n_pred
     recall = overlap / n_gold
     return 2 * precision * recall / (precision + recall)
-
-
-def rouge1_recall(pred: str, gold: str) -> float:
-    overlap, n_pred, n_gold = _rouge_counts(pred, gold, 1)
-    if n_gold == 0:
-        return 1.0 if n_pred == 0 else 0.0
-    return overlap / n_gold
 
 
 def classification_prf(preds: Sequence[bool], golds: Sequence[bool]) -> tuple[float, float, float]:

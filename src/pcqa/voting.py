@@ -160,13 +160,14 @@ def _merge_numeric_within_tolerance(groups: dict[tuple, _Group]) -> None:
     """
     numeric_keys = [k for k in groups if k[0] == "num"]
     absorbed: set[tuple] = set()
+    tolerance_num, tolerance_den = NUMERIC_TOLERANCE.numerator, NUMERIC_TOLERANCE.denominator
     for i, key in enumerate(numeric_keys):
         if key in absorbed:
             continue
         for other in numeric_keys[i + 1 :]:
-            if other in absorbed:
-                continue
-            if abs(key[1] - other[1]) <= NUMERIC_TOLERANCE:
+            (_, p, q), (_, r, s) = key, other
+            # |p/q - r/s| <= tolerance, cross-multiplied (q and s are positive)
+            if other not in absorbed and abs(p * s - r * q) * tolerance_den <= tolerance_num * q * s:
                 host, guest = groups[key], groups[other]
                 host.count += guest.count
                 host.score_sum += guest.score_sum

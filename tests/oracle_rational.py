@@ -1,8 +1,11 @@
 """Brute-force rational evaluator used as the fuzz oracle.
 
-Hand-rolled (numerator, denominator) integer pairs with gcd reduction; no
-Fraction, no float, so it shares nothing with the library's evaluation path
-beyond the AST shape. Also hosts the seeded random expression generator.
+Expressions are its own tuples, ("num", literal) or (op, left, right) with
+op one of "add", "sub", "mul", "div"; values are hand-rolled (numerator,
+denominator) integer pairs with gcd reduction. No Fraction, no float and no
+pcqa import, so it shares nothing with the library's execution path: the
+library sees only the fully parenthesised source `to_source` writes. Also
+hosts the seeded random expression generator.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 
-from pcqa.derivation import BinaryOp, DerivationExpr, Number
+_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
 
 
 def _reduce(num: int, den: int) -> tuple[int, int]:
@@ -31,27 +34,34 @@ def _literal_pair(literal: str) -> tuple[int, int]:
     return _reduce(sign * int(body), 1)
 
 
-def oracle_eval(expr: DerivationExpr) -> tuple[int, int]:
-    """Evaluate a pure-arithmetic AST to a reduced rational pair."""
-    if isinstance(expr, Number):
-        return _literal_pair(expr.literal)
-    if not isinstance(expr, BinaryOp):
-        raise TypeError(f"oracle handles arithmetic only, got {type(expr).__name__}")
-    a, b = oracle_eval(expr.left)
-    c, d = oracle_eval(expr.right)
-    if expr.op == "add":
+def oracle_eval(expr: tuple) -> tuple[int, int]:
+    """Evaluate an arithmetic expression tuple to a reduced rational pair."""
+    if expr[0] == "num":
+        return _literal_pair(expr[1])
+    op, left, right = expr
+    a, b = oracle_eval(left)
+    c, d = oracle_eval(right)
+    if op == "add":
         return _reduce(a * d + c * b, b * d)
-    if expr.op == "sub":
+    if op == "sub":
         return _reduce(a * d - c * b, b * d)
-    if expr.op == "mul":
+    if op == "mul":
         return _reduce(a * c, b * d)
     if c == 0:
         raise ZeroDivisionError("division by zero")
     return _reduce(a * d, b * c)
 
 
-def random_arithmetic_expr(rng: random.Random, depth: int = 4) -> DerivationExpr:
-    """Random arithmetic AST: depth <= 4, decimal literals with <= 3 fraction digits."""
+def to_source(expr: tuple) -> str:
+    """Fully parenthesised derivation source: every operation in parentheses."""
+    if expr[0] == "num":
+        return expr[1]
+    op, left, right = expr
+    return f"({to_source(left)}{_SYMBOL[op]}{to_source(right)})"
+
+
+def random_arithmetic_expr(rng: random.Random, depth: int = 4) -> tuple:
+    """Random arithmetic expression: depth <= 4, decimal literals with <= 3 fraction digits."""
     if depth == 0 or rng.random() < 0.3:
         whole = rng.randint(0, 9999)
         frac_digits = rng.randint(0, 3)
@@ -62,9 +72,9 @@ def random_arithmetic_expr(rng: random.Random, depth: int = 4) -> DerivationExpr
             literal = str(whole)
         if rng.random() < 0.15:
             literal = "-" + literal
-        return Number(literal)
+        return ("num", literal)
     op = rng.choice(["add", "sub", "mul", "div"])
-    return BinaryOp(
+    return (
         op,
         random_arithmetic_expr(rng, depth - 1),
         random_arithmetic_expr(rng, depth - 1),

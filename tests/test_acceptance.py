@@ -28,7 +28,7 @@ from pcqa.corpus import (
 from pcqa.derivation import (
     DivisionByZeroError,
     EvalConfig,
-    evaluate,
+    ExecutionFailure,
     execute_source,
 )
 from pcqa.generation import GeneratedOutput, ReplayGenerator
@@ -42,7 +42,7 @@ from pcqa.voting import (
     consensus_vote,
 )
 
-from oracle_rational import oracle_eval, random_arithmetic_expr
+from oracle_rational import oracle_eval, random_arithmetic_expr, to_source
 from reference_drop import ref_numeracy_f1
 
 CONFIG = EvalConfig()
@@ -53,33 +53,34 @@ def _passed(line: str) -> None:
 
 
 def test_derivation_evaluator_oracle_suite():
-    """10,000 fuzzed expressions agree exactly with the brute-force evaluator, < 5 s."""
+    """10,000 fuzzed sources execute exactly as the brute-force evaluator says, < 5 s."""
     rng = random.Random(16180339)
     started = time.perf_counter()
     checked = 0
     zero_divisions = 0
     for _ in range(10_000):
         expr = random_arithmetic_expr(rng)
+        source = to_source(expr)
         try:
             expected = oracle_eval(expr)
         except ZeroDivisionError:
-            with pytest.raises(DivisionByZeroError):
-                evaluate(expr)
+            with pytest.raises(ExecutionFailure) as err:
+                execute_source(source)
+            assert isinstance(err.value.detail, DivisionByZeroError)
             zero_divisions += 1
             continue
-        value = evaluate(expr).value
+        value = execute_source(source).value
         assert (value.numerator, value.denominator) == expected
         checked += 1
     elapsed = time.perf_counter() - started
     assert checked + zero_divisions == 10_000
     # the error path must agree too, whatever the fuzz happened to draw
-    from pcqa.derivation import parse_source
-
-    forced = parse_source("1/(2-2)")
+    forced = ("div", ("num", "1"), ("sub", ("num", "2"), ("num", "2")))
     with pytest.raises(ZeroDivisionError):
         oracle_eval(forced)
-    with pytest.raises(DivisionByZeroError):
-        evaluate(forced)
+    with pytest.raises(ExecutionFailure) as err:
+        execute_source(to_source(forced))
+    assert isinstance(err.value.detail, DivisionByZeroError)
     assert elapsed < 5.0, f"fuzz suite took {elapsed:.2f}s"
     _passed(
         f"oracle fuzz: 10,000 expressions ({checked} values, {zero_divisions} "
@@ -110,7 +111,7 @@ def test_table7_case_studies(table7_corpus, table7_replay_path):
     case1 = by_turn["t7c1-q1"]
     assert [t["votes"] for t in case1["vote"]["tallies"]] == [24, 12, 4]
     assert case1["final_response"] == "2.0033"
-    winner_key = ("num", Fraction(601, 300))
+    winner_key = ("num", 601, 300)
     for order in ("(1.06+0.91+4.04)/3", "(1.06+4.04+0.91)/3"):
         answer = canonicalize(f"[clari.] False [resp.] {order}")
         assert answer.key() == winner_key

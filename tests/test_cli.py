@@ -1,6 +1,7 @@
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +38,14 @@ class TestValidate:
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")
         assert main(["validate", str(bad)]) == 2
+
+    def test_integer_beyond_digit_limit_exits_2(self, corpus_path, tmp_path, capsys):
+        # json.loads cannot build an int of over 4,300 digits
+        bad = tmp_path / "huge.json"
+        text = Path(corpus_path).read_text(encoding="utf-8")
+        bad.write_text(text.replace('"order": 1', '"order": ' + "1" * 5000, 1), encoding="utf-8")
+        assert main(["validate", str(bad)]) == 2
+        assert "schema error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "mutate",
@@ -194,6 +203,20 @@ class TestRun:
         lines = {json.loads(l)["turn_id"]: json.loads(l) for l in log.read_text().splitlines()}
         assert lines["t7c1-q1"]["final_response"] == "1.9933"
         assert lines["t7c2-q1"]["final_response"] == "0"
+
+    @pytest.mark.parametrize(
+        "score, code, message",
+        [("9" * 400, 1, "not a number"), ("9" * 5000, 3, "bad replay line")],
+        ids=["beyond-float-range", "beyond-digit-limit"],
+    )
+    def test_oversized_score_in_fixture(self, fixtures_dir, tmp_path, capsys, score, code, message):
+        fixture = tmp_path / "replay.jsonl"
+        lines = (fixtures_dir / "table7_replay.jsonl").read_text(encoding="utf-8").splitlines()
+        lines[0] = lines[0].replace("}", ', "score": ' + score + "}", 1)
+        fixture.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = ["run", str(fixtures_dir / "table7_corpus.json"), "--fixture", str(fixture)]
+        assert main(argv) == code
+        assert message in capsys.readouterr().err
 
     def test_unreachable_endpoint_exits_3(self, fixtures_dir, capsys):
         code = main(

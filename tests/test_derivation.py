@@ -1,6 +1,8 @@
+import json
 import random
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,34 +10,39 @@ from hypothesis import example, given, settings, strategies as st
 from pcqa.derivation import (
     MAX_NUMERAL_DIGITS,
     MAX_TOKENS,
-    BinaryOp,
     DerivationSyntaxError,
     DivisionByZeroError,
     EvalConfig,
     ExecutionFailure,
-    Length,
     MixedTypeError,
-    Number,
     NumericAnswer,
     SpanSetAnswer,
     CountAnswer,
     DerivationError,
-    StringList,
     Token,
     TokenKind,
     UnknownCharacterError,
+    UnreconstructibleDerivation,
     UnterminatedStringError,
+    canonical_source,
     decimal_fraction,
     evaluate,
     execute_source,
     parse,
-    parse_source,
-    render,
     render_decimal,
+    render_list,
     tokenize,
 )
-from oracle_rational import oracle_eval, random_arithmetic_expr
+from execute_outcomes import outcome
+from oracle_rational import oracle_eval, random_arithmetic_expr, to_source
 from reference_tokenize import reference_tokenize
+
+GOLDEN_OUTCOMES = [
+    json.loads(line)
+    for line in (Path(__file__).parent / "fixtures" / "execute_outcomes.jsonl")
+    .read_text(encoding="utf-8")
+    .splitlines()
+]
 
 
 def kinds(source):
@@ -178,36 +185,56 @@ def test_decimal_fraction_matches_fraction_str(numeral):
     assert decimal_fraction(numeral) == Fraction(numeral)
 
 
+def parse_source(source):
+    return parse(tokenize(source))
+
+
+def assert_canonical(source):
+    """Canonical source is a fixed point and executes as the original does."""
+    once = canonical_source(source)
+    assert canonical_source(once) == once
+    assert outcome(once) == {**outcome(source), "source": once}
+    return once
+
+
 class TestParse:
     def test_quotient_shape(self):
-        expr = parse_source("(88-105)/105")
-        assert expr == BinaryOp("div", BinaryOp("sub", Number("88"), Number("105")), Number("105"))
+        assert assert_canonical("( 88 - 105 ) / 105") == "(88-105)/105"
+        assert Fraction(*parse_source("(88-105)/105")) == Fraction(-17, 105)
 
     def test_single_literal(self):
-        assert parse_source("5") == Number("5")
+        assert assert_canonical(" 5 ") == "5"
+        assert Fraction(*parse_source("5")) == 5
 
     def test_precedence(self):
-        assert parse_source("1+2*3") == BinaryOp(
-            "add", Number("1"), BinaryOp("mul", Number("2"), Number("3"))
-        )
+        assert assert_canonical("(1+(2*3))") == "1+2*3"
+        assert assert_canonical("(1+2)*3") == "(1+2)*3"
+        assert Fraction(*parse_source("1+2*3")) == 7
 
     def test_left_associativity(self):
-        assert parse_source("8-3-2") == BinaryOp(
-            "sub", BinaryOp("sub", Number("8"), Number("3")), Number("2")
-        )
+        assert assert_canonical("(8-3)-2") == "8-3-2"
+        assert assert_canonical("8-(3-2)") == "8-(3-2)"
+        assert assert_canonical("(8/4)/2") == "8/4/2"
+        assert assert_canonical("8/(4/2)") == "8/(4/2)"
+        assert Fraction(*parse_source("8-3-2")) == 3
 
     def test_bare_list(self):
-        assert parse_source('["a", "b"]') == StringList(("a", "b"))
+        assert parse_source('["a", "b"]') == ["a", "b"]
+        assert assert_canonical("['a','b']") == '["a", "b"]'
 
     def test_len_list(self):
-        assert parse_source('len(["a"])') == Length(StringList(("a",)))
+        assert parse_source('len(["a"])') == 1
+        assert assert_canonical("len( ['a'] )") == 'len(["a"])'
 
     def test_unary_minus(self):
-        assert parse_source("-1.8") == Number("-1.8")
-        assert parse_source("--5") == Number("5")
-        assert parse_source("-(1+2)") == BinaryOp(
-            "sub", Number("0"), BinaryOp("add", Number("1"), Number("2"))
-        )
+        assert assert_canonical("-1.8") == "-1.8"
+        assert assert_canonical("--5") == "5"
+        assert assert_canonical("-(-(5))") == "5"
+        assert assert_canonical("-(1+2)") == "0-(1+2)"
+        assert assert_canonical("-(2*3)") == "0-2*3"
+        assert assert_canonical("2*-5") == "2*(-5)"
+        assert assert_canonical("-5*2+-(3)") == "-5*2+(-3)"
+        assert Fraction(*parse_source("-(1+2)")) == -3
 
     @pytest.mark.parametrize(
         "source",
@@ -233,9 +260,15 @@ class TestParse:
         assert err.value.position == position
 
     def test_list_items_trimmed_and_nonempty(self):
-        assert parse_source('[" EMEA "]') == StringList(("EMEA",))
+        assert parse_source('[" EMEA "]') == ["EMEA"]
         with pytest.raises(DerivationSyntaxError):
             parse_source('[""]')
+        assert render_list([" EMEA ", "it's"]) == '["EMEA", "it\'s"]'
+        assert render_list(['say "hi"']) == "['say \"hi\"']"
+        with pytest.raises(DerivationSyntaxError):
+            render_list(["a", "  "])
+        with pytest.raises(UnreconstructibleDerivation):
+            render_list(["it's \"x\""])
 
 
 class TestEvaluate:
@@ -245,11 +278,11 @@ class TestEvaluate:
         assert result.text() == "0.7854"
 
     def test_length_counts(self):
-        result = evaluate(Length(StringList(("2018", "2019"))))
+        result = evaluate(parse_source('len(["2018", "2019"])'))
         assert result == CountAnswer(2)
 
     def test_x_minus_x_is_zero(self):
-        result = evaluate(BinaryOp("sub", Number("7"), Number("7")))
+        result = evaluate(parse_source("7-7"))
         assert result == NumericAnswer(Fraction(0))
         assert result.text() == "0"
 
@@ -259,19 +292,33 @@ class TestEvaluate:
         assert a.value == b.value == Fraction(-17, 105)
 
     def test_division_by_zero(self):
-        with pytest.raises(DivisionByZeroError):
-            evaluate(parse_source("1/(2-2)"))
+        value = parse_source("1/(2-2)")
+        with pytest.raises(DivisionByZeroError) as err:
+            evaluate(value)
+        assert err.value.subexpression == "1/(2-2)"
+        # the first in post-order, rendered canonically
+        for source, first in [
+            ("(1/0) + 2/(3-3)", "1/0"),
+            ("2/(1/0)", "1/0"),
+            ("( 1,000 / (2 - 2) ) * 3", "1000/(2-2)"),
+            ("-(1+2)/0*5", "(0-(1+2))/0"),
+            ("2*-1/-0", "2*(-1)/(-0)"),
+        ]:
+            with pytest.raises(DivisionByZeroError) as err:
+                evaluate(parse_source(source))
+            assert err.value.subexpression == first
+        # a syntax error anywhere beats a division by zero
+        with pytest.raises(DerivationSyntaxError):
+            parse_source("1/0+")
 
     def test_span_list_preserves_order(self):
-        result = evaluate(StringList(("b", "a")))
+        result = evaluate(parse_source('["b", "a"]'))
         assert result == SpanSetAnswer(("b", "a"))
 
     def test_count_invariant_under_permutation(self):
         items = ("Americas", "EMEA", "Asia Pacific")
         for perm in [items, items[::-1], (items[1], items[2], items[0])]:
-            assert evaluate(Length(StringList(perm))) == CountAnswer(3)
-
-
+            assert execute_source(f"len({render_list(perm)})") == CountAnswer(3)
 class TestExecuteSource:
     def test_count_regions(self):
         result = execute_source('len(["Americas", "EMEA", "Asia Pacific"])')
@@ -322,6 +369,7 @@ class TestExecuteSource:
             config = EvalConfig(render_precision=10)
             answer.text(config)
             answer.describe(config)
+            canonical_source(source)
             return None
 
         assert run() == stage
@@ -387,15 +435,13 @@ class TestRenderRoundTrip:
         ],
     )
     def test_token_fixpoint(self, source):
-        once = render(parse_source(source))
-        assert parse_source(once) == parse_source(source)
-        assert render(parse_source(once)) == once
+        assert_canonical(source)
 
     def test_canonical_sources_retokenize_identically(self):
         # For canonical (minimally parenthesized, comma-free) sources the
         # rendered text re-tokenizes to the same token sequence.
         for source in ["(36.6-20.5)/20.5", "1+2*3", "8-3-2", "10/(2*5)", "88/105-1"]:
-            rendered = render(parse_source(source))
+            rendered = canonical_source(source)
             assert [(t.kind, t.text) for t in tokenize(rendered)] == [
                 (t.kind, t.text) for t in tokenize(source)
             ]
@@ -403,8 +449,8 @@ class TestRenderRoundTrip:
     def test_random_ast_round_trip(self):
         rng = random.Random(20240817)
         for _ in range(300):
-            expr = random_arithmetic_expr(rng)
-            assert parse_source(render(expr)) == expr
+            source = to_source(random_arithmetic_expr(rng))
+            assert len(assert_canonical(source)) <= len(source)
 
 
 class TestOracleAgreement:
@@ -416,21 +462,52 @@ class TestOracleAgreement:
                 expected = oracle_eval(expr)
             except ZeroDivisionError:
                 with pytest.raises(DivisionByZeroError):
-                    evaluate(expr)
+                    evaluate(parse_source(to_source(expr)))
                 continue
-            value = evaluate(expr).value
+            value = execute_source(to_source(expr)).value
             assert (value.numerator, value.denominator) == expected
 
     def test_hand_checked_values(self):
-        assert oracle_eval(parse_source("(88-105)/105")) == (-17, 105)
-        assert oracle_eval(parse_source("(1.06+0.91+4.04)/3")) == (601, 300)
+        quotient = ("div", ("sub", ("num", "88"), ("num", "105")), ("num", "105"))
+        assert oracle_eval(quotient) == (-17, 105)
+        assert to_source(quotient) == "((88-105)/105)"
+        assert execute_source(to_source(quotient)).value == Fraction(-17, 105)
+        mean = ("div", ("add", ("add", ("num", "1.06"), ("num", "0.91")), ("num", "4.04")), ("num", "3"))
+        assert oracle_eval(mean) == (601, 300)
+        assert execute_source(to_source(mean)).value == Fraction(601, 300)
 
     def test_oracle_agrees_on_division_by_zero(self):
-        expr = parse_source("1/(2-2)")
+        expr = ("div", ("num", "1"), ("sub", ("num", "2"), ("num", "2")))
         with pytest.raises(ZeroDivisionError):
             oracle_eval(expr)
         with pytest.raises(DivisionByZeroError):
-            evaluate(expr)
+            evaluate(parse_source(to_source(expr)))
+
+
+def test_execute_source_matches_golden_outcomes():
+    # Recorded from the tree-building evaluator this parser replaced.
+    assert len(GOLDEN_OUTCOMES) > 3000
+    for expected in GOLDEN_OUTCOMES:
+        assert outcome(expected["source"]) == expected
+
+
+def test_canonical_source_of_golden_sources():
+    for expected in GOLDEN_OUTCOMES:
+        if expected.get("stage") in (None, "evaluate"):
+            assert_canonical(expected["source"])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_DERIVATION_PIECES), max_size=40).map("".join))
+@example("((1/0)) * -(2+3)")
+def test_canonical_source_property(source):
+    result = outcome(source)
+    if result.get("stage") in ("tokenize", "parse"):
+        with pytest.raises(DerivationError) as err:
+            canonical_source(source)
+        assert (type(err.value).__name__, str(err.value)) == (result["error"], result["message"])
+    else:
+        assert_canonical(source)
 
 
 @given(
@@ -444,8 +521,9 @@ class TestOracleAgreement:
     )
 )
 def test_length_permutation_property(items):
-    base = StringList(tuple(items))
     rng = random.Random(0)
-    shuffled = list(base.items)
+    shuffled = list(items)
     rng.shuffle(shuffled)
-    assert evaluate(Length(StringList(tuple(shuffled)))) == evaluate(Length(base))
+    expected = CountAnswer(len(items))
+    assert execute_source(f"len({render_list(shuffled)})") == expected
+    assert execute_source(f"len({render_list(items)})") == expected

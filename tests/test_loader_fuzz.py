@@ -4,7 +4,9 @@ Each property starts from a small piece of a real fixture, replaces the
 values at one to three random paths with arbitrary JSON or deletes them,
 and checks that the loader either returns or raises its own error type.
 Anything else (a TypeError, an AttributeError) is a crash the CLI would
-print as a traceback.
+print as a traceback. The generation service's response bodies are fuzzed
+the same way, with numbers beyond float range and beyond Python's digit
+limit on int/str conversion among the values.
 """
 
 import copy
@@ -22,7 +24,13 @@ from pcqa.corpus import (
     load_release_file,
     validate_corpus,
 )
-from pcqa.generation import GenerationError, ReplayGenerator
+from pcqa.generation import (
+    GenerationError,
+    GenerationRequest,
+    HttpGenerator,
+    ReplayGenerator,
+    _parse_outputs,
+)
 from pcqa.metrics import EmptyRecordSet
 from pcqa.runner import UnknownTurnId, score_predictions
 
@@ -51,11 +59,17 @@ RELEASE = [
     }
 ]
 
+# Integers a float cannot hold: 2**1024 is the first.
+HUGE_INTEGERS = st.integers(min_value=2**1024, max_value=10**400) | st.integers(
+    min_value=-(10**400), max_value=-(2**1024)
+)
 JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    st.none() | st.booleans() | st.integers() | HUGE_INTEGERS | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
     max_leaves=6,
 )
+# JSON numbers as written; json.loads cannot build ints of over 4,300 digits.
+RAW_NUMBERS = ["9" * 400, "-" + "9" * 400, "1" * 5000, "1e400", "-1e999", "0." + "0" * 5000 + "1"]
 
 
 @st.composite
@@ -143,5 +157,43 @@ def test_replay_from_jsonl_fuzz(scratch, lines):
     path = _write(scratch / "replay.jsonl", _jsonl(lines))
     try:
         ReplayGenerator.from_jsonl(path)
+    except GenerationError:
+        pass
+
+
+RESPONSE = {"outputs": [{"text": "[clari.] False [resp.] 2", "score": -0.5}, {"text": "x", "score": None}]}
+
+
+@settings(max_examples=300, deadline=None)
+@given(body=mutated(RESPONSE) | JSON)
+@example(body={"outputs": [{"text": "x", "score": 10**400}]})
+@example(body={"outputs": [{"text": "x", "score": -(2**1024)}]})
+def test_parse_outputs_fuzz(body):
+    try:
+        _parse_outputs(body)
+    except GenerationError:
+        pass
+
+
+@st.composite
+def response_bodies(draw):
+    """A mutated response as bytes, with some values swapped for raw numbers."""
+    obj = draw(mutated(RESPONSE))
+    text = json.dumps(obj)
+    for _ in range(draw(st.integers(0, 2))):
+        value = json.dumps(draw(st.sampled_from(["[clari.] False [resp.] 2", -0.5, None])))
+        text = text.replace(value, draw(st.sampled_from(RAW_NUMBERS)), 1)
+    return text.encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=response_bodies())
+@example(data=b'{"outputs": [{"text": "x", "score": ' + b"9" * 400 + b"}]}")
+@example(data=b'{"outputs": [{"text": "x", "score": ' + b"9" * 5000 + b"}]}")
+def test_http_generator_response_body_fuzz(data):
+    generator = HttpGenerator(endpoint="http://127.0.0.1:9")
+    generator._post = lambda body: (200, data)  # the service's reply, without a socket
+    try:
+        generator.generate(GenerationRequest(input="q", turn_id="t1"))
     except GenerationError:
         pass

@@ -24,7 +24,6 @@ from pcqa.metrics import (
     numeracy_f1,
     parse_numeral,
     record_scores,
-    rouge1_recall,
     rouge2_f1,
 )
 from pcqa.voting import ClarifyAnswer, CountAnswer, NumericAnswer, SpanSetAnswer
@@ -154,12 +153,6 @@ class TestRouge:
     def test_empty_conventions(self):
         assert rouge2_f1("", "") == 1.0
         assert rouge2_f1("", "some text here") == 0.0
-        assert rouge1_recall("", "") == 1.0
-        assert rouge1_recall("word", "") == 0.0
-
-    def test_rouge1_recall(self):
-        assert rouge1_recall("a b c", "a b d") == pytest.approx(2 / 3)
-
     @settings(max_examples=150, deadline=None)
     @given(
         a=st.text(alphabet="abc d", max_size=30),

@@ -1,0 +1,49 @@
+"""The stage names the benchmark's tracer wraps are all still called.
+
+`bench/tracing.py` replaces these module attributes with timing wrappers
+and stops a traced run when one of them records no call. A rewrite that
+inlines a stage, or calls it under another name, fails here first.
+"""
+
+import pcqa
+from pcqa import derivation, generation, runner, voting
+from pcqa.generation import ReplayGenerator
+from pcqa.runner import RunConfig
+
+# (owner, attribute) as bench/tracing.py's install() wraps them.
+TRACED = [
+    (pcqa, "run_eval"),
+    (pcqa, "score_predictions"),
+    (runner, "run_turn"),
+    (runner, "build_model_input"),
+    (runner, "consensus_vote"),
+    (runner, "greedy_select"),
+    (runner, "canonicalize"),
+    (runner, "record_scores"),  # the tracer also wraps metrics.record_scores into the same span
+    (runner, "aggregate_report"),
+    (voting, "parse_output"),
+    (voting, "execute_source"),
+    (derivation, "tokenize"),
+    (derivation, "parse"),
+    (derivation, "evaluate"),
+    (generation.ReplayGenerator, "generate"),
+]
+
+
+def test_every_traced_name_is_called(monkeypatch, fixtures_dir, small_corpus):
+    calls = dict.fromkeys([(owner.__name__, attr) for owner, attr in TRACED], 0)
+    for owner, attr in TRACED:
+        original = getattr(owner, attr)
+
+        def counted(*args, _key=(owner.__name__, attr), _original=original, **kwargs):
+            calls[_key] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+
+    replay = ReplayGenerator.from_jsonl(fixtures_dir / "corpus_small_replay.jsonl")
+    pcqa.run_eval(small_corpus, replay, RunConfig(mode="cv"))
+    pcqa.run_eval(small_corpus, replay, RunConfig(mode="greedy"))
+    pcqa.score_predictions(fixtures_dir / "corpus_small_predictions.jsonl", small_corpus)
+
+    assert [key for key, count in calls.items() if count == 0] == []

@@ -341,7 +341,7 @@ def reference_vote(samples):
         if key not in groups:
             continue
         for other in numeric[i + 1 :]:
-            if other in groups and abs(key[1] - other[1]) <= tol:
+            if other in groups and abs(Fraction(*key[1:]) - Fraction(*other[1:])) <= tol:
                 guest = groups.pop(other)
                 host = groups[key]
                 host["count"] += guest["count"]
