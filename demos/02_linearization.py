@@ -5,13 +5,12 @@ one output string; these are the wire formats on both sides.
 """
 
 from pcqa import (
-    ConversationHistory,
     HybridDocument,
     Task,
+    add_response,
     build_model_input,
     format_target,
     linearize_document,
-    linearize_history,
     parse_output,
 )
 
@@ -24,18 +23,21 @@ doc = HybridDocument(
         ("EMEA", "70", "84"),
     ),
 )
-print("document:")
-print(" ", linearize_document(doc))
+context = linearize_document(doc)
+print("document (a dialogue's first context):")
+print(" ", context)
 
-history = ConversationHistory.from_turns(
-    queries=["Which regions are reported?", "What was the revenue for Americas in 2019?"],
-    responses=["Americas, EMEA"],
-)
-print("history:")
-print(" ", linearize_history(history))
+# Each turn appends its question to the context; the turn's response is then
+# appended to that input to give the next turn's context. Whitespace is
+# normalized and reserved markers are rejected as each utterance is appended.
+first = build_model_input(context, "Which regions are reported?")
+print("turn 1 input:")
+print(" ", first)
 
-print("model input:")
-print(" ", build_model_input(doc, history))
+context = add_response(first, "Americas,\n EMEA")
+second = build_model_input(context, "What was the revenue for Americas in 2019?")
+print("turn 2 input:")
+print(" ", second)
 
 # Training targets, one per task; the service decodes the multi-task one.
 print()

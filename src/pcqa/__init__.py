@@ -21,14 +21,13 @@ from .derivation import (
     tokenize,
 )
 from .linearize import (
-    ConversationHistory,
     HybridDocument,
     ParsedOutput,
     Task,
+    add_response,
     build_model_input,
     format_target,
     linearize_document,
-    linearize_history,
     parse_output,
 )
 from .corpus import (

@@ -14,7 +14,7 @@ from .derivation import DerivationError, EvalConfig, SpanSetAnswer, execute_sour
 from .generation import GenerationError, HttpGenerator, ReplayGenerator, TransportError
 from .metrics import EmptyRecordSet, MetricReport
 from .runner import CV, RunConfig, UnknownTurnId, run_eval, score_predictions, write_jsonl
-from .linearize import ConversationHistory, build_model_input
+from .linearize import add_response, build_model_input, linearize_document
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -127,10 +127,12 @@ def cmd_linearize(args: argparse.Namespace, config: EvalConfig) -> int:
     if not 1 <= args.turn <= len(dialogue.turns):
         print(f"dialogue has {len(dialogue.turns)} turns, no turn {args.turn}", file=sys.stderr)
         return EXIT_INPUT
-    queries = [t.question for t in dialogue.turns[: args.turn]]
-    responses = [t.gold.response_text(config) for t in dialogue.turns[: args.turn - 1]]
-    history = ConversationHistory.from_turns(queries, responses)
-    print(build_model_input(corpus.documents[dialogue.doc_uid], history))
+    turns = dialogue.turns[: args.turn]
+    context = linearize_document(corpus.documents[dialogue.doc_uid])
+    for turn in turns[:-1]:
+        model_input = build_model_input(context, turn.question)
+        context = add_response(model_input, turn.gold.response_text(config))
+    print(build_model_input(context, turns[-1].question))
     return EXIT_OK
 
 

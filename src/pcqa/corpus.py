@@ -48,13 +48,14 @@ from .derivation import (
     render_list,
 )
 from .linearize import (
-    ConversationHistory,
     HybridDocument,
     LinearizeError,
     Task,
+    add_response,
     build_model_input,
     check_no_markers,
     format_target,
+    linearize_document,
     normalize_whitespace,
 )
 
@@ -389,27 +390,26 @@ def build_examples(corpus: Corpus, task: Task, config: EvalConfig = DEFAULT_CONF
 
     CQG examples cover only clarifying turns and CQA only non-clarifying
     ones; CNP and MultiTask cover every turn. Turns whose gold cannot be
-    reconstructed into the derivation language are skipped and logged.
+    reconstructed into the derivation language are skipped and logged. A
+    question or gold response that holds a reserved marker raises
+    MarkerCollisionError, as it does in run_eval.
     """
     examples: list[Example] = []
     for dialogue in corpus.dialogues:
-        doc = corpus.documents[dialogue.doc_uid]
-        queries: list[str] = []
-        responses: list[str] = []
+        context = linearize_document(corpus.documents[dialogue.doc_uid])
         for turn in dialogue.turns:
-            queries.append(turn.question)
+            model_input = build_model_input(context, turn.question)
             clarifying = turn.gold.req_clari
             skip = (task is Task.CQG and not clarifying) or (task is Task.CQA and clarifying)
             if not skip:
                 try:
                     payload = "" if task is Task.CNP else reconstruct_code(turn.gold)
                     target = format_target(task, clarifying, payload)
-                    history = ConversationHistory.from_turns(queries, responses)
                     examples.append(
                         Example(
                             turn_id=turn.turn_id,
                             dialogue_id=dialogue.dialogue_id,
-                            input_text=build_model_input(doc, history),
+                            input_text=model_input,
                             target_text=target,
                             answer_type=turn.gold.answer_type,
                             clarification=clarifying,
@@ -417,7 +417,7 @@ def build_examples(corpus: Corpus, task: Task, config: EvalConfig = DEFAULT_CONF
                     )
                 except (UnreconstructibleDerivation, LinearizeError) as err:
                     logger.warning("skipping turn %s: %s", turn.turn_id, err)
-            responses.append(turn.gold.response_text(config))
+            context = add_response(model_input, turn.gold.response_text(config))
     return examples
 
 

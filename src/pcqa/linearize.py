@@ -19,8 +19,8 @@ Target formats by task:
     MultiTask  [clari.] False [resp.] (36.6-20.5)/20.5
 
 Nothing is escaped, so source texts must not contain any reserved marker
-token; that is validated at construction time and is itself part of the
-contract.
+token; that is checked when a document is built and when an utterance is
+appended to a model input, and is itself part of the contract.
 """
 
 from __future__ import annotations
@@ -113,37 +113,6 @@ class HybridDocument:
         return cls(uid=uid, paragraphs=cleaned_paragraphs, table=padded)
 
 
-@dataclass(frozen=True)
-class ConversationHistory:
-    """Alternating user/system utterances, ending with the current user query.
-
-    Utterances at even indices are user queries, odd indices system
-    responses. User queries must be non-empty; a system response may be
-    empty (the turn failed to produce an answer in predicted-history runs).
-    """
-
-    utterances: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.utterances) % 2 != 1:
-            raise ValueError("history must end with a user query (odd utterance count)")
-        for i, text in enumerate(self.utterances):
-            if i % 2 == 0 and not text.strip():
-                raise ValueError(f"user query at position {i} is empty")
-            check_no_markers(text)
-
-    @classmethod
-    def from_turns(cls, queries: list[str], responses: list[str]) -> "ConversationHistory":
-        if len(responses) != len(queries) - 1:
-            raise ValueError("need exactly one fewer response than queries")
-        flat: list[str] = []
-        for i, q in enumerate(queries):
-            flat.append(normalize_whitespace(q))
-            if i < len(responses):
-                flat.append(normalize_whitespace(responses[i]))
-        return cls(tuple(flat))
-
-
 def linearize_document(doc: HybridDocument) -> str:
     parts = ["[paragraph]"]
     for paragraph in doc.paragraphs:
@@ -158,17 +127,23 @@ def linearize_document(doc: HybridDocument) -> str:
     return " ".join(parts)
 
 
-def linearize_history(history: ConversationHistory) -> str:
-    parts = []
-    for i, text in enumerate(history.utterances):
-        parts.append("[user]" if i % 2 == 0 else "[system]")
-        if text:
-            parts.append(text)
-    return " ".join(parts)
+def build_model_input(context: str, query: str) -> str:
+    """Append the next user query to a dialogue's model input so far.
+
+    `context` is `linearize_document(doc)` for a dialogue's first turn, and
+    the previous turn's input with `add_response` applied after that.
+    """
+    query = check_no_markers(normalize_whitespace(query))
+    if not query:
+        raise ValueError("user query is empty")
+    return f"{context} [user] {query}"
 
 
-def build_model_input(doc: HybridDocument, history: ConversationHistory) -> str:
-    return linearize_document(doc) + " " + linearize_history(history)
+def add_response(model_input: str, response: str) -> str:
+    """Append the system response to the turn whose input this is. A
+    response may be empty: a predicted-history turn that produced no answer."""
+    response = check_no_markers(normalize_whitespace(response))
+    return f"{model_input} [system] {response}" if response else f"{model_input} [system]"
 
 
 def format_target(task: Task, clarification: bool, response: str) -> str:

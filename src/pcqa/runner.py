@@ -1,6 +1,7 @@
 """End-to-end evaluation loop against a generation service.
 
-For each turn: linearize the document and conversation history, request a
+For each turn: append the question to the dialogue's model input (the
+document, linearized once per dialogue, and the conversation so far), request a
 greedy decode or a batch of sampled decodes, reduce them to one canonical
 answer (consensus voting or the greedy baseline), then score against gold
 once; the report aggregates those per-turn scores.
@@ -31,11 +32,11 @@ from .generation import (
     Generator,
 )
 from .linearize import (
-    ConversationHistory,
-    HybridDocument,
     Task,
+    add_response,
     build_model_input,
     format_target,
+    linearize_document,
 )
 from .metrics import (
     EmptyRecordSet,
@@ -95,8 +96,7 @@ class TurnResult:
 
 
 def run_turn(
-    doc: HybridDocument,
-    history: ConversationHistory,
+    model_input: str,
     turn: DialogueTurn,
     generator: Generator,
     config: RunConfig,
@@ -108,7 +108,6 @@ def run_turn(
     answer and scores zero. Malformed model output never aborts a run.
     """
     started = time.perf_counter()
-    model_input = build_model_input(doc, history)
     greedy = GenerationRequest(
         input=model_input,
         mode=GREEDY,
@@ -215,18 +214,16 @@ def run_eval(
     def run_dialogue(dialogue: Dialogue, done: list[tuple[ScoredRecord, dict]]) -> None:
         # Turns finished go to `done` as they complete, so a failing dialogue
         # still hands over the turns before its failure.
-        doc = corpus.documents[dialogue.doc_uid]
-        queries: list[str] = []
-        responses: list[str] = []
+        context = linearize_document(corpus.documents[dialogue.doc_uid])
         for turn in dialogue.turns:
             if stop.is_set():
                 return
-            queries.append(turn.question)
-            history = ConversationHistory.from_turns(queries, responses)
-            result = run_turn(doc, history, turn, generator, config)
+            model_input = build_model_input(context, turn.question)
+            result = run_turn(model_input, turn, generator, config)
             done.append(_turn_record(dialogue, turn, result, config))
-            responses.append(
-                turn.gold.response_text(config.eval_config) if gold_history else result.final_text
+            context = add_response(
+                model_input,
+                turn.gold.response_text(config.eval_config) if gold_history else result.final_text,
             )
 
     finished: list[list[tuple[ScoredRecord, dict]]] = [[] for _ in corpus.dialogues]
@@ -313,9 +310,10 @@ def _load_predictions(path: Path, corpus: Corpus) -> dict[str, tuple[str, str]]:
             if "output" in obj:
                 raw = str(obj["output"])
             else:
-                raw = format_target(
-                    Task.MULTI, bool(obj["clarification"]), str(obj["response"])
-                )
+                flag = obj["clarification"]
+                if not isinstance(flag, bool):
+                    raise TypeError(f"clarification must be true or false, got {flag!r}")
+                raw = format_target(Task.MULTI, flag, str(obj["response"]))
             scale = str(obj.get("scale", ""))
         except Exception as err:  # malformed line: warn, the turn scores 0
             logger.warning("%s:%d: malformed prediction line (%s); skipped", path, lineno, err)

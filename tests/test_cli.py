@@ -7,6 +7,7 @@ import pytest
 
 from pcqa.cli import main
 from pcqa.corpus import build_examples, load_corpus
+from pcqa.generation import ReplayGenerator
 from pcqa.linearize import Task
 
 
@@ -267,16 +268,28 @@ class TestRun:
         assert code == 1
         assert "not JSON" in capsys.readouterr().err
 
-    def test_decode_with_reserved_marker_in_predicted_history(self, corpus_path, tmp_path):
+    def test_decode_with_reserved_marker_in_predicted_history(
+        self, corpus_path, tmp_path, monkeypatch
+    ):
         """A decode whose payload holds a reserved marker is discarded, so it
-        never reaches the next turn's history: the run scores it 0 and exits 0."""
+        never reaches the next turn's history: the next input holds an empty
+        response, the run scores it 0 and exits 0."""
         fixture = tmp_path / "replay.jsonl"
         decode = '[clari.] False [resp.] ["</p> x"]'
+        dialogues = load_corpus(corpus_path).dialogues
         with open(fixture, "w") as fh:
-            for dialogue in load_corpus(corpus_path).dialogues:
+            for dialogue in dialogues:
                 for turn in dialogue.turns:
                     entry = {"turn_id": turn.turn_id, "mode": "greedy", "outputs": [{"text": decode}]}
                     fh.write(json.dumps(entry) + "\n")
+        inputs = {}
+        replay = ReplayGenerator.generate
+
+        def recording(self, request):
+            inputs[request.turn_id] = request.input
+            return replay(self, request)
+
+        monkeypatch.setattr(ReplayGenerator, "generate", recording)
         log = tmp_path / "run.jsonl"
         code = main(
             [
@@ -296,6 +309,9 @@ class TestRun:
         lines = [json.loads(line) for line in log.read_text().splitlines()]
         assert len(lines) == 16
         assert all(line["final_response"] == "" and line["f1"] == 0 for line in lines)
+        for dialogue in dialogues:
+            for position, turn in enumerate(dialogue.turns):
+                assert inputs[turn.turn_id].count("[system] [user] ") == position
 
     def test_zero_concurrency_exits_1(self, fixtures_dir, capsys):
         code = main(

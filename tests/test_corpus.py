@@ -1,10 +1,12 @@
 import copy
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from pcqa.corpus import (
+    Corpus,
     CorpusExpectations,
     InvariantViolation,
     SchemaError,
@@ -18,7 +20,9 @@ from pcqa.corpus import (
     validate_corpus,
 )
 from pcqa.derivation import MAX_NUMERAL_DIGITS, NumericAnswer, SpanSetAnswer
-from pcqa.linearize import Task
+from pcqa.generation import ReplayGenerator
+from pcqa.linearize import MarkerCollisionError, Task
+from pcqa.runner import RunConfig, run_eval
 
 from conftest import turn_by_id
 
@@ -308,6 +312,18 @@ class TestBuildExamples:
             examples = build_examples(corpus, Task.MULTI)
         assert len(examples) == 15
         assert any("a1-q4" in message for message in caplog.messages)
+
+    def test_marker_in_question_raises_like_run_eval(self, small_corpus, fixtures_dir):
+        """load_corpus rejects such a question; a hand-built corpus can hold one."""
+        first, *rest = small_corpus.dialogues
+        turns = list(first.turns)
+        turns[1] = replace(turns[1], question="and in [table] terms?")
+        corpus = Corpus(small_corpus.documents, (replace(first, turns=tuple(turns)), *rest))
+        with pytest.raises(MarkerCollisionError):
+            build_examples(corpus, Task.MULTI)
+        replay = ReplayGenerator.from_jsonl(fixtures_dir / "corpus_small_replay.jsonl")
+        with pytest.raises(MarkerCollisionError):
+            run_eval(corpus, replay, RunConfig(mode="greedy"))
 
 
 class TestValidateCorpus:

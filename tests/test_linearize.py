@@ -3,16 +3,15 @@ from hypothesis import given, settings, strategies as st
 
 from pcqa.linearize import (
     RESERVED_MARKERS,
-    ConversationHistory,
     HybridDocument,
     InvalidCombination,
     MalformedOutput,
     MarkerCollisionError,
     Task,
+    add_response,
     build_model_input,
     format_target,
     linearize_document,
-    linearize_history,
     parse_output,
 )
 
@@ -38,11 +37,10 @@ class TestLinearizeDocument:
 
     def test_golden_file(self, small_corpus, golden_input):
         dialogue = small_corpus.dialogues[0]
-        queries = [t.question for t in dialogue.turns[:2]]
-        responses = [dialogue.turns[0].gold.response_text()]
-        history = ConversationHistory.from_turns(queries, responses)
-        built = build_model_input(small_corpus.documents[dialogue.doc_uid], history)
-        assert built == golden_input
+        first, second = dialogue.turns[:2]
+        context = linearize_document(small_corpus.documents[dialogue.doc_uid])
+        context = add_response(build_model_input(context, first.question), first.gold.response_text())
+        assert build_model_input(context, second.question) == golden_input
 
     def test_separator_count_matches_columns(self):
         doc = HybridDocument(
@@ -71,27 +69,27 @@ class TestLinearizeDocument:
 
 class TestLinearizeHistory:
     def test_first_turn(self):
-        assert linearize_history(ConversationHistory(("q1",))) == "[user] q1"
+        assert build_model_input("[table] a : b", "q1") == "[table] a : b [user] q1"
 
     def test_alternation(self):
-        history = ConversationHistory(("q1", "r1", "q2"))
-        assert linearize_history(history) == "[user] q1 [system] r1 [user] q2"
-
-    def test_even_count_rejected(self):
-        with pytest.raises(ValueError):
-            ConversationHistory(("q1", "r1"))
+        model_input = add_response(build_model_input("C", "q1"), "r1")
+        assert build_model_input(model_input, "q2") == "C [user] q1 [system] r1 [user] q2"
 
     def test_empty_user_query_rejected(self):
         with pytest.raises(ValueError):
-            ConversationHistory(("q1", "r1", "  "))
+            build_model_input("C [user] q1 [system] r1", "  ")
 
     def test_empty_system_response_allowed(self):
-        history = ConversationHistory(("q1", "", "q2"))
-        assert linearize_history(history) == "[user] q1 [system] [user] q2"
+        model_input = add_response(build_model_input("C", "q1"), "")
+        assert build_model_input(model_input, "q2") == "C [user] q1 [system] [user] q2"
+
+    def test_whitespace_normalized_on_append(self):
+        model_input = add_response(build_model_input("C", " q \n 1\t"), "Americas \n\n EMEA ")
+        assert model_input == "C [user] q 1 [system] Americas EMEA"
+        assert add_response("C [user] q1", " \t\n") == "C [user] q1 [system]"
 
     def test_concatenation(self, doc):
-        history = ConversationHistory(("q1",))
-        assert build_model_input(doc, history) == linearize_document(doc) + " [user] q1"
+        assert build_model_input(linearize_document(doc), "q1") == linearize_document(doc) + " [user] q1"
 
 
 class TestMarkerRejection:
@@ -105,7 +103,12 @@ class TestMarkerRejection:
     @pytest.mark.parametrize("marker", RESERVED_MARKERS)
     def test_query_rejected(self, marker):
         with pytest.raises(MarkerCollisionError):
-            ConversationHistory((f"what about {marker}?",))
+            build_model_input("C", f"what about {marker}?")
+
+    @pytest.mark.parametrize("marker", RESERVED_MARKERS)
+    def test_response_rejected(self, marker):
+        with pytest.raises(MarkerCollisionError):
+            add_response("C [user] q1", f"maybe {marker}")
 
 
 class TestFormatTarget:

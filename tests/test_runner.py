@@ -8,7 +8,7 @@ import pytest
 
 from pcqa.corpus import build_examples
 from pcqa.generation import GeneratedOutput, ReplayGenerator, TransportError
-from pcqa.linearize import Task
+from pcqa.linearize import Task, build_model_input, linearize_document
 from pcqa.metrics import EmptyRecordSet
 from pcqa.runner import RunConfig, UnknownTurnId, run_eval, run_turn, score_predictions, write_jsonl
 from pcqa.voting import NumericAnswer
@@ -20,6 +20,18 @@ def replay_from_examples(corpus, mode="greedy"):
     for example in build_examples(corpus, Task.MULTI):
         entries[(example.turn_id, mode)] = [GeneratedOutput(text=example.target_text)]
     return ReplayGenerator(entries)
+
+
+class RecordingGenerator:
+    """Passes requests through and keeps each turn's model input."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.inputs = {}
+
+    def generate(self, request):
+        self.inputs[request.turn_id] = request.input
+        return self.inner.generate(request)
 
 
 class TestRunTurnAndEval:
@@ -40,11 +52,9 @@ class TestRunTurnAndEval:
     def test_table7_greedy_rows(self, table7_corpus, table7_replay_path):
         generator = ReplayGenerator.from_jsonl(table7_replay_path)
         dialogue = table7_corpus.dialogues[0]
-        doc = table7_corpus.documents[dialogue.doc_uid]
-        from pcqa.linearize import ConversationHistory
-
-        history = ConversationHistory((dialogue.turns[0].question,))
-        result = run_turn(doc, history, dialogue.turns[0], generator, RunConfig(mode="greedy"))
+        context = linearize_document(table7_corpus.documents[dialogue.doc_uid])
+        model_input = build_model_input(context, dialogue.turns[0].question)
+        result = run_turn(model_input, dialogue.turns[0], generator, RunConfig(mode="greedy"))
         assert result.answer == NumericAnswer(Fraction(598, 300))
         assert result.final_text == "1.9933"
 
@@ -70,11 +80,9 @@ class TestRunTurnAndEval:
         }
         generator = ReplayGenerator(entries)
         dialogue = table7_corpus.dialogues[0]
-        doc = table7_corpus.documents[dialogue.doc_uid]
-        from pcqa.linearize import ConversationHistory
-
-        history = ConversationHistory((dialogue.turns[0].question,))
-        result = run_turn(doc, history, dialogue.turns[0], generator, RunConfig(mode="cv"))
+        context = linearize_document(table7_corpus.documents[dialogue.doc_uid])
+        model_input = build_model_input(context, dialogue.turns[0].question)
+        result = run_turn(model_input, dialogue.turns[0], generator, RunConfig(mode="cv"))
         assert result.fallback_used is True
         assert result.answer is None
         assert result.final_text == ""
@@ -87,11 +95,9 @@ class TestRunTurnAndEval:
         }
         generator = ReplayGenerator(entries)
         dialogue = table7_corpus.dialogues[0]
-        doc = table7_corpus.documents[dialogue.doc_uid]
-        from pcqa.linearize import ConversationHistory
-
-        history = ConversationHistory((dialogue.turns[0].question,))
-        result = run_turn(doc, history, dialogue.turns[0], generator, RunConfig(mode="cv"))
+        context = linearize_document(table7_corpus.documents[dialogue.doc_uid])
+        model_input = build_model_input(context, dialogue.turns[0].question)
+        result = run_turn(model_input, dialogue.turns[0], generator, RunConfig(mode="cv"))
         assert result.answer == NumericAnswer(Fraction(5))
 
     def test_oracle_replay_scores_perfectly(self, small_corpus):
@@ -169,22 +175,21 @@ class TestRunTurnAndEval:
         assert report.overall_em == pytest.approx(15 / 16)
 
     def test_predicted_history_feeds_previous_response(self, small_corpus):
-        captured = {}
-
-        class RecordingGenerator:
-            def __init__(self, inner):
-                self.inner = inner
-
-            def generate(self, request):
-                captured[request.turn_id] = request.input
-                return self.inner.generate(request)
-
         generator = RecordingGenerator(replay_from_examples(small_corpus))
         run_eval(small_corpus, generator, RunConfig(mode="greedy", history="predicted"))
         # turn 2 of dlg-a1 must see the system's own turn-1 response
-        assert "[system] Americas, EMEA, Asia Pacific" in captured["a1-q2"]
+        assert "[system] Americas, EMEA, Asia Pacific" in generator.inputs["a1-q2"]
         # and the clarify turn's own question feeds the following turn
-        assert "[system] Which year are you asking about?" in captured["a2-q4"]
+        assert "[system] Which year are you asking about?" in generator.inputs["a2-q4"]
+
+    def test_predicted_response_normalized_on_append(self, small_corpus):
+        replay = replay_from_examples(small_corpus)
+        decode = '[clari.] False [resp.] ["Americas \n\n EMEA"]'
+        replay.entries[("a1-q1", "greedy")] = [GeneratedOutput(text=decode)]
+        generator = RecordingGenerator(replay)
+        logs = run_eval(small_corpus, generator, RunConfig(mode="greedy", history="predicted"))[1]
+        assert logs[0]["final_response"] == "Americas \n\n EMEA"
+        assert "[system] Americas EMEA [user] " in generator.inputs["a1-q2"]
 
     @pytest.mark.parametrize("history", ["gold", "predicted"])
     def test_scores_and_logs_independent_of_concurrency(self, small_corpus, history):
@@ -308,6 +313,22 @@ class TestScorePredictions:
         assert any("malformed" in m for m in caplog.messages)
         by_turn = {log["turn_id"]: log for log in logs}
         assert by_turn["a1-q3"]["em"] == 0
+        assert report.overall_em == pytest.approx(15 / 16)
+
+    @pytest.mark.parametrize("flag", ["false", 0, None])
+    def test_non_boolean_clarification_line_skipped(self, small_corpus, tmp_path, caplog, flag):
+        lines = self.gold_prediction_lines(small_corpus)
+        for line in lines:
+            if line["turn_id"] == "a1-q4":  # a non-clarifying turn
+                payload = line.pop("output").split("[resp.]", 1)[1].strip()
+                line.update(clarification=flag, response=payload)
+        path = self.write_predictions(tmp_path, lines)
+        with caplog.at_level("WARNING"):
+            report, logs = score_predictions(path, small_corpus)
+        assert any("malformed" in m and "clarification" in m for m in caplog.messages)
+        by_turn = {log["turn_id"]: log for log in logs}
+        assert by_turn["a1-q4"]["prediction"] is None
+        assert by_turn["a1-q4"]["em"] == 0
         assert report.overall_em == pytest.approx(15 / 16)
 
     def test_empty_predictions_file(self, small_corpus, tmp_path):

@@ -47,3 +47,32 @@ def test_every_traced_name_is_called(monkeypatch, fixtures_dir, small_corpus):
     pcqa.score_predictions(fixtures_dir / "corpus_small_predictions.jsonl", small_corpus)
 
     assert [key for key, count in calls.items() if count == 0] == []
+
+
+def test_build_model_input_gives_every_request_input(monkeypatch, fixtures_dir, small_corpus):
+    """The tracer's linearize.build_input span times input building and its
+    input_kb reads the size of what it returns: that holds only while the
+    runner calls it once per turn and sends exactly what it returned."""
+    built = []
+    sent = []
+    original_build = runner.build_model_input
+    original_generate = ReplayGenerator.generate
+
+    def build(*args):
+        built.append(original_build(*args))
+        return built[-1]
+
+    def generate(self, request):
+        sent.append(request.input)
+        return original_generate(self, request)
+
+    monkeypatch.setattr(runner, "build_model_input", build)
+    monkeypatch.setattr(ReplayGenerator, "generate", generate)
+    replay = ReplayGenerator.from_jsonl(fixtures_dir / "corpus_small_replay.jsonl")
+    for mode in ("cv", "greedy"):
+        built.clear()
+        sent.clear()
+        pcqa.run_eval(small_corpus, replay, RunConfig(mode=mode))
+        assert len(built) == small_corpus.turn_count()
+        assert all(isinstance(text, str) for text in built)
+        assert sent and all(any(text is b for b in built) for text in sent)
