@@ -84,7 +84,7 @@ class InvariantViolation(CorpusError):
         self.rule = rule
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GoldTurnAnswer:
     """Gold annotation for one turn.
 
@@ -94,7 +94,7 @@ class GoldTurnAnswer:
     """
 
     answer_type: str
-    answer: Any  # str, number, or list of span strings
+    answer: Any  # str, number, or list of span strings; whitespace-normalized
     derivation: str
     scale: str
     source: str
@@ -103,6 +103,11 @@ class GoldTurnAnswer:
     canonical: CanonicalAnswer = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        answer = self.answer
+        if isinstance(answer, list):
+            object.__setattr__(self, "answer", [normalize_whitespace(str(a)) for a in answer])
+        elif isinstance(answer, str):
+            object.__setattr__(self, "answer", normalize_whitespace(answer))
         if self.req_clari:
             canonical = ClarifyAnswer(self.clarification_question)
         elif self.answer_type not in ("arithmetic", "count"):
@@ -114,9 +119,11 @@ class GoldTurnAnswer:
         object.__setattr__(self, "canonical", canonical)
 
     def span_values(self) -> list[str]:
-        if isinstance(self.answer, list):
-            return [normalize_whitespace(str(a)) for a in self.answer]
-        return [normalize_whitespace(str(self.answer))]
+        """The answer's spans; a str or list answer was normalized at construction."""
+        answer = self.answer
+        if isinstance(answer, list):
+            return list(answer)
+        return [answer if isinstance(answer, str) else normalize_whitespace(str(answer))]
 
     def numeric_value(self) -> Fraction | None:
         """The gold answer as an exact rational, when it is a decimal numeral."""
@@ -129,7 +136,7 @@ class GoldTurnAnswer:
         derivation, split on "##" (release style) or on commas.
         """
         if isinstance(self.answer, list):
-            return [normalize_whitespace(str(a)) for a in self.answer]
+            return list(self.answer)
         text = self.derivation
         sep = "##" if "##" in text else ","
         items = [normalize_whitespace(part) for part in text.split(sep)]
@@ -144,7 +151,7 @@ class GoldTurnAnswer:
         return f"{text} {self.scale}" if self.scale and not self.req_clari else text
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DialogueTurn:
     turn_id: str
     question: str
@@ -241,10 +248,9 @@ def _load_block_dialogue(block: dict, where: str, doc_uid: str) -> Dialogue:
         if not isinstance(q, dict):
             raise SchemaError(f"{where}.questions[{j}]", "question must be an object")
     for j, q in enumerate(_by_order(questions, f"{where}.questions")):
-        qwhere = f"{where}.questions[{j}]"
         for key in ("uid", "order", "question", "answer", "answer_type", "answer_from"):
             if key not in q:
-                raise SchemaError(qwhere, f"missing field {key!r}")
+                raise SchemaError(f"{where}.questions[{j}]", f"missing field {key!r}")
         turn_id = str(q["uid"])
         order = q["order"]
         if order != j + 1:
@@ -267,17 +273,12 @@ def _load_block_dialogue(block: dict, where: str, doc_uid: str) -> Dialogue:
         derivation = normalize_whitespace(str(q.get("derivation", "")))
         if answer_type == "arithmetic" and not derivation:
             raise InvariantViolation(turn_id, "arithmetic turn needs a derivation")
-        answer = q["answer"]
-        if isinstance(answer, list):
-            answer = [normalize_whitespace(str(a)) for a in answer]
-        elif isinstance(answer, str):
-            answer = normalize_whitespace(answer)
         question_text = normalize_whitespace(str(q["question"]))
         if not question_text:
             raise InvariantViolation(turn_id, "empty question")
         gold = GoldTurnAnswer(
             answer_type=answer_type,
-            answer=answer,
+            answer=q["answer"],
             derivation=derivation,
             scale=scale,
             source=source,

@@ -11,6 +11,8 @@ exactly one output in greedy mode and exactly num_samples in sample mode.
 Any model server can implement this in minutes; ReplayGenerator implements
 the same contract from a canned JSONL fixture keyed by (turn_id, mode),
 one line per entry: {"turn_id": ..., "mode": ..., "outputs": [...]}.
+Outputs are frozen, so the repeats of one decode (the same text and score)
+within a line, or a response body, share one GeneratedOutput.
 
 HttpGenerator speaks HTTP/1.1 through the standard library's http.client
 and keeps its connections open between requests: one connection per
@@ -79,7 +81,7 @@ class GenerationRequest:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeneratedOutput:
     text: str
     score: float | None = None
@@ -202,17 +204,29 @@ def _parse_outputs(body: object) -> list[GeneratedOutput]:
     if not isinstance(outputs, list):
         raise ContractViolation("response body must be an object carrying an outputs list")
     parsed = []
+    # Sampled decodes repeat: each distinct (text, score) is checked and built
+    # once, and its repeats share the frozen output. Sharing is kept to str
+    # texts with no score or a non-zero float one; elsewhere equal keys can
+    # give unequal outputs (the texts 1 and True, the scores 0.0 and -0.0).
+    shared: dict[tuple[str, float | None], GeneratedOutput] = {}
     for item in outputs:
         if not isinstance(item, dict) or "text" not in item:
             raise ContractViolation(f"malformed output entry: {item!r}")
+        text = item["text"]
         score = item.get("score")
-        try:
-            score = None if score is None else float(score)
-        except (TypeError, ValueError, OverflowError) as err:
-            raise ContractViolation(f"output score is not a number: {score!r}") from err
-        if score is not None and not math.isfinite(score):
-            raise ContractViolation(f"output score is not finite: {score!r}")
-        parsed.append(GeneratedOutput(text=str(item["text"]), score=score))
+        shareable = type(text) is str and (score is None or type(score) is float and score)
+        output = shared.get((text, score)) if shareable else None
+        if output is None:
+            try:
+                score = None if score is None else float(score)
+            except (TypeError, ValueError, OverflowError) as err:
+                raise ContractViolation(f"output score is not a number: {score!r}") from err
+            if score is not None and not math.isfinite(score):
+                raise ContractViolation(f"output score is not finite: {score!r}")
+            output = GeneratedOutput(str(text), score)
+            if shareable:
+                shared[text, score] = output
+        parsed.append(output)
     return parsed
 
 

@@ -25,7 +25,6 @@ appended to a model input, and is itself part of the contract.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -40,8 +39,6 @@ RESERVED_MARKERS = (
     "</p>",
     "</t>",
 )
-
-_WS = re.compile(r"\s+")
 
 
 class LinearizeError(Exception):
@@ -63,7 +60,8 @@ class MalformedOutput(LinearizeError):
 
 
 def normalize_whitespace(text: str) -> str:
-    return _WS.sub(" ", text).strip()
+    """Runs of whitespace (as str.isspace counts it) become one space; ends are trimmed."""
+    return " ".join(text.split())
 
 
 def check_no_markers(text: str) -> str:
@@ -96,17 +94,24 @@ class HybridDocument:
             raise ValueError(f"document {self.uid}: table must have at least two columns")
         if any(len(row) != width for row in self.table):
             raise ValueError(f"document {self.uid}: table rows must have equal column count")
-        for text in list(self.paragraphs) + [cell for row in self.table for cell in row]:
-            check_no_markers(text)
+        texts = [*self.paragraphs, *(cell for row in self.table for cell in row)]
+        # One scan over all texts: no marker holds "\n", so none can span two
+        # of them. Only on a hit is each text checked, to name the one at fault.
+        joined = "\n".join(texts)
+        if any(marker in joined for marker in RESERVED_MARKERS):
+            for text in texts:
+                check_no_markers(text)
 
     @classmethod
     def from_raw(
         cls, uid: str, paragraphs: list[str], rows: list[list[str]]
     ) -> "HybridDocument":
         """Build from messy source data: normalizes whitespace, right-pads ragged rows."""
-        cleaned_rows = [[normalize_whitespace(str(cell)) for cell in row] for row in rows]
-        width = max((len(row) for row in cleaned_rows), default=0)
-        padded = tuple(tuple(row + [""] * (width - len(row))) for row in cleaned_rows)
+        width = max((len(row) for row in rows), default=0)
+        padded = tuple(
+            tuple([normalize_whitespace(str(cell)) for cell in row] + [""] * (width - len(row)))
+            for row in rows
+        )
         cleaned_paragraphs = tuple(
             p for p in (normalize_whitespace(str(t)) for t in paragraphs) if p
         )

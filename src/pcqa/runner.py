@@ -308,13 +308,13 @@ def _load_predictions(path: Path, corpus: Corpus) -> dict[str, tuple[str, str]]:
             obj = json.loads(line)
             turn_id = str(obj["turn_id"])
             if "output" in obj:
-                raw = str(obj["output"])
+                raw = _string_field(obj, "output")
             else:
                 flag = obj["clarification"]
                 if not isinstance(flag, bool):
                     raise TypeError(f"clarification must be true or false, got {flag!r}")
-                raw = format_target(Task.MULTI, flag, str(obj["response"]))
-            scale = str(obj.get("scale", ""))
+                raw = format_target(Task.MULTI, flag, _string_field(obj, "response"))
+            scale = _string_field(obj, "scale") if "scale" in obj else ""
         except Exception as err:  # malformed line: warn, the turn scores 0
             logger.warning("%s:%d: malformed prediction line (%s); skipped", path, lineno, err)
             continue
@@ -324,6 +324,13 @@ def _load_predictions(path: Path, corpus: Corpus) -> dict[str, tuple[str, str]]:
     if not predictions:
         raise EmptyRecordSet(f"no usable prediction lines in {path}")
     return predictions
+
+
+def _string_field(obj: dict, key: str) -> str:
+    value = obj[key]
+    if not isinstance(value, str):
+        raise TypeError(f"{key} must be a string, got {value!r}")
+    return value
 
 
 def write_jsonl(records: Iterable[dict], path: str | Path) -> None:

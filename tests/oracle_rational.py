@@ -34,8 +34,18 @@ def _literal_pair(literal: str) -> tuple[int, int]:
     return _reduce(sign * int(body), 1)
 
 
+class OracleZeroDivision(ZeroDivisionError):
+    """The first division by zero in evaluation order (left operand, right
+    operand, then the operation); `expr` is that division's expression."""
+
+    def __init__(self, expr: tuple):
+        super().__init__("division by zero")
+        self.expr = expr
+
+
 def oracle_eval(expr: tuple) -> tuple[int, int]:
-    """Evaluate an arithmetic expression tuple to a reduced rational pair."""
+    """Evaluate an arithmetic expression tuple to a reduced rational pair;
+    a division by zero raises OracleZeroDivision."""
     if expr[0] == "num":
         return _literal_pair(expr[1])
     op, left, right = expr
@@ -48,7 +58,7 @@ def oracle_eval(expr: tuple) -> tuple[int, int]:
     if op == "mul":
         return _reduce(a * c, b * d)
     if c == 0:
-        raise ZeroDivisionError("division by zero")
+        raise OracleZeroDivision(expr)
     return _reduce(a * d, b * c)
 
 
@@ -79,3 +89,23 @@ def random_arithmetic_expr(rng: random.Random, depth: int = 4) -> tuple:
         random_arithmetic_expr(rng, depth - 1),
         random_arithmetic_expr(rng, depth - 1),
     )
+
+
+ZERO_LITERALS = ("0", "0.0", "-0", "-0.000")
+
+
+def random_zero_divisor_expr(rng: random.Random, depth: int = 4) -> tuple:
+    """Like random_arithmetic_expr, but half of the divisors are zero: a zero
+    literal or an exact cancellation (x-x) of a random subexpression x."""
+    if depth == 0 or rng.random() < 0.3:
+        return random_arithmetic_expr(rng, 0)
+    op = rng.choice(["add", "sub", "mul", "div"])
+    left = random_zero_divisor_expr(rng, depth - 1)
+    right = random_zero_divisor_expr(rng, depth - 1)
+    if op == "div" and rng.random() < 0.5:
+        if rng.random() < 0.5:
+            right = ("num", rng.choice(ZERO_LITERALS))
+        else:
+            x = random_arithmetic_expr(rng, rng.randint(0, 2))
+            right = ("sub", x, x)
+    return (op, left, right)

@@ -34,7 +34,13 @@ from pcqa.derivation import (
     tokenize,
 )
 from execute_outcomes import outcome
-from oracle_rational import oracle_eval, random_arithmetic_expr, to_source
+from oracle_rational import (
+    OracleZeroDivision,
+    oracle_eval,
+    random_arithmetic_expr,
+    random_zero_divisor_expr,
+    to_source,
+)
 from reference_tokenize import reference_tokenize
 
 GOLDEN_OUTCOMES = [
@@ -482,6 +488,29 @@ class TestOracleAgreement:
             oracle_eval(expr)
         with pytest.raises(DivisionByZeroError):
             evaluate(parse_source(to_source(expr)))
+
+    def test_zero_divisors_fail_where_the_oracle_says(self):
+        """Divisors drawn as a zero literal or an exact cancellation (x-x):
+        execution fails at the evaluate stage naming the oracle's first
+        zero division, and every other expression has the oracle's value."""
+        rng = random.Random(27182818)
+        zero_divisions = 0
+        for _ in range(2000):
+            expr = random_zero_divisor_expr(rng)
+            source = to_source(expr)
+            try:
+                expected = oracle_eval(expr)
+            except OracleZeroDivision as zero:
+                with pytest.raises(ExecutionFailure) as err:
+                    execute_source(source)
+                assert err.value.stage == "evaluate"
+                assert isinstance(err.value.detail, DivisionByZeroError)
+                assert err.value.detail.subexpression == canonical_source(to_source(zero.expr))
+                zero_divisions += 1
+                continue
+            value = execute_source(source).value
+            assert (value.numerator, value.denominator) == expected
+        assert zero_divisions >= 400
 
 
 def test_execute_source_matches_golden_outcomes():

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pcqa.generation import (
     ContractViolation,
@@ -16,6 +18,7 @@ from pcqa.generation import (
     HttpGenerator,
     ReplayGenerator,
     TransportError,
+    _parse_outputs,
 )
 
 
@@ -360,6 +363,94 @@ class TestReplayGenerator:
         path.write_bytes(content)
         with pytest.raises(TransportError):
             ReplayGenerator.from_jsonl(path)
+
+
+def reference_parse_outputs(body) -> list[GeneratedOutput]:
+    """The per-entry loop: one new output per entry, nothing shared."""
+    outputs = body.get("outputs") if isinstance(body, dict) else None
+    if not isinstance(outputs, list):
+        raise ContractViolation("response body must be an object carrying an outputs list")
+    parsed = []
+    for item in outputs:
+        if not isinstance(item, dict) or "text" not in item:
+            raise ContractViolation(f"malformed output entry: {item!r}")
+        score = item.get("score")
+        try:
+            score = None if score is None else float(score)
+        except (TypeError, ValueError, OverflowError) as err:
+            raise ContractViolation(f"output score is not a number: {score!r}") from err
+        if score is not None and not math.isfinite(score):
+            raise ContractViolation(f"output score is not finite: {score!r}")
+        parsed.append(GeneratedOutput(text=str(item["text"]), score=score))
+    return parsed
+
+
+def _exact(outputs) -> list[tuple]:
+    """Outputs as comparable tuples that also tell 0.0 from -0.0."""
+    return [(o.text, repr(o.score)) for o in outputs]
+
+
+_SCORES = [None, -1.5, -0.25, 0.0, -0.0, 0, 1, True, False, "2.5", "high"]
+_SCORES += [math.nan, math.inf, [1], {}, 10**400]
+_output_entries = st.one_of(
+    st.fixed_dictionaries(
+        {"text": st.sampled_from(["a", "b", "", 1, 1.0, True, None])},
+        optional={"score": st.sampled_from(_SCORES)},
+    ),
+    st.sampled_from([{"score": -1.0}, "a", 7, None, ["a"]]),
+)
+
+
+class TestParseOutputs:
+    def test_repeats_share_one_output(self):
+        a, b = {"text": "a", "score": -1.0}, {"text": "b"}
+        outputs = _parse_outputs({"outputs": [a, b, dict(a), dict(b)]})
+        assert outputs == [GeneratedOutput("a", -1.0), GeneratedOutput("b")] * 2
+        assert outputs[0] is outputs[2] and outputs[1] is outputs[3]
+        assert outputs[0] is not outputs[1]
+
+    def test_equal_keys_with_unequal_outputs_are_not_shared(self):
+        entries = [{"text": "a", "score": 0.0}, {"text": "a", "score": -0.0}, {"text": 1}, {"text": True}]
+        outputs = _parse_outputs({"outputs": entries})
+        assert _exact(outputs) == [("a", "0.0"), ("a", "-0.0"), ("1", "None"), ("True", "None")]
+
+    def test_bad_repeat_after_good_entries_names_the_entry(self):
+        good = {"text": "a", "score": -1.0}
+        with pytest.raises(ContractViolation, match=r"^output score is not finite: inf$"):
+            _parse_outputs({"outputs": [good, good, {"text": "a", "score": math.inf}]})
+        with pytest.raises(ContractViolation, match=r"^malformed output entry: \{'score': -1.0\}$"):
+            _parse_outputs({"outputs": [good, {"score": -1.0}]})
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_output_entries, max_size=8))
+    def test_same_outputs_and_errors_as_the_per_entry_loop(self, entries):
+        body = {"outputs": entries}
+        try:
+            expected = reference_parse_outputs(body)
+        except ContractViolation as err:
+            with pytest.raises(ContractViolation) as got:
+                _parse_outputs(body)
+            assert str(got.value) == str(err)
+        else:
+            assert _exact(_parse_outputs(body)) == _exact(expected)
+
+
+class TestReplayLineErrors:
+    def test_bad_line_is_named_by_path_and_line_number(self, tmp_path):
+        path = tmp_path / "replay.jsonl"
+        good = json.dumps({"turn_id": "t", "mode": "greedy", "outputs": [{"text": "x"}]})
+        path.write_text(f"{good}\n\n{good}\n{{\"mode\": \"greedy\"}}\n")
+        with pytest.raises(TransportError) as err:
+            ReplayGenerator.from_jsonl(path)
+        assert str(err.value) == f"{path}:4: bad replay line: 'turn_id'"
+
+    def test_bad_outputs_keep_their_message(self, tmp_path):
+        path = tmp_path / "replay.jsonl"
+        outputs = [{"text": "x", "score": -1.0}] * 3 + [{"text": "x", "score": "high"}]
+        path.write_text(json.dumps({"turn_id": "t", "outputs": outputs}) + "\n")
+        with pytest.raises(ContractViolation) as err:
+            ReplayGenerator.from_jsonl(path)
+        assert str(err.value) == "output score is not a number: 'high'"
 
 
 class TestGenerationRequest:

@@ -1,3 +1,6 @@
+import re
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,8 +13,10 @@ from pcqa.linearize import (
     Task,
     add_response,
     build_model_input,
+    check_no_markers,
     format_target,
     linearize_document,
+    normalize_whitespace,
     parse_output,
 )
 
@@ -109,6 +114,81 @@ class TestMarkerRejection:
     def test_response_rejected(self, marker):
         with pytest.raises(MarkerCollisionError):
             add_response("C [user] q1", f"maybe {marker}")
+
+
+_WS = re.compile(r"\s+")
+
+
+def regex_normalize(text: str) -> str:
+    """The regular-expression definition that normalize_whitespace replaces."""
+    return _WS.sub(" ", text).strip()
+
+
+EVERY_CODE_POINT = "".join(map(chr, range(sys.maxunicode + 1)))
+# What the regex takes for whitespace; test_every_code_point_as_the_regex
+# shows that normalize_whitespace takes the same code points.
+WHITESPACE = re.findall(r"\s", EVERY_CODE_POINT)
+
+
+class TestNormalizeWhitespace:
+    def test_every_code_point_as_the_regex(self):
+        """Each code point in a run of its neighbours and alone between two
+        letters: a code point one side counts as whitespace and the other
+        does not changes the output."""
+        for text in (EVERY_CODE_POINT, "a" + "b|a".join(EVERY_CODE_POINT) + "b"):
+            assert normalize_whitespace(text) == regex_normalize(text)
+
+    @pytest.mark.parametrize("context", ["{}", "a {} b", "{0} x {0} {0}", " {}"])
+    def test_whitespace_code_points_in_context(self, context):
+        assert len(WHITESPACE) == 29  # Unicode's 25 White_Space code points and U+001C-U+001F
+        for char in [*WHITESPACE, "x", "\u180e", "\u200b", "\ufeff", "\x00"]:
+            text = context.format(char)
+            assert normalize_whitespace(text) == regex_normalize(text), repr(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=st.sampled_from(WHITESPACE) | st.characters(), max_size=40))
+    def test_random_strings_as_the_regex(self, text):
+        assert normalize_whitespace(text) == regex_normalize(text)
+
+
+def per_text_marker_check(texts) -> None:
+    """The reference: each text checked on its own, in order."""
+    for text in texts:
+        check_no_markers(text)
+
+
+_marker_pieces = st.sampled_from(
+    [*RESERVED_MARKERS, "[par", "agraph]", "[", "]", "</", "p>", "t>", "[user", "\n", "a", " "]
+)
+_marker_texts = st.lists(_marker_pieces, max_size=4).map("".join)
+
+
+class TestDocumentMarkerScan:
+    def test_marker_split_across_texts_is_no_collision(self):
+        HybridDocument(uid="d", paragraphs=("[par",), table=(("agraph]", "[sys"), ("tem]", "</")))
+        HybridDocument(uid="d", paragraphs=("<", "/p>"), table=(("[user\n", "]"),))
+
+    def test_first_text_and_first_marker_named(self):
+        with pytest.raises(MarkerCollisionError) as err:
+            HybridDocument(uid="d", paragraphs=("ok",), table=(("a </t> [user]", "[table]"),))
+        assert err.value.marker == "[user]"
+        assert str(err.value) == "text contains reserved marker '[user]': 'a </t> [user]'"
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        paragraphs=st.lists(_marker_texts, max_size=3),
+        cells=st.lists(_marker_texts, min_size=2, max_size=6).filter(lambda c: len(c) % 2 == 0),
+    )
+    def test_raises_exactly_what_the_per_text_scan_raises(self, paragraphs, cells):
+        table = tuple(zip(cells[::2], cells[1::2]))
+        try:
+            per_text_marker_check([*paragraphs, *cells])
+        except MarkerCollisionError as expected:
+            with pytest.raises(MarkerCollisionError) as err:
+                HybridDocument(uid="d", paragraphs=tuple(paragraphs), table=table)
+            assert (err.value.marker, str(err.value)) == (expected.marker, str(expected))
+        else:
+            HybridDocument(uid="d", paragraphs=tuple(paragraphs), table=table)
 
 
 class TestFormatTarget:

@@ -21,7 +21,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "loaded_objects.jsonl"
 CORPORA = ("corpus_small.json", "table7_corpus.json")
 REPLAYS = ("corpus_small_replay.jsonl", "table7_replay.jsonl")
-# Whitespace that Unicode counts as such, beyond the ASCII space.
+# Whitespace that str.split and the regex \s both count, beyond the ASCII space.
 MESS = ("\t", "\n", "\u00a0", "\u2003", "\u3000", "\x1c", "\u2028", "\r\n ")
 
 

@@ -331,6 +331,26 @@ class TestScorePredictions:
         assert by_turn["a1-q4"]["em"] == 0
         assert report.overall_em == pytest.approx(15 / 16)
 
+    @pytest.mark.parametrize("field", ["output", "response", "scale"])
+    @pytest.mark.parametrize("value", [None, 0, ["x"]])
+    def test_non_string_field_line_skipped(self, small_corpus, tmp_path, caplog, field, value):
+        """A JSON null (or any non-string) is not read as the text "None"."""
+        lines = self.gold_prediction_lines(small_corpus)
+        for line in lines:
+            if line["turn_id"] == "a1-q4":  # a non-clarifying turn with an empty gold scale
+                if field == "response":
+                    line.pop("output")
+                    line.update(clarification=False)
+                line[field] = value
+        path = self.write_predictions(tmp_path, lines)
+        with caplog.at_level("WARNING"):
+            report, logs = score_predictions(path, small_corpus)
+        assert any("malformed" in m and f"{field} must be a string" in m for m in caplog.messages)
+        by_turn = {log["turn_id"]: log for log in logs}
+        assert by_turn["a1-q4"]["prediction"] is None
+        assert by_turn["a1-q4"]["em"] == 0
+        assert report.overall_em == pytest.approx(15 / 16)
+
     def test_empty_predictions_file(self, small_corpus, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")

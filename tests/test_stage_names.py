@@ -76,3 +76,20 @@ def test_build_model_input_gives_every_request_input(monkeypatch, fixtures_dir, 
         assert len(built) == small_corpus.turn_count()
         assert all(isinstance(text, str) for text in built)
         assert sent and all(any(text is b for b in built) for text in sent)
+
+
+def test_setup_entry_points_the_benchmark_calls(fixtures_dir):
+    """bench/workload.py sets each workload up through these public names and
+    keywords; a loader rewrite that renames one fails here, not in the benchmark."""
+    corpus = pcqa.load_corpus(fixtures_dir / "corpus_small.json")
+    replay = pcqa.ReplayGenerator.from_jsonl(fixtures_dir / "corpus_small_replay.jsonl")
+    http = pcqa.HttpGenerator(endpoint="http://127.0.0.1:9")  # connects only on a request
+    http.close()
+    pcqa.RunConfig(mode="greedy", history="predicted", concurrency=2)
+    config = pcqa.RunConfig(mode="cv", history="gold", concurrency=1)
+    dialogues = corpus.dialogues
+    part = pcqa.Corpus(documents=corpus.documents, dialogues=dialogues[: len(dialogues) // 2])
+    assert part.turn_count() == sum(len(d.turns) for d in part.dialogues) > 0
+    assert corpus.turn_count() == sum(len(d.turns) for d in dialogues)
+    report, logs = pcqa.run_eval(part, replay, config)
+    assert len(logs) == part.turn_count()
