@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import shutil
+import socket
+import ssl
 import subprocess
 import sys
 import threading
@@ -297,6 +300,106 @@ class TestPersistentConnections:
     def test_endpoint_must_be_http_url(self, endpoint):
         with pytest.raises(ValueError):
             HttpGenerator(endpoint=endpoint)
+
+
+def _tls_reply_server(cert: Path, key: Path, stop: threading.Event, handshakes: list):
+    """A TLS listener on 127.0.0.1 answering each request with one greedy decode.
+
+    Returns the listening socket and the daemon thread that accepts
+    connections until `stop` is set, appending each handshake's outcome to
+    `handshakes`.
+    """
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(cert, key)
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.1)
+
+    def serve() -> None:
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except TimeoutError:
+                continue
+            conn.settimeout(5)
+            try:
+                with context.wrap_socket(conn, server_side=True) as tls:
+                    handshakes.append("ok")
+                    with tls.makefile("rb") as reader:
+                        head = b"".join(iter(reader.readline, b"\r\n")).lower()
+                        length = int(head.split(b"content-length:")[1].split(b"\r\n")[0])
+                        turn_id = json.loads(reader.read(length))["turn_id"]
+                    body = json.dumps({"outputs": [{"text": turn_id}]}).encode()
+                    tls.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body))
+            except (ssl.SSLError, OSError) as err:
+                handshakes.append(type(err).__name__)
+            finally:
+                conn.close()
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return listener, thread
+
+
+_HTTPS_CLIENT = """
+import sys
+from pcqa.generation import GenerationRequest, HttpGenerator, TransportError
+generator = HttpGenerator(endpoint=sys.argv[1], max_attempts=2, backoff_base=0.01, timeout=10)
+try:
+    print(generator.generate(GenerationRequest(input="x", turn_id="t-tls"))[0].text)
+except TransportError as err:
+    print("TransportError:", err)
+finally:
+    generator.close()
+"""
+
+
+@pytest.mark.skipif(shutil.which("openssl") is None, reason="needs the openssl command")
+class TestHttps:
+    @pytest.fixture(scope="class")
+    def certificate(self, tmp_path_factory):
+        """A self-signed certificate for the IP address 127.0.0.1, and its key."""
+        directory = tmp_path_factory.mktemp("tls")
+        cert, key = directory / "cert.pem", directory / "key.pem"
+        subprocess.run(
+            ["openssl", "req", "-x509", "-newkey", "ec", "-pkeyopt", "ec_paramgen_curve:prime256v1",
+             "-nodes", "-days", "1", "-subj", "/CN=127.0.0.1", "-addext", "subjectAltName=IP:127.0.0.1",
+             "-keyout", str(key), "-out", str(cert)],
+            check=True,
+            capture_output=True,
+        )
+        return cert, key
+
+    def _run_client(self, certificate, trust: bool) -> tuple[str, list]:
+        stop, handshakes = threading.Event(), []
+        listener, thread = _tls_reply_server(*certificate, stop, handshakes)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {k: v for k, v in os.environ.items() if k not in ("SSL_CERT_FILE", "SSL_CERT_DIR")}
+        env["PYTHONPATH"] = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+        if trust:
+            env["SSL_CERT_FILE"] = str(certificate[0])
+        try:
+            endpoint = f"https://127.0.0.1:{listener.getsockname()[1]}"
+            done = subprocess.run(
+                [sys.executable, "-c", _HTTPS_CLIENT, endpoint],
+                env=env, capture_output=True, text=True, timeout=60, check=True,
+            )
+        finally:
+            stop.set()
+            thread.join(timeout=5)
+            listener.close()
+        assert not thread.is_alive()
+        return done.stdout.strip(), handshakes
+
+    def test_trusted_certificate(self, certificate):
+        out, handshakes = self._run_client(certificate, trust=True)
+        assert out == "t-tls"
+        assert handshakes == ["ok"]
+
+    def test_untrusted_certificate_fails_after_the_retries(self, certificate):
+        out, handshakes = self._run_client(certificate, trust=False)
+        assert out.startswith("TransportError: generation failed after 2 attempts: ")
+        assert "CERTIFICATE_VERIFY_FAILED" in out
+        assert len(handshakes) == 2 and "ok" not in handshakes
 
 
 def test_import_loads_no_third_party_http_client():
