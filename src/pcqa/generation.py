@@ -14,19 +14,25 @@ one line per entry: {"turn_id": ..., "mode": ..., "outputs": [...]}.
 Outputs are frozen, so the repeats of one decode (the same text and score)
 within a line, or a response body, share one GeneratedOutput.
 
-HttpGenerator speaks HTTP/1.1 through the standard library's http.client
-and keeps its connections open between requests: one connection per
-request in flight, reused by later requests from any thread. It connects
-directly to the endpoint's host; proxy environment variables and ~/.netrc
-are not consulted.
+HttpGenerator speaks HTTP/1.1 over its own keep-alive sockets: each
+request goes out in one write, and the reply is read through the
+connection's buffer (Content-Length, chunked, or up to the close; 1xx
+replies skipped). A connection is reused only after an HTTP/1.1 reply
+without Connection: close that left no unread bytes, one per request in
+flight, by later requests from any thread. It connects directly to the
+endpoint's host; proxy environment variables and ~/.netrc are not
+consulted.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
 import math
+import re
 import select
+import socket
+import ssl
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -103,7 +109,86 @@ def _check_contract(
     return tuple(outputs)
 
 
-_HEADERS = {"Content-Type": "application/json"}
+class ProtocolError(Exception):
+    """The service's reply is not well-formed HTTP/1.x (module-private)."""
+
+
+_MAX_LINE = 65536  # http.client's limits on one header line and on the header count
+_MAX_HEADERS = 100
+_STATUS_LINE = re.compile(rb"HTTP/1\.(\d) ([1-9]\d\d)(?: [^\r\n]*)?\r?\n")
+_HEX = re.compile(rb"[0-9A-Fa-f]+")
+
+
+def _read_line(reader) -> bytes:
+    line = reader.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise ProtocolError(f"reply line longer than {_MAX_LINE} bytes")
+    if not line.endswith(b"\n"):
+        raise ProtocolError("connection closed mid-reply")
+    return line
+
+
+def _read_exact(reader, size: int) -> bytes:
+    data = reader.read(min(size, sys.maxsize))  # a larger size cannot be read, nor held
+    if len(data) < size:
+        raise ProtocolError(f"connection closed with {size - len(data)} body bytes unread")
+    return data
+
+
+def _read_headers(reader) -> dict[bytes, bytes]:
+    """The header fields up to the blank line, names lower-cased; a repeated
+    name keeps its first value, as http.client does."""
+    headers: dict[bytes, bytes] = {}
+    for _ in range(_MAX_HEADERS + 1):
+        line = _read_line(reader)
+        if line == b"\r\n" or line == b"\n":
+            return headers
+        name, colon, value = line.partition(b":")
+        if not colon:
+            raise ProtocolError(f"malformed header line {line[:40]!r}")
+        headers.setdefault(name.strip().lower(), value.strip())
+    raise ProtocolError(f"reply has more than {_MAX_HEADERS} headers")
+
+
+def _read_chunked(reader) -> bytes:
+    parts = []
+    while True:
+        field = _read_line(reader).split(b";", 1)[0].strip()
+        if not _HEX.fullmatch(field):
+            raise ProtocolError(f"bad chunk size {field[:40]!r}")
+        size = int(field, 16)
+        if not size:
+            _read_headers(reader)  # the trailer
+            return b"".join(parts)
+        parts.append(_read_exact(reader, size))
+        if _read_line(reader) not in (b"\r\n", b"\n"):
+            raise ProtocolError("chunk longer than its size")
+
+
+def _read_response(reader) -> tuple[int, bytes, bool]:
+    """Reads one reply from a reader with a buffered file's readline(limit)
+    and read(size=-1) (a _Connection, or io.BytesIO): its status, its body and
+    whether the connection may carry the next request. Raises ProtocolError
+    on a malformed or truncated reply."""
+    while True:
+        match = _STATUS_LINE.fullmatch(_read_line(reader))
+        if match is None:
+            raise ProtocolError("malformed status line")
+        status = int(match[2])
+        headers = _read_headers(reader)
+        if status >= 200:
+            break
+    reusable = match[1] != b"0" and b"close" not in headers.get(b"connection", b"").lower()
+    if status in (204, 304):
+        return status, b"", reusable
+    if headers.get(b"transfer-encoding", b"").lower() == b"chunked":
+        return status, _read_chunked(reader), reusable
+    length = headers.get(b"content-length")
+    if length is None:
+        return status, reader.read(), False  # the body ends when the server closes
+    if not length.isdigit():
+        raise ProtocolError(f"bad Content-Length {length[:40]!r}")
+    return status, _read_exact(reader, int(length)), reusable
 
 
 def _closed_by_peer(sock) -> bool:
@@ -116,17 +201,58 @@ def _closed_by_peer(sock) -> bool:
     return bool(select.select([sock], [], [], 0)[0])
 
 
+class _Connection:
+    """A connected socket and the bytes received on it that no reply has used
+    yet, read through readline and read as from a buffered file. Unlike a
+    file's buffer, the leftover stays visible: a connection holding bytes
+    no request asked for must not carry the next request."""
+
+    __slots__ = ("sock", "buffer")
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.buffer = bytearray()
+
+    def _fill(self) -> bool:
+        data = self.sock.recv(65536)
+        self.buffer += data
+        return bool(data)
+
+    def readline(self, limit: int) -> bytes:
+        end = self.buffer.find(b"\n", 0, limit)
+        while end < 0 and len(self.buffer) < limit and self._fill():
+            end = self.buffer.find(b"\n", 0, limit)
+        return self._take(limit if end < 0 else end + 1)
+
+    def read(self, size: int = -1) -> bytes:
+        # Grows with the bytes received, not with the size asked for.
+        while (size < 0 or len(self.buffer) < size) and self._fill():
+            pass
+        return self._take(len(self.buffer) if size < 0 else size)
+
+    def _take(self, size: int) -> bytes:
+        data = bytes(self.buffer[:size])
+        del self.buffer[:size]
+        return data
+
+    def close(self) -> None:
+        self.sock.close()
+
+
 @dataclass
 class HttpGenerator:
     """POSTs to <endpoint>/generate with bounded-backoff retries.
 
-    Idle connections are kept on the generator, so they outlive the threads
-    and run_eval calls that used them. A request takes one from the stack
-    (or opens a new one) and puts it back after reading the response, so
-    no two requests share a connection at once and the number of
-    connections is bounded by the number of requests in flight. A
-    connection the server closed while idle is reopened without spending
-    an attempt. close() closes the idle connections.
+    Each request is its head and JSON body in one sendall on a TCP_NODELAY
+    socket (TLS-wrapped for https://, certificates checked against the
+    system trust store); the reply is read by _read_response. Idle
+    connections are kept on the generator, so they outlive the threads and
+    run_eval calls that used them. A request takes one from the stack (or
+    opens a new one) and puts it back after a reply that allows reuse and
+    left nothing unread, so no two requests share a connection at once and
+    the number of connections is bounded by the number of requests in
+    flight. A connection the server closed while idle is reopened without
+    spending an attempt. close() closes the idle connections.
     """
 
     endpoint: str
@@ -136,36 +262,52 @@ class HttpGenerator:
 
     def __post_init__(self):
         url = urlsplit(self.endpoint)
-        if url.scheme not in ("http", "https") or not url.hostname:
+        host = url.netloc.rpartition("@")[2]
+        path = url.path.rstrip("/") + "/generate"
+        # The request line and Host header are written as they are: printable ASCII only.
+        if url.scheme not in ("http", "https") or not url.hostname or not re.fullmatch(r"[!-~]+", host + path):
             raise ValueError(f"endpoint must be an http:// or https:// URL, got {self.endpoint!r}")
         https = url.scheme == "https"
-        self._connection_class = http.client.HTTPSConnection if https else http.client.HTTPConnection
-        self._address = (url.hostname, url.port)
-        self._path = url.path.rstrip("/") + "/generate"
-        self._idle: list[http.client.HTTPConnection] = []
+        self._tls = ssl.create_default_context() if https else None
+        self._address = (url.hostname, url.port or (443 if https else 80))
+        self._head = (
+            f"POST {path} HTTP/1.1\r\nHost: {host}\r\n"
+            "Content-Type: application/json\r\nContent-Length: "
+        ).encode()
+        self._idle: list[_Connection] = []
         self._lock = threading.Lock()
 
-    def _acquire(self) -> http.client.HTTPConnection:
+    def _acquire(self) -> _Connection:
         with self._lock:
             connection = self._idle.pop() if self._idle else None
-        if connection is None:
-            return self._connection_class(*self._address, timeout=self.timeout)
-        if connection.sock is not None and _closed_by_peer(connection.sock):
-            connection.close()  # the next request on it reconnects
-        return connection
+        if connection is not None:
+            if not _closed_by_peer(connection.sock):
+                return connection
+            connection.close()  # the server closed it while idle: reconnect, no attempt spent
+        sock = socket.create_connection(self._address, self.timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tls is not None:
+                sock = self._tls.wrap_socket(sock, server_hostname=self._address[0])
+        except OSError:
+            sock.close()
+            raise
+        return _Connection(sock)
 
     def _post(self, body: bytes) -> tuple[int, bytes]:
         connection = self._acquire()
         try:
-            connection.request("POST", self._path, body, _HEADERS)
-            response = connection.getresponse()
-            result = response.status, response.read()
-        except (OSError, http.client.HTTPException):
+            connection.sock.sendall(b"%s%d\r\n\r\n%s" % (self._head, len(body), body))
+            status, data, reusable = _read_response(connection)
+        except (OSError, ProtocolError):
             connection.close()
             raise
-        with self._lock:
-            self._idle.append(connection)
-        return result
+        if reusable and not connection.buffer:
+            with self._lock:
+                self._idle.append(connection)
+        else:
+            connection.close()
+        return status, data
 
     def close(self) -> None:
         with self._lock:
@@ -181,7 +323,7 @@ class HttpGenerator:
                 time.sleep(self.backoff_base * 2 ** (attempt - 1))
             try:
                 status, data = self._post(body)
-            except (OSError, http.client.HTTPException) as err:
+            except (OSError, ProtocolError) as err:
                 last_error = err
                 continue
             if status >= 500:
@@ -241,7 +383,7 @@ class ReplayGenerator:
         entries: dict[tuple[str, str], list[GeneratedOutput]] = {}
         path = Path(path)
         try:
-            lines = path.read_text(encoding="utf-8").splitlines()
+            lines = path.read_text(encoding="utf-8").split("\n")
         except (OSError, UnicodeDecodeError) as err:
             raise TransportError(f"cannot read replay fixture {path}: {err}") from err
         for lineno, line in enumerate(lines, start=1):

@@ -300,7 +300,7 @@ def score_predictions(
 def _load_predictions(path: Path, corpus: Corpus) -> dict[str, tuple[str, str]]:
     turn_ids = {turn.turn_id for d in corpus.dialogues for turn in d.turns}
     predictions: dict[str, tuple[str, str]] = {}
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = path.read_text(encoding="utf-8").split("\n")
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue

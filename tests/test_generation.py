@@ -296,10 +296,187 @@ class TestPersistentConnections:
         assert len(keepalive_stub.paths) == 160
         assert keepalive_stub.connections <= 8
 
-    @pytest.mark.parametrize("endpoint", ["127.0.0.1:8000", "ftp://127.0.0.1/", "http://"])
+    @pytest.mark.parametrize(
+        "endpoint", ["127.0.0.1:8000", "ftp://127.0.0.1/", "http://", "http://127.0.0.1/a b", "http://hôst/"]
+    )
     def test_endpoint_must_be_http_url(self, endpoint):
         with pytest.raises(ValueError):
             HttpGenerator(endpoint=endpoint)
+
+
+class _ScriptedServer:
+    """A raw TCP server on 127.0.0.1 that answers each request with the next
+    scripted reply, byte for byte, and records what it receives.
+
+    A script entry is (reply bytes, close): with close the server shuts the
+    connection after the reply. `requests` holds (connection number, the
+    bytes of the request, whether its first recv held all of them).
+    """
+
+    def __init__(self, script):
+        self.script = list(script)
+        self.requests = []
+        self.connections = 0
+        self.lock = threading.Lock()
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.listener.settimeout(0.1)
+        self.stop = threading.Event()
+        self.threads = [threading.Thread(target=self._accept, daemon=True)]
+        self.threads[0].start()
+
+    @property
+    def endpoint(self) -> str:
+        return f"http://127.0.0.1:{self.listener.getsockname()[1]}"
+
+    def _accept(self) -> None:
+        while not self.stop.is_set():
+            try:
+                conn, _ = self.listener.accept()
+            except TimeoutError:
+                continue
+            with self.lock:
+                self.connections += 1
+                number = self.connections
+            thread = threading.Thread(target=self._serve, args=(conn, number), daemon=True)
+            self.threads.append(thread)
+            thread.start()
+
+    def _serve(self, conn: socket.socket, number: int) -> None:
+        conn.settimeout(5)
+        with conn:
+            try:
+                while True:
+                    first = data = conn.recv(65536)
+                    while b"\r\n\r\n" not in data or len(data) < _request_size(data):
+                        more = conn.recv(65536)
+                        if not more:
+                            return  # the client closed the connection
+                        data += more
+                    with self.lock:
+                        self.requests.append((number, data, first == data))
+                        reply, close = self.script.pop(0) if self.script else (b"", True)
+                    conn.sendall(reply)
+                    if close:
+                        return
+            except OSError:
+                pass  # the client gave up on the reply
+
+    def close(self) -> None:
+        self.stop.set()
+        for thread in self.threads:
+            thread.join(timeout=5)
+        self.listener.close()
+        assert not any(thread.is_alive() for thread in self.threads)
+
+
+def _request_size(data: bytes) -> int:
+    """The size of the request whose head `data` starts with: head and body."""
+    head = data.split(b"\r\n\r\n", 1)[0]
+    return len(head) + 4 + int(head.lower().split(b"content-length: ")[1].split(b"\r\n")[0])
+
+
+def _json_reply(text: str, *headers: str, version: str = "1.1") -> bytes:
+    body = json.dumps({"outputs": [{"text": text}]}).encode()
+    head = "".join(f"{header}\r\n" for header in headers)
+    return f"HTTP/{version} 200 OK\r\nContent-Length: {len(body)}\r\n{head}\r\n".encode() + body
+
+
+@pytest.fixture
+def scripted():
+    """Starts a _ScriptedServer on a script; closes the server and the generator after the test."""
+    servers, generators = [], []
+
+    def start(*script):
+        server = _ScriptedServer(script)
+        generator = HttpGenerator(endpoint=server.endpoint, backoff_base=0.01, max_attempts=3, timeout=5.0)
+        servers.append(server)
+        generators.append(generator)
+        return server, generator
+
+    yield start
+    for generator in generators:
+        generator.close()
+    for server in servers:
+        server.close()
+
+
+class TestWire:
+    def test_request_is_one_head_and_body_in_one_write(self, scripted):
+        server, generator = scripted((_json_reply("a"), False))
+        request = _greedy("t1")
+        assert generator.generate(request)[0].text == "a"
+        (number, data, whole_in_first_recv), = server.requests
+        head, body = data.split(b"\r\n\r\n", 1)
+        port = server.endpoint.rsplit(":", 1)[1]
+        assert head.split(b"\r\n") == [
+            b"POST /generate HTTP/1.1",
+            f"Host: 127.0.0.1:{port}".encode(),
+            b"Content-Type: application/json",
+            f"Content-Length: {len(body)}".encode(),
+        ]
+        assert json.loads(body) == request.to_payload()
+        assert whole_in_first_recv
+
+    def test_chunked_reply_keeps_the_connection(self, scripted):
+        body = json.dumps({"outputs": [{"text": "chunked"}]}).encode()
+        chunks = b"".join(b"%x;ext=1\r\n%s\r\n" % (len(part), part) for part in (body[:5], body[5:]))
+        reply = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" + chunks + b"0\r\nX-Trailer: 1\r\n\r\n"
+        server, generator = scripted((reply, False), (_json_reply("next"), False))
+        assert generator.generate(_greedy("t1"))[0].text == "chunked"
+        assert generator.generate(_greedy("t2"))[0].text == "next"
+        assert [number for number, _, _ in server.requests] == [1, 1]
+
+    def test_http10_reply_ends_at_close(self, scripted):
+        body = json.dumps({"outputs": [{"text": "old"}]}).encode()
+        reply = b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n" + body
+        server, generator = scripted((reply, True), (_json_reply("next"), False))
+        assert generator.generate(_greedy("t1"))[0].text == "old"
+        assert generator.generate(_greedy("t2"))[0].text == "next"
+        assert [number for number, _, _ in server.requests] == [1, 2]
+
+    def test_connection_close_is_not_reused(self, scripted):
+        # The server leaves the socket open: only the header stops the reuse.
+        server, generator = scripted((_json_reply("a", "Connection: close"), False), (_json_reply("b"), False))
+        assert generator.generate(_greedy("t1"))[0].text == "a"
+        assert generator.generate(_greedy("t2"))[0].text == "b"
+        assert [number for number, _, _ in server.requests] == [1, 2]
+
+    def test_bytes_after_the_reply_are_never_read_as_the_next_reply(self, scripted):
+        server, generator = scripted((_json_reply("a") + _json_reply("stray"), False), (_json_reply("b"), False))
+        assert generator.generate(_greedy("t1"))[0].text == "a"
+        assert generator.generate(_greedy("t2"))[0].text == "b"
+        assert [number for number, _, _ in server.requests] == [1, 2]
+
+    def test_100_continue_is_skipped(self, scripted):
+        reply = b"HTTP/1.1 100 Continue\r\n\r\n" + _json_reply("after-continue")
+        server, generator = scripted((reply, False))
+        assert generator.generate(_greedy("t1"))[0].text == "after-continue"
+
+    def test_204_reply_does_not_wait_for_the_timeout(self, scripted):
+        server, generator = scripted((b"HTTP/1.1 204 No Content\r\n\r\n", False), (_json_reply("b"), False))
+        started = time.perf_counter()
+        with pytest.raises(TransportError, match=r"^generation endpoint returned 204$"):
+            generator.generate(_greedy("t1"))
+        assert time.perf_counter() - started < 2.0
+        assert generator.generate(_greedy("t2"))[0].text == "b"
+        assert [number for number, _, _ in server.requests] == [1, 1]
+
+    @pytest.mark.parametrize(
+        "reply, error",
+        [
+            (b"HTTP/1.1 OK\r\n\r\n", "malformed status line"),
+            (b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{}", "connection closed with 98 body bytes unread"),
+            (b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 70_000 + b"\r\n\r\n", "reply line longer than 65536 bytes"),
+        ],
+        ids=["malformed-status-line", "truncated-body", "over-long-header-line"],
+    )
+    def test_malformed_reply_spends_every_attempt(self, scripted, reply, error):
+        server, generator = scripted(*[(reply, True)] * 3)
+        with pytest.raises(TransportError) as err:
+            generator.generate(_greedy("t1"))
+        assert str(err.value) == f"generation failed after 3 attempts: {error}"
+        assert err.value.__cause__ is None and err.value.__context__ is None
+        assert [number for number, _, _ in server.requests] == [1, 2, 3]
 
 
 def _tls_reply_server(cert: Path, key: Path, stop: threading.Event, handshakes: list):
@@ -406,7 +583,12 @@ def test_import_loads_no_third_party_http_client():
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     subprocess.run(
-        [sys.executable, "-c", "import pcqa, sys; assert 'requests' not in sys.modules"],
+        [
+            sys.executable,
+            "-c",
+            "import pcqa, sys; loaded = {'requests', 'http.client', 'email'} & set(sys.modules); "
+            "assert not loaded, loaded",
+        ],
         env=env,
         check=True,
     )
@@ -546,6 +728,27 @@ class TestReplayLineErrors:
         with pytest.raises(TransportError) as err:
             ReplayGenerator.from_jsonl(path)
         assert str(err.value) == f"{path}:4: bad replay line: 'turn_id'"
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"], ids=["U+2028", "U+2029", "U+0085"])
+    def test_unicode_line_separator_inside_a_decode(self, tmp_path, separator):
+        """JSON allows these raw inside a string; only "\\n" ends a line."""
+        path = tmp_path / "replay.jsonl"
+        text = f"[clari.] False [resp.] 1{separator}2"
+        line = json.dumps({"turn_id": "t", "mode": "greedy", "outputs": [{"text": text}]}, ensure_ascii=False)
+        assert separator in line
+        path.write_text(f"{line}\n{line}\n", encoding="utf-8")
+        generator = ReplayGenerator.from_jsonl(path)
+        assert generator.generate(_greedy("t")) == (GeneratedOutput(text),)
+
+    def test_crlf_file_names_the_bad_line(self, tmp_path):
+        path = tmp_path / "replay.jsonl"
+        good = json.dumps({"turn_id": "t", "mode": "greedy", "outputs": [{"text": "x"}]})
+        path.write_bytes(f"{good}\r\n\r\n{good}\r\n{{\"mode\": 1}}\r\n".encode())
+        with pytest.raises(TransportError) as err:
+            ReplayGenerator.from_jsonl(path)
+        assert str(err.value) == f"{path}:4: bad replay line: 'turn_id'"
+        path.write_bytes(f"{good}\r\n{good}\r\n".encode())
+        assert ReplayGenerator.from_jsonl(path).generate(_greedy("t")) == (GeneratedOutput("x"),)
 
     def test_bad_outputs_keep_their_message(self, tmp_path):
         path = tmp_path / "replay.jsonl"

@@ -351,6 +351,33 @@ class TestScorePredictions:
         assert by_turn["a1-q4"]["em"] == 0
         assert report.overall_em == pytest.approx(15 / 16)
 
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"], ids=["U+2028", "U+2029", "U+0085"])
+    def test_unicode_line_separator_inside_a_decode(self, small_corpus, tmp_path, caplog, separator):
+        """JSON allows these raw inside a string, and write_jsonl writes them raw."""
+        lines = self.gold_prediction_lines(small_corpus)
+        for line in lines:
+            if line["turn_id"] == "a1-q4":
+                line["output"] = f"[clari.] False [resp.] 1{separator}2"
+        path = tmp_path / "preds.jsonl"
+        write_jsonl(lines, path)
+        assert separator in path.read_text(encoding="utf-8")
+        with caplog.at_level("WARNING"):
+            report, logs = score_predictions(path, small_corpus)
+        assert not caplog.messages
+        by_turn = {log["turn_id"]: log for log in logs}
+        assert by_turn["a1-q4"]["prediction"] == f"[clari.] False [resp.] 1{separator}2"
+        assert report.overall_em == pytest.approx(15 / 16)
+
+    def test_crlf_file_names_the_bad_line(self, small_corpus, tmp_path, caplog):
+        encoded = [json.dumps(line) for line in self.gold_prediction_lines(small_corpus)]
+        encoded[2] = "{ this is not json"
+        path = tmp_path / "preds.jsonl"
+        path.write_bytes("\r\n".join(encoded).encode() + b"\r\n")
+        with caplog.at_level("WARNING"):
+            report, _ = score_predictions(path, small_corpus)
+        assert [m.split(": malformed")[0] for m in caplog.messages] == [f"{path}:3"]
+        assert report.overall_em == pytest.approx(15 / 16)
+
     def test_empty_predictions_file(self, small_corpus, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
