@@ -31,7 +31,6 @@ import math
 import re
 import select
 import socket
-import ssl
 import sys
 import threading
 import time
@@ -268,7 +267,11 @@ class HttpGenerator:
         if url.scheme not in ("http", "https") or not url.hostname or not re.fullmatch(r"[!-~]+", host + path):
             raise ValueError(f"endpoint must be an http:// or https:// URL, got {self.endpoint!r}")
         https = url.scheme == "https"
-        self._tls = ssl.create_default_context() if https else None
+        self._tls = None
+        if https:
+            import ssl  # only here: importing it costs milliseconds and megabytes at every start
+
+            self._tls = ssl.create_default_context()
         self._address = (url.hostname, url.port or (443 if https else 80))
         self._head = (
             f"POST {path} HTTP/1.1\r\nHost: {host}\r\n"
@@ -382,19 +385,22 @@ class ReplayGenerator:
     def from_jsonl(cls, path: str | Path) -> "ReplayGenerator":
         entries: dict[tuple[str, str], list[GeneratedOutput]] = {}
         path = Path(path)
+        # Read line by line, so the whole text is never held at once. Lines end
+        # at "\n", "\r\n" or "\r" (read as "\n"), never at the other code
+        # points that str.splitlines() takes for line ends.
         try:
-            lines = path.read_text(encoding="utf-8").split("\n")
+            with open(path, encoding="utf-8") as lines:
+                for lineno, line in enumerate(lines, start=1):
+                    if not line.strip():
+                        continue
+                    try:
+                        record = json.loads(line.rstrip("\n"))
+                        key = (str(record["turn_id"]), str(record.get("mode", SAMPLE)))
+                    except (ValueError, RecursionError, KeyError, TypeError) as err:
+                        raise TransportError(f"{path}:{lineno}: bad replay line: {err}") from err
+                    entries[key] = _parse_outputs(record)
         except (OSError, UnicodeDecodeError) as err:
             raise TransportError(f"cannot read replay fixture {path}: {err}") from err
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                key = (str(record["turn_id"]), str(record.get("mode", SAMPLE)))
-            except (ValueError, RecursionError, KeyError, TypeError) as err:
-                raise TransportError(f"{path}:{lineno}: bad replay line: {err}") from err
-            entries[key] = _parse_outputs(record)
         return cls(entries)
 
     def generate(self, request: GenerationRequest) -> tuple[GeneratedOutput, ...]:

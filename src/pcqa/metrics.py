@@ -7,16 +7,21 @@ currency/percent symbols attached to numerals (so "148,502" against
 "$148,502" is an EM miss), while the token-F1 side strips them (so the same
 pair keeps a high F1). A numeric mismatch zeroes the pair F1 outright.
 Each span is normalized once per turn, to both flavors and its plain
-number; a numeric answer goes there straight from its value, rendered and
-parsed once. `record_scores` scores one turn; `aggregate_report` sums those
-per-turn scores and never recomputes them.
+number; a numeric answer goes there straight from its rendering, parsed
+once, and a span with no digit skips numeral parsing altogether. Token and
+bigram overlaps are counted with one dict; multi-span answers pair under the
+optimal assignment (Hungarian method). `record_scores` scores one turn;
+`aggregate_report` sums those per-turn scores. Its clarifying-question block
+adds ROUGE-2 and the question EM, and reuses the turn's F1 as the question
+token F1 unless the prediction has several text spans, or none, which it
+joins and scores as one.
 """
 
 from __future__ import annotations
 
+import math
 import re
 import string
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
@@ -54,6 +59,8 @@ _CURRENCY = "$€£¥"
 # an optional fraction, or a fraction alone.
 _NUMERAL = re.compile(r"^[$€£¥]?-?(?:(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?|\.\d+)%?$")
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
+# A numeral holds at least one \d character: a Unicode decimal digit.
+_HAS_DIGIT = re.compile(r"\d").search
 
 
 def parse_numeral(token: str) -> tuple[Fraction, str, str] | None:
@@ -88,9 +95,15 @@ class _Normalized(NamedTuple):
 def _normalize(text: str, precision: int) -> _Normalized:
     """Lowercase, drop leading articles, canonicalize numerals at the given
     precision, strip punctuation from non-numeral tokens, collapse spaces."""
-    tokens = text.lower().split()
+    lowered = text.lower()
+    tokens = lowered.split()
     while tokens and tokens[0] in _ARTICLES:
         tokens.pop(0)
+    if not _HAS_DIGIT(lowered):
+        # No token can be a numeral: strip punctuation, which holds no
+        # whitespace, and let split drop the tokens left empty.
+        kept = " ".join(tokens).translate(_PUNCT_TABLE).split()
+        return _Normalized(" ".join(kept), kept, None)
     em, f1 = [], []
     value = None  # of the last token kept, when it is a numeral
     for token in tokens:
@@ -121,9 +134,8 @@ def _normalize(text: str, precision: int) -> _Normalized:
     return _Normalized(em[0], [render_decimal(parsed[0], precision)], parsed[0])
 
 
-def _numeric_span(value: Fraction, precision: int) -> _Normalized:
-    """`_normalize` of the rendered value, rendering and parsing it once."""
-    rendered = render_decimal(value, precision)
+def _numeric_span(rendered: str, precision: int) -> _Normalized:
+    """`_normalize` of a numeric answer's rendering, parsing it once."""
     number = decimal_value(rendered)
     if number is None:
         return _normalize(rendered, precision)  # too long to be a numeral: text
@@ -139,12 +151,16 @@ def _as_spans(side: Spans) -> list[str]:
     return [str(s) for s in side]
 
 
-def _answer_spans(answer: CanonicalAnswer | None, config: EvalConfig) -> list[_Normalized]:
+def _answer_spans(
+    answer: CanonicalAnswer | None, config: EvalConfig, texts: Sequence[str] | None = None
+) -> list[_Normalized]:
     if answer is None:
         return []
+    if texts is None:
+        texts = answer.text_spans(config)
     if isinstance(answer, NumericAnswer):
-        return [_numeric_span(answer.value, config.render_precision)]
-    return [_normalize(s, config.render_precision) for s in answer.text_spans(config)]
+        return [_numeric_span(texts[0], config.render_precision)]
+    return [_normalize(s, config.render_precision) for s in texts]
 
 
 def _em_comparable(pred: CanonicalAnswer | None, pred_scale: str, gold: GoldTurnAnswer) -> bool:
@@ -154,15 +170,23 @@ def _em_comparable(pred: CanonicalAnswer | None, pred_scale: str, gold: GoldTurn
 def _same_spans(pred: list[_Normalized], gold: list[_Normalized]) -> int:
     if len(pred) == 1 and len(gold) == 1:
         return int(pred[0].em == gold[0].em)
-    return int(Counter(p.em for p in pred) == Counter(g.em for g in gold))
+    return int(sorted(p.em for p in pred) == sorted(g.em for g in gold))
 
 
-def _bag_f1(pred_tokens: Counter, gold_tokens: Counter) -> float:
-    overlap = sum((pred_tokens & gold_tokens).values())
+def _bag_f1(pred: list, gold: list) -> float:
+    """F1 of two lists as bags (multisets); 0 when they share nothing."""
+    left: dict = {}  # each gold item's count not yet matched
+    for item in gold:
+        left[item] = left.get(item, 0) + 1
+    overlap = 0
+    for item in pred:
+        if left.get(item):
+            left[item] -= 1
+            overlap += 1
     if overlap == 0:
         return 0.0
-    precision = overlap / sum(pred_tokens.values())
-    recall = overlap / sum(gold_tokens.values())
+    precision = overlap / len(pred)
+    recall = overlap / len(gold)
     return 2 * precision * recall / (precision + recall)
 
 
@@ -170,7 +194,7 @@ def _pair_f1(pred: _Normalized, gold: _Normalized) -> float:
     if pred.number is None and gold.number is None:
         if pred.tokens == gold.tokens:
             return 1.0
-        return _bag_f1(Counter(pred.tokens), Counter(gold.tokens))
+        return _bag_f1(pred.tokens, gold.tokens)
     if pred.number is None or gold.number is None:
         return 0.0
     # Equal within NUMERIC_TOLERANCE, or rendered alike: the tokens are the renderings.
@@ -180,23 +204,21 @@ def _pair_f1(pred: _Normalized, gold: _Normalized) -> float:
 
 
 def numeracy_f1(pred: Spans, gold: Spans, config: EvalConfig = DEFAULT_CONFIG) -> float:
-    """Numeracy-focused token F1.
+    """Numeracy-focused token F1 (DROP, TAT-QA).
 
     A numeric side that disagrees with the other side scores zero. Multi-span
-    answers pair greedily one-to-one: the highest-scoring free pair first,
-    ties to the lowest indices, and the sum is divided by
-    max(len(pred), len(gold)). Greedy pairing can miss the pairing with the
-    highest mean F1; ROADMAP.md tracks that under "Score multi-span answers
-    with the optimal pairing".
+    answers pair one-to-one under the pairing with the greatest total F1 (the
+    optimal assignment, as the DROP and TAT-QA scorers solve it), and the
+    total is divided by max(len(pred), len(gold)).
     """
     precision = config.render_precision
-    return _greedy_f1(
+    return _pairing_f1(
         [_normalize(s, precision) for s in _as_spans(pred)],
         [_normalize(s, precision) for s in _as_spans(gold)],
     )
 
 
-def _greedy_f1(pred_list: list[_Normalized], gold_list: list[_Normalized]) -> float:
+def _pairing_f1(pred_list: list[_Normalized], gold_list: list[_Normalized]) -> float:
     if not pred_list and not gold_list:
         return 1.0
     if not pred_list or not gold_list:
@@ -204,36 +226,75 @@ def _greedy_f1(pred_list: list[_Normalized], gold_list: list[_Normalized]) -> fl
     if len(pred_list) == 1 and len(gold_list) == 1:
         return _pair_f1(pred_list[0], gold_list[0])
     matrix = [[_pair_f1(p, g) for g in gold_list] for p in pred_list]
-    free_pred = set(range(len(pred_list)))
-    free_gold = set(range(len(gold_list)))
+    if len(pred_list) > len(gold_list):
+        matrix = [list(column) for column in zip(*matrix)]
     total = 0.0
-    while free_pred and free_gold:
-        best = max(
-            ((matrix[i][j], -i, -j) for i in free_pred for j in free_gold),
-        )
-        score, i, j = best[0], -best[1], -best[2]
+    # Largest first, so a best pairing that a greedy pass also finds sums to
+    # the same float as that pass does.
+    for score in sorted(_best_pairing(matrix), reverse=True):
         total += score
-        free_pred.remove(i)
-        free_gold.remove(j)
     return total / max(len(pred_list), len(gold_list))
 
 
-def _bigrams(text: str) -> Counter:
+def _best_pairing(matrix: list[list[float]]) -> list[float]:
+    """The scores of a one-to-one pairing of the rows with the columns (no
+    more rows than columns) that has the greatest total.
+
+    When the rows that score above zero have their best scores in distinct
+    columns, those scores are the pairing. Otherwise the Hungarian method
+    solves it in O(rows² · columns): each row in turn joins by the cheapest
+    augmenting path, cost being the negated score, with potentials `u` on
+    rows and `v` on columns that keep every reduced cost non-negative.
+    """
+    best = [max(row) for row in matrix]
+    columns = [row.index(b) for row, b in zip(matrix, best) if b > 0]
+    if len(set(columns)) == len(columns):
+        return best  # each row scores its best, which no pairing beats
+    rows, cols = len(matrix), len(matrix[0])
+    u = [0.0] * (rows + 1)
+    v = [0.0] * (cols + 1)
+    owner = [0] * (cols + 1)  # the 1-based row paired with each column; column 0 is the root
+    way = [0] * (cols + 1)  # the column before each one on the path
+    for i in range(1, rows + 1):
+        owner[0] = i
+        j0 = 0
+        slack = [math.inf] * (cols + 1)
+        used = [False] * (cols + 1)
+        while owner[j0]:
+            used[j0] = True
+            i0, delta, j1 = owner[j0], math.inf, 0
+            row = matrix[i0 - 1]
+            for j in range(1, cols + 1):
+                if not used[j]:
+                    reduced = -row[j - 1] - u[i0] - v[j]
+                    if reduced < slack[j]:
+                        slack[j], way[j] = reduced, j0
+                    if slack[j] < delta:
+                        delta, j1 = slack[j], j
+            for j in range(cols + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            j0 = j1
+        while j0:  # flip the path from the free column back to the root
+            j1 = way[j0]
+            owner[j0] = owner[j1]
+            j0 = j1
+    return [matrix[owner[j] - 1][j - 1] for j in range(1, cols + 1) if owner[j]]
+
+
+def _bigrams(text: str) -> list[tuple[str, str]]:
     tokens = text.lower().split()
-    return Counter(zip(tokens, tokens[1:]))
+    return list(zip(tokens, tokens[1:]))
 
 
 def rouge2_f1(pred: str, gold: str) -> float:
     pred_grams, gold_grams = _bigrams(pred), _bigrams(gold)
-    overlap = sum((pred_grams & gold_grams).values())
-    n_pred, n_gold = sum(pred_grams.values()), sum(gold_grams.values())
-    if n_pred == 0 and n_gold == 0:
+    if not pred_grams and not gold_grams:
         return 1.0
-    if n_pred == 0 or n_gold == 0 or overlap == 0:
-        return 0.0
-    precision = overlap / n_pred
-    recall = overlap / n_gold
-    return 2 * precision * recall / (precision + recall)
+    return _bag_f1(pred_grams, gold_grams)
 
 
 def classification_prf(preds: Sequence[bool], golds: Sequence[bool]) -> tuple[float, float, float]:
@@ -261,17 +322,23 @@ class PredictionRecord:
         return isinstance(self.predicted, ClarifyAnswer)
 
 
-def record_scores(record: PredictionRecord, config: EvalConfig = DEFAULT_CONFIG) -> tuple[int, float]:
+def record_scores(
+    record: PredictionRecord,
+    config: EvalConfig = DEFAULT_CONFIG,
+    predicted_spans: Sequence[str] | None = None,
+) -> tuple[int, float]:
     """(EM, F1) of one turn, normalizing each span once for both.
 
     EM is 1 iff the normalized spans are equal as multisets. Clarification
     questions only ever match clarification predictions, and the scale
-    strings must match exactly for every answer type.
+    strings must match exactly for every answer type. `predicted_spans`,
+    when given, is `record.predicted.text_spans(config)`, which the caller
+    has rendered already.
     """
-    pred = _answer_spans(record.predicted, config)
+    pred = _answer_spans(record.predicted, config, predicted_spans)
     gold = _answer_spans(record.gold.canonical, config)
     comparable = _em_comparable(record.predicted, record.predicted_scale, record.gold)
-    return (_same_spans(pred, gold) if comparable else 0), _greedy_f1(pred, gold)
+    return (_same_spans(pred, gold) if comparable else 0), _pairing_f1(pred, gold)
 
 
 ScoredRecord = tuple[PredictionRecord, int, float]
@@ -406,41 +473,40 @@ def aggregate_report(
     """
     if not per_record:
         raise EmptyRecordSet("no prediction records to aggregate")
-    records = [r for r, _, _ in per_record]
     overall_em = sum(em for _, em, _ in per_record) / len(per_record)
     overall_f1 = sum(f1 for _, _, f1 in per_record) / len(per_record)
     cnp_p, cnp_r, cnp_f = classification_prf(
-        [r.clarification_pred for r in records], [r.gold.req_clari for r in records]
+        [r.clarification_pred for r, _, _ in per_record], [r.gold.req_clari for r, _, _ in per_record]
     )
-    clarifying = [r for r in records if r.gold.req_clari]
-    answering = [(r, em, f1) for r, em, f1 in per_record if not r.gold.req_clari]
-    cqg_rouge = cqg_em = cqg_f1 = None
-    if clarifying:
-        rouge_scores = []
-        em_scores = []
-        f1_scores = []
-        for r in clarifying:
-            pred_text = r.predicted.text(config) if r.predicted else ""
-            gold_text = r.gold.clarification_question
-            rouge_scores.append(rouge2_f1(pred_text, gold_text))
-            em_scores.append(
-                 1.0
-                 if normalize_answer_text(pred_text) == normalize_answer_text(gold_text)
-                 and pred_text
-                 else 0.0
-            )
-            f1_scores.append(numeracy_f1(pred_text, gold_text, config))
-        cqg_rouge = sum(rouge_scores) / len(rouge_scores)
-        cqg_em = sum(em_scores) / len(em_scores)
-        cqg_f1 = sum(f1_scores) / len(f1_scores)
-    cqa_em = cqa_f1 = None
-    if answering:
-        cqa_em = sum(em for _, em, _ in answering) / len(answering)
-        cqa_f1 = sum(f1 for _, _, f1 in answering) / len(answering)
+    rouge_scores: list[float] = []
+    cqg_ems: list[float] = []
+    cqg_f1s: list[float] = []
+    answering: list[tuple[int, float]] = []
     grid: dict[tuple[str, str], list[tuple[int, float]]] = {}
     for r, em, f1 in per_record:
-        key = (_TYPE_LABELS[r.gold.answer_type], _SOURCE_LABELS[r.gold.source])
-        grid.setdefault(key, []).append((em, f1))
+        grid.setdefault((_TYPE_LABELS[r.gold.answer_type], _SOURCE_LABELS[r.gold.source]), []).append((em, f1))
+        if not r.gold.req_clari:
+            answering.append((em, f1))
+            continue
+        spans = r.predicted.text_spans(config) if r.predicted else []
+        pred_text = ", ".join(spans)
+        gold_text = r.gold.clarification_question
+        rouge_scores.append(rouge2_f1(pred_text, gold_text))
+        cqg_ems.append(
+            1.0 if pred_text and normalize_answer_text(pred_text) == normalize_answer_text(gold_text) else 0.0
+        )
+        # The turn's F1 scored this one span against the gold question, the
+        # gold's one span. Joined spans, or none, make a span of their own.
+        cqg_f1s.append(f1 if len(spans) == 1 else numeracy_f1(pred_text, gold_text, config))
+    cqg_rouge = cqg_em = cqg_f1 = None
+    if rouge_scores:
+        cqg_rouge = sum(rouge_scores) / len(rouge_scores)
+        cqg_em = sum(cqg_ems) / len(cqg_ems)
+        cqg_f1 = sum(cqg_f1s) / len(cqg_f1s)
+    cqa_em = cqa_f1 = None
+    if answering:
+        cqa_em = sum(em for em, _ in answering) / len(answering)
+        cqa_f1 = sum(f1 for _, f1 in answering) / len(answering)
     breakdown = {
         key: CellScore(
             count=len(scores),
@@ -450,13 +516,13 @@ def aggregate_report(
         for key, scores in grid.items()
     }
     return MetricReport(
-        records=len(records),
+        records=len(per_record),
         overall_em=overall_em,
         overall_f1=overall_f1,
         cnp_precision=cnp_p,
         cnp_recall=cnp_r,
         cnp_f1=cnp_f,
-        cqg_count=len(clarifying),
+        cqg_count=len(rouge_scores),
         cqg_rouge2=cqg_rouge,
         cqg_em=cqg_em,
         cqg_token_f1=cqg_f1,

@@ -271,23 +271,17 @@ def score_predictions(
     for dialogue in corpus.dialogues:
         for turn in dialogue.turns:
             raw, scale = predictions.get(turn.turn_id, (None, ""))
-            answer = None
-            if raw is not None:
-                answer = canonicalize(raw)
-            record = PredictionRecord(
-                turn_id=turn.turn_id,
-                predicted=answer,
-                predicted_scale=scale,
-                gold=turn.gold,
-            )
-            em, f1 = record_scores(record, config)
+            answer = None if raw is None else canonicalize(raw)
+            spans = answer.text_spans(config) if answer else []
+            record = PredictionRecord(turn.turn_id, answer, scale, turn.gold)
+            em, f1 = record_scores(record, config, spans)
             records.append((record, em, f1))
             logs.append(
                 {
                     "turn_id": turn.turn_id,
                     "dialogue_id": dialogue.dialogue_id,
                     "prediction": raw,
-                    "final_response": answer.text(config) if answer else "",
+                    "final_response": ", ".join(spans),
                     "em": em,
                     "f1": round(f1, 6),
                 }
@@ -300,27 +294,28 @@ def score_predictions(
 def _load_predictions(path: Path, corpus: Corpus) -> dict[str, tuple[str, str]]:
     turn_ids = {turn.turn_id for d in corpus.dialogues for turn in d.turns}
     predictions: dict[str, tuple[str, str]] = {}
-    lines = path.read_text(encoding="utf-8").split("\n")
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            turn_id = str(obj["turn_id"])
-            if "output" in obj:
-                raw = _string_field(obj, "output")
-            else:
-                flag = obj["clarification"]
-                if not isinstance(flag, bool):
-                    raise TypeError(f"clarification must be true or false, got {flag!r}")
-                raw = format_target(Task.MULTI, flag, _string_field(obj, "response"))
-            scale = _string_field(obj, "scale") if "scale" in obj else ""
-        except Exception as err:  # malformed line: warn, the turn scores 0
-            logger.warning("%s:%d: malformed prediction line (%s); skipped", path, lineno, err)
-            continue
-        if turn_id not in turn_ids:
-            raise UnknownTurnId(f"{path}:{lineno}: unknown turn id {turn_id!r}")
-        predictions[turn_id] = (raw, scale)
+    # Line by line, as ReplayGenerator.from_jsonl reads: "\n", "\r\n" and "\r" end a line.
+    with open(path, encoding="utf-8") as lines:
+        for lineno, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line.rstrip("\n"))
+                turn_id = str(obj["turn_id"])
+                if "output" in obj:
+                    raw = _string_field(obj, "output")
+                else:
+                    flag = obj["clarification"]
+                    if not isinstance(flag, bool):
+                        raise TypeError(f"clarification must be true or false, got {flag!r}")
+                    raw = format_target(Task.MULTI, flag, _string_field(obj, "response"))
+                scale = _string_field(obj, "scale") if "scale" in obj else ""
+            except Exception as err:  # malformed line: warn, the turn scores 0
+                logger.warning("%s:%d: malformed prediction line (%s); skipped", path, lineno, err)
+                continue
+            if turn_id not in turn_ids:
+                raise UnknownTurnId(f"{path}:{lineno}: unknown turn id {turn_id!r}")
+            predictions[turn_id] = (raw, scale)
     if not predictions:
         raise EmptyRecordSet(f"no usable prediction lines in {path}")
     return predictions

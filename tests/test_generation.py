@@ -580,13 +580,14 @@ class TestHttps:
 
 
 def test_import_loads_no_third_party_http_client():
+    # Nor ssl, which only an https:// endpoint needs.
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     subprocess.run(
         [
             sys.executable,
             "-c",
-            "import pcqa, sys; loaded = {'requests', 'http.client', 'email'} & set(sys.modules); "
+            "import pcqa, sys; loaded = {'requests', 'http.client', 'email', 'ssl'} & set(sys.modules); "
             "assert not loaded, loaded",
         ],
         env=env,

@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 import string
@@ -19,6 +20,11 @@ from pcqa.metrics import (
     EmptyRecordSet,
     LengthMismatch,
     PredictionRecord,
+    _bag_f1,
+    _best_pairing,
+    _normalize,
+    _Normalized,
+    _same_spans,
     aggregate_report,
     classification_prf,
     numeracy_f1,
@@ -384,14 +390,17 @@ def _ref_record_scores(record, config):
     if not pred_spans or not gold_spans:
         return em, 0.0
     matrix = [[_ref_pair_f1(p, g, config) for g in gold_spans] for p in pred_spans]
-    free_pred, free_gold = set(range(len(pred_spans))), set(range(len(gold_spans)))
-    total = 0.0
-    while free_pred and free_gold:
-        score, i, j = max((matrix[i][j], -i, -j) for i in free_pred for j in free_gold)
-        total += score
-        free_pred.remove(-i)
-        free_gold.remove(-j)
-    return em, total / max(len(pred_spans), len(gold_spans))
+    return em, _ref_best_total(matrix) / max(len(pred_spans), len(gold_spans))
+
+
+def _ref_best_total(matrix):
+    """The greatest total of a one-to-one pairing, by trying every one."""
+    rows, cols = len(matrix), len(matrix[0])
+    if rows <= cols:
+        pairings = ([matrix[i][j] for i, j in enumerate(p)] for p in itertools.permutations(range(cols), rows))
+    else:
+        pairings = ([matrix[i][j] for j, i in enumerate(p)] for p in itertools.permutations(range(rows), cols))
+    return max(sum(scores) for scores in pairings)
 
 
 # Numerals with and without currency, percent and thousands marks, so that
@@ -455,7 +464,10 @@ def _marked_pair(draw):
 def test_record_scores_matches_reference_property(turn, config):
     predicted, scale, g = turn
     record = make_record("p", predicted, g, scale=scale)
-    assert record_scores(record, config) == _ref_record_scores(record, config)
+    em, f1 = record_scores(record, config)
+    ref_em, ref_f1 = _ref_record_scores(record, config)
+    # Pairings of equal total can sum their scores in another order.
+    assert em == ref_em and f1 == pytest.approx(ref_f1, rel=0, abs=1e-12)
 
 
 # A numeric answer is scored from its value (one rendering, one parse); a
@@ -505,3 +517,180 @@ def test_lone_numeral_compares_at_its_rendered_value():
     for pred, g in (("1.00005", "1.0000499999"), ("$1.00005", "1.0000499999%")):
         assert numeracy_f1(pred, g, CONFIG) == _ref_pair_f1(pred, g, CONFIG) == 0.0
     assert numeracy_f1("1.00005", "1.00014999", CONFIG) == 1.0
+
+
+# The rewritten helpers against Counter-based references.
+_bag_tokens = st.lists(st.sampled_from(["alpha", "beta", "gamma", "7", "$7", ""]), max_size=8)
+
+
+def _counter_bag_f1(pred, gold):
+    pred_bag, gold_bag = Counter(pred), Counter(gold)
+    overlap = sum((pred_bag & gold_bag).values())
+    if overlap == 0:
+        return 0.0
+    precision = overlap / sum(pred_bag.values())
+    recall = overlap / sum(gold_bag.values())
+    return 2 * precision * recall / (precision + recall)
+
+
+@settings(max_examples=500, deadline=None)
+@given(pred=_bag_tokens, gold=_bag_tokens)
+def test_bag_f1_matches_counter_reference_property(pred, gold):
+    assert _bag_f1(pred, gold) == _counter_bag_f1(pred, gold)
+
+
+def _counter_rouge2_f1(pred, gold):
+    def bigrams(text):
+        tokens = text.lower().split()
+        return Counter(zip(tokens, tokens[1:]))
+
+    pred_grams, gold_grams = bigrams(pred), bigrams(gold)
+    n_pred, n_gold = sum(pred_grams.values()), sum(gold_grams.values())
+    if n_pred == 0 and n_gold == 0:
+        return 1.0
+    if n_pred == 0 or n_gold == 0:
+        return 0.0
+    return _counter_bag_f1(list(pred_grams.elements()), list(gold_grams.elements()))
+
+
+@settings(max_examples=500, deadline=None)
+@given(pred=st.text(alphabet="abAB \n", max_size=24), gold=st.text(alphabet="abAB \n", max_size=24))
+@example(pred="a b a b a", gold="a b a b")
+def test_rouge2_matches_counter_reference_property(pred, gold):
+    assert rouge2_f1(pred, gold) == _counter_rouge2_f1(pred, gold)
+
+
+_em_forms = st.lists(st.sampled_from(["7", "$7", "emea", "americas", ""]), max_size=4)
+
+
+@settings(max_examples=500, deadline=None)
+@given(pred=_em_forms, gold=_em_forms)
+def test_multiset_em_matches_counter_reference_property(pred, gold):
+    def spans(forms):
+        return [_Normalized(form, form.split(), None) for form in forms]
+
+    assert _same_spans(spans(pred), spans(gold)) == int(Counter(pred) == Counter(gold))
+
+
+def _full_normalize(text, precision):
+    """`_normalize` with every token screened as a numeral: the path that the
+    digit-free shortcut skips."""
+    tokens = text.lower().split()
+    while tokens and tokens[0] in ("a", "an", "the"):
+        tokens.pop(0)
+    em, f1 = [], []
+    value = None
+    for token in tokens:
+        parsed = parse_numeral(token)
+        if parsed is not None:
+            value, prefix, suffix = parsed
+            rendered = render_decimal(value, precision)
+            em.append(prefix + rendered + suffix)
+            f1.append(rendered)
+        else:
+            stripped = "".join(ch for ch in token if ch not in string.punctuation)
+            if stripped:
+                em.append(stripped)
+                f1.append(stripped)
+                value = None
+    if len(f1) != 1:
+        return _Normalized(" ".join(em), f1, None)
+    if value is not None:
+        return _Normalized(em[0], f1, decimal_fraction(f1[0]))
+    parsed = parse_numeral(f1[0])
+    if parsed is None:
+        return _Normalized(em[0], f1, None)
+    return _Normalized(em[0], [render_decimal(parsed[0], precision)], parsed[0])
+
+
+_words = st.sampled_from(["a", "An", "THE", "the,", "(x)", "-", "...", "Revenue,", "e.g.", "²", "ß", "İ"])
+_numerals = st.sampled_from(["7", "(2019)", "$1,234.50", "-.5%", "٣", "1.00005", "9" * 31, "x1"])
+_spaces = st.sampled_from([" ", "  ", "\t", "\n", "　"])
+
+
+@st.composite
+def _scoring_text(draw, digits):
+    tokens = draw(st.lists(_words | _numerals if digits else _words, max_size=5))
+    return "".join(draw(_spaces) + token for token in tokens) + draw(st.sampled_from(["", " "]))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    text=_scoring_text(digits=False) | _scoring_text(digits=True) | st.text(max_size=16),
+    precision=st.sampled_from([0, 4, 10]),
+)
+def test_digit_free_normalize_matches_full_path_property(text, precision):
+    assert _normalize(text, precision) == _full_normalize(text, precision)
+
+
+_clarifying_gold = st.sampled_from(
+    ["Which year are you asking about?", "which YEAR?", "the", "?", "", "2019", "(2019)", "$7"]
+).map(lambda q: gold("clarification", q, clari=q))
+_one_span_prediction = st.one_of(
+    st.none(),
+    _number.map(NumericAnswer),
+    st.integers(0, 12).map(CountAnswer),
+    _span_text.map(lambda t: SpanSetAnswer((t,))),
+    _span_text.map(ClarifyAnswer),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    predicted=_one_span_prediction | st.lists(_span_text, max_size=3).map(lambda s: SpanSetAnswer(tuple(s))),
+    g=_clarifying_gold,
+    config=st.sampled_from([EvalConfig(), EvalConfig(render_precision=0)]),
+)
+@example(predicted=None, g=gold("clarification", "the", clari="the"), config=EvalConfig())
+@example(predicted=SpanSetAnswer(()), g=gold("clarification", "?", clari="?"), config=EvalConfig())
+def test_cqg_f1_is_the_joined_text_scored_property(predicted, g, config):
+    """The report reuses a one-span turn's F1 for CQG; that is the F1 of the
+    prediction's text against the gold question."""
+    record = make_record("q", predicted, g)
+    report = aggregate_report([(record, *record_scores(record, config))], config)
+    pred_text = predicted.text(config) if predicted else ""
+    assert report.cqg_token_f1 == numeracy_f1(pred_text, g.clarification_question, config)
+
+
+# Span lists on which the library and reference_drop normalize alike: no
+# lone article, which the reference keeps and the library drops.
+_drop_span = st.lists(
+    st.sampled_from(["b", "c", "d", "e", "f", "7", "$7", "7%", "1,234.5", "0.5"]), min_size=1, max_size=4
+).map(" ".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pred=st.lists(_drop_span, max_size=4), gold_spans=st.lists(_drop_span, max_size=4))
+@example(pred=["a b c d", "a b"], gold_spans=["a b c", "c d"])
+def test_optimal_pairing_matches_reference_drop_property(pred, gold_spans):
+    assert numeracy_f1(pred, gold_spans, CONFIG) == pytest.approx(ref_numeracy_f1(pred, gold_spans), abs=1e-12)
+
+
+def test_optimal_pairing_beats_greedy():
+    # Greedy takes "a b c d"/"a b c" (F1 6/7) first and leaves "a b"/"c d" at 0.
+    assert numeracy_f1(["a b c d", "a b"], ["a b c", "c d"], CONFIG) == pytest.approx(11 / 15)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda rows: st.lists(
+            st.lists(st.sampled_from([0.0, 0.25, 0.5, 2 / 3, 1.0]), min_size=rows, max_size=rows),
+            min_size=rows,
+            max_size=7,
+        ).map(lambda columns: [list(row) for row in zip(*columns)])
+    )
+)
+def test_best_pairing_matches_exhaustive_search_property(matrix):
+    scores = _best_pairing(matrix)
+    assert len(scores) == len(matrix)
+    assert sum(scores) == pytest.approx(_ref_best_total(matrix), abs=1e-12)
+
+
+def test_pairing_of_many_spans_is_polynomial():
+    # Every predicted span scores best against gold "z", so no row keeps its
+    # best column and the Hungarian method runs on the full 120 x 120 matrix.
+    n = 120
+    pred = [f"z w{i}" for i in range(n)]
+    gold_spans = ["z"] + [f"w{i} q r" for i in range(1, n)]
+    assert numeracy_f1(pred, gold_spans, CONFIG) == pytest.approx((2 / 3 + 0.4 * (n - 1)) / n)
