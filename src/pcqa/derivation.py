@@ -7,10 +7,15 @@ lists. This module defines that language and executes it with exact rational
 arithmetic, so that derivations which are algebraically equal ("(88-105)/105"
 vs "88/105-1") produce identical values.
 
-Execution runs in three stages: `tokenize`; `parse`, one recursive-descent
-pass that computes the value in integer numerator/denominator pairs, with no
-tree; and `evaluate`, which makes the canonical answer, one `Fraction` per
-number. The same parser with render actions gives `canonical_source`.
+Execution runs in three stages: `tokenize`, one linear scan of the source
+that returns the token texts as written (a `Tokens` list that keeps the
+source); `parse`, one recursive-descent pass over those texts that computes
+the value in integer numerator/denominator pairs, with no tree; and
+`evaluate`, which makes the canonical answer, one `Fraction` per number. A
+token's kind follows from its first character. Positions are worked out
+only on the error path (`token_starts`, which `locate` also uses), so an
+error still names the position it always did. The same parser with render
+actions gives `canonical_source`.
 
 The answer is a `NumericAnswer`, `CountAnswer` or `SpanSetAnswer`
 (`ClarifyAnswer` is the fourth kind, made by voting from a clarifying decode
@@ -124,36 +129,48 @@ class TokenKind(Enum):
     LEN = "len"
 
 
-# The kinds as module globals, in definition order: looking a member up on
-# the enum class costs ten times as much on the hot path.
-(_NUMBER, _STRING, _PLUS, _MINUS, _STAR, _SLASH,
- _LPAREN, _RPAREN, _LBRACKET, _RBRACKET, _COMMA, _LEN) = TokenKind
-
-
 class Token(NamedTuple):
     kind: TokenKind
-    text: str
+    text: str  # a numeral without grouping commas, a string without quotes
     position: int
     end: int  # just past the token's source text, quotes and grouping commas included
 
 
-# One match per token, leading whitespace included. `\s` and `\d` are the
-# characters of str.isspace and str.isdecimal. A grouping comma is followed
-# by exactly three digits and then no digit ("3,711" and "1,000,000" merge;
-# "1,06" and "1,0623" do not); inside a bracketed list no comma groups.
-_LEXEME = (
-    r"\s*(?:(?P<NUMBER>{number})|(?P<STRING>\"[^\"]*\"|'[^']*')|(?P<LEN>len)|(?P<PUNCT>[-+*/()\[\],]))"
-)
-_LEX_GROUPED = re.compile(_LEXEME.format(number=r"\d+(?:,\d{3}(?!\d))*(?:\.\d+)?|\.\d+")).match
-_LEX_LISTED = re.compile(_LEXEME.format(number=r"\d+(?:\.\d+)?|\.\d+")).match
-_SPACES = re.compile(r"\s*").match
-_PUNCT_KINDS = {kind.value: kind for kind in TokenKind if len(kind.value) == 1}
-# Token(kind, text, position, end) without the Python-level __new__ of a NamedTuple.
-_new_token = tuple.__new__
+class Tokens(list):
+    """Token texts exactly as written in `source`, quotes and grouping commas
+    included. A token's kind follows from its first character: a digit or a
+    point starts a numeral, a quote a string; the rest are `len` and the
+    punctuation tokens. Positions are worked out only on demand
+    (`token_starts`, `locate`)."""
+
+    __slots__ = ("source",)
 
 
-def tokenize(source: str) -> list[Token]:
-    """Split derivation source into tokens.
+# One token per match, with the whitespace after it: a numeral, a quoted
+# string, `len` or a punctuation character. `\s` and `\d` are the characters
+# of str.isspace and str.isdecimal. A grouping comma is followed by exactly
+# three digits and then no digit ("3,711" and "1,000,000" merge; "1,06" and
+# "1,0623" do not). Any other character matches with the rest of the source
+# after it, so the scan ends there. Every match starts at a character that
+# is not whitespace and nothing follows its last `\s*`, so the scan never
+# backtracks and reads each character once.
+_TOKEN = r"""\d+(?:,\d{3}(?!\d))*(?:\.\d+)?|\.\d+|"[^"]*"|'[^']*'|len|[-+*/()\[\],]"""
+_SCAN = re.compile(rf"({_TOKEN}|\S[\s\S]*)\s*").findall
+_IS_TOKEN = re.compile(_TOKEN).fullmatch
+# Sources that need the token-by-token checks: a run of characters long
+# enough to hold a numeral of more than MAX_NUMERAL_DIGITS digits, and in a
+# source with a list, a digit-grouping comma that may stand inside the list.
+_LONG_RUN = re.compile(r"[\d.,]{%d}" % (MAX_NUMERAL_DIGITS + 1)).search
+_GROUPING_COMMA = re.compile(r"\d,\d").search
+_QUOTES = "\"'"
+# The kinds whose text is fixed: `len` and the punctuation tokens.
+_WORD_KINDS = {
+    kind.value: kind for kind in TokenKind if kind not in (TokenKind.NUMBER, TokenKind.STRING)
+}
+
+
+def tokenize(source: str) -> Tokens:
+    """Split derivation source into token texts, in one scan of the source.
 
     Digit-grouping commas are resolved here: a comma between digits followed
     by exactly three digits before the next non-digit merges into the
@@ -161,44 +178,101 @@ def tokenize(source: str) -> list[Token]:
     are item separators). A source of more than MAX_TOKENS tokens or with a
     numeral of more than MAX_NUMERAL_DIGITS digits is rejected.
     """
-    if not source or not source.strip():
+    tokens = Tokens(_SCAN(source))
+    tokens.source = source
+    if not tokens:
         raise DerivationSyntaxError(0, "non-empty derivation source")
-    tokens: list[Token] = []
-    append = tokens.append
-    pos = 0
-    bracket_depth = 0
-    lex = _LEX_GROUPED
-    while (match := lex(source, pos)) is not None:
-        group = match.lastindex  # 1 NUMBER, 2 STRING, 3 LEN, 4 PUNCT
-        start, pos = match.span(group)
-        text = match[group]
-        if group == 4:
-            if text == "[":
-                bracket_depth += 1
-                lex = _LEX_LISTED
-            elif text == "]" and bracket_depth:
-                bracket_depth -= 1
-                lex = _LEX_LISTED if bracket_depth else _LEX_GROUPED
-            append(_new_token(Token, (_PUNCT_KINDS[text], text, start, pos)))
-        elif group == 1:
-            text = text.replace(",", "")
-            if len(text) - ("." in text) > MAX_NUMERAL_DIGITS:
-                raise DerivationSyntaxError(
-                    start, f"a numeral of at most {MAX_NUMERAL_DIGITS} digits"
-                )
-            append(_new_token(Token, (_NUMBER, text, start, pos)))
-        elif group == 2:
-            append(_new_token(Token, (_STRING, text[1:-1], start, pos)))
+    error = None
+    if not _IS_TOKEN(tokens[-1]):
+        # The scan's last match runs from the first character that starts
+        # no token to the end of the source.
+        rest = tokens[-1]
+        position = token_starts(tokens, len(tokens) - 1)[0]
+        if rest[0] in _QUOTES:
+            error = UnterminatedStringError(position)
         else:
-            append(_new_token(Token, (_LEN, text, start, pos)))
-    pos = _SPACES(source, pos).end()
-    if pos < len(source):
-        if source[pos] in "\"'":
-            raise UnterminatedStringError(pos)
-        raise UnknownCharacterError(source[pos], pos)
+            error = UnknownCharacterError(rest[0], position)
+        tokens.pop()
+    if "[" in source and _GROUPING_COMMA(source):
+        _split_listed_numerals(tokens)
+    if _LONG_RUN(source):
+        for index, text in enumerate(tokens):
+            numeral = _kind(text) is TokenKind.NUMBER
+            if numeral and len(_text(text)) - ("." in text) > MAX_NUMERAL_DIGITS:
+                expected = f"a numeral of at most {MAX_NUMERAL_DIGITS} digits"
+                raise DerivationSyntaxError(token_starts(tokens, index)[0], expected)
+    if error is not None:
+        raise error
     if len(tokens) > MAX_TOKENS:
-        raise DerivationSyntaxError(tokens[MAX_TOKENS].position, f"at most {MAX_TOKENS} tokens")
+        raise DerivationSyntaxError(
+            token_starts(tokens, MAX_TOKENS)[0], f"at most {MAX_TOKENS} tokens"
+        )
     return tokens
+
+
+def _split_listed_numerals(tokens: Tokens) -> None:
+    """Inside a bracketed list no comma groups digits: a numeral there that
+    the scan merged at its commas is split back into numerals and commas."""
+    depth = 0
+    split = []
+    for text in tokens:
+        if text == "[":
+            depth += 1
+        elif text == "]" and depth:
+            depth -= 1
+        elif depth and "," in text and _kind(text) is TokenKind.NUMBER:
+            split += re.split("(,)", text)
+            continue
+        split.append(text)
+    tokens[:] = split
+
+
+def _kind(text: str) -> TokenKind:
+    kind = _WORD_KINDS.get(text)
+    if kind is not None:
+        return kind
+    return TokenKind.STRING if text[0] in _QUOTES else TokenKind.NUMBER
+
+
+def _text(text: str) -> str:
+    """A token's text as the parser reads it: a numeral without its
+    grouping commas, a string without its quotes."""
+    kind = _kind(text)
+    if kind is TokenKind.STRING:
+        return text[1:-1]
+    if kind is TokenKind.NUMBER:
+        return text.replace(",", "")
+    return text
+
+
+def token_starts(tokens: Tokens, first: int = 0) -> list[int]:
+    """Where each token from index `first` on starts in `tokens.source`.
+
+    The only place token positions are worked out, called only to raise an
+    error (and by `locate`). Only whitespace lies between two tokens and
+    after the last one, and every token ends with a character that is not
+    whitespace (the rest of the source that ends a failed scan ends the
+    source), so walking back from the end, each token is the last
+    occurrence of its text before the token after it. Errors lie near the
+    end more often than not, so the walk is short.
+    """
+    source = tokens.source
+    starts = []
+    start = len(source)
+    for index in range(len(tokens) - 1, first - 1, -1):
+        start = source.rfind(tokens[index], 0, start)
+        starts.append(start)
+    starts.reverse()
+    return starts
+
+
+def locate(tokens: Tokens) -> list[Token]:
+    """Each token's kind, its text as the parser reads it, and its position
+    and end in the source."""
+    return [
+        Token(_kind(text), _text(text), start, start + len(text))
+        for text, start in zip(tokens, token_starts(tokens))
+    ]
 
 
 def decimal_fraction(text: str) -> Fraction:
@@ -227,123 +301,138 @@ def decimal_value(text: str) -> Fraction | None:
     return decimal_fraction(text)
 
 
-_ADDITIVE = (_PLUS, _MINUS)
-_MULTIPLICATIVE = (_STAR, _SLASH)
-_ARITH_KINDS = frozenset(_ADDITIVE + _MULTIPLICATIVE)
-_NON_NUMERIC_KINDS = (_LBRACKET, _LEN, _STRING)
+_ADDITIVE = ("+", "-")
+_MULTIPLICATIVE = ("*", "/")
+_ARITHMETIC = frozenset(_ADDITIVE + _MULTIPLICATIVE)
 
 
 class _Parser:
     """Recursive descent with standard precedence, computing values as it goes.
 
-    The grammar methods call five actions, `number`, `negate`, `binary`,
-    `strings` and `length`; the ones here compute the value, and
-    `_Renderer` overrides them to build canonical source instead. A number
-    is an integer (numerator, denominator) pair, left unreduced; a string
-    list is its trimmed items and `len(...)` their count. A division by
-    zero does not stop the parse, so a syntax error later in the source
+    It reads the token texts, and works out positions (`token_starts`) only
+    to raise an error. The grammar methods call five actions, `number`,
+    `negate`, `binary`, `strings` and `length`; the ones here compute the
+    value, and `_Renderer` overrides them to build canonical source instead.
+    A number is an integer (numerator, denominator) pair, left unreduced; a
+    string list is its trimmed items and `len(...)` their count. A division
+    by zero does not stop the parse, so a syntax error later in the source
     still wins: the first one, in post-order, is kept and returned in place
     of the value.
     """
 
-    def __init__(self, tokens: list[Token]):
+    __slots__ = ("tokens", "stream", "pos", "zero_division")
+
+    def __init__(self, tokens: Tokens):
         self.tokens = tokens
-        self.stream = [*tokens, None]  # None after the last token: end of input
+        self.stream = [*tokens, ""]  # "" after the last token: end of input
         self.pos = 0
         self.zero_division: DivisionByZeroError | None = None
 
-    def expect(self, kind: TokenKind, what: str) -> Token:
-        tok = self.stream[self.pos]
-        if tok is None or tok.kind is not kind:
-            raise DerivationSyntaxError(
-                tok.position if tok else self._end(), what, tok.text if tok else ""
-            )
+    def expect(self, text: str, what: str) -> None:
+        if self.stream[self.pos] != text:
+            raise self._syntax_error(self.pos, what)
         self.pos += 1
-        return tok
 
-    def _end(self) -> int:
-        return self.tokens[-1].end if self.tokens else 0
+    def _syntax_error(self, index: int, expected: str) -> DerivationSyntaxError:
+        """The error at token `index`, or past the last token at the end of input."""
+        tokens = self.tokens
+        if not tokens:
+            return DerivationSyntaxError(0, expected)
+        if index < len(tokens):
+            position = token_starts(tokens, index)[0]
+            return DerivationSyntaxError(position, expected, _text(tokens[index]))
+        end = token_starts(tokens, len(tokens) - 1)[0] + len(tokens[-1])
+        return DerivationSyntaxError(end, expected)
+
+    def _mixed_type_error(self, index: int) -> MixedTypeError:
+        return MixedTypeError(token_starts(self.tokens, index)[0])
 
     def top_level(self):
-        tok = self.stream[0]
-        if tok is None:
-            raise DerivationSyntaxError(0, "expression")
-        listed = tok.kind is _LBRACKET or tok.kind is _LEN
-        if tok.kind is _LBRACKET:
+        first = self.stream[0]
+        if first == "[":
             value = self.strings(self.string_items())
-        elif tok.kind is _LEN:
-            self.pos += 1
-            self.expect(_LPAREN, "'(' after len")
+        elif first == "len":
+            self.pos = 1
+            self.expect("(", "'(' after len")
             value = self.length(self.string_items())
-            self.expect(_RPAREN, "')' closing len")
-        else:
+            self.expect(")", "')' closing len")
+        elif first:
             value = self.expr()
+        else:
+            raise DerivationSyntaxError(0, "expression")
         rest = self.stream[self.pos]
-        if rest is not None:
-            if listed and rest.kind in _ARITH_KINDS:
-                raise MixedTypeError(rest.position)
-            raise DerivationSyntaxError(rest.position, "end of input", rest.text)
+        if rest:
+            if (first == "[" or first == "len") and rest in _ARITHMETIC:
+                raise self._mixed_type_error(self.pos)
+            raise self._syntax_error(self.pos, "end of input")
         return value if self.zero_division is None else self.zero_division
 
     def expr(self):
         value = self.term()
         stream = self.stream
-        while (tok := stream[self.pos]) is not None and tok.kind in _ADDITIVE:
+        while (op := stream[self.pos]) in _ADDITIVE:
             self.pos += 1
-            value = self.binary(tok.kind, value, self.term(), 0)
+            value = self.binary(op, value, self.term(), 0)
         return value
 
     def term(self):
         start = self.pos
         value = self.factor()
         stream = self.stream
-        while (tok := stream[self.pos]) is not None and tok.kind in _MULTIPLICATIVE:
+        while (op := stream[self.pos]) in _MULTIPLICATIVE:
             self.pos += 1
-            value = self.binary(tok.kind, value, self.factor(), start)
+            value = self.binary(op, value, self.factor(), start)
         return value
 
     def factor(self):
         tok = self.stream[self.pos]
-        if tok is None:
-            raise DerivationSyntaxError(self._end(), "number, '(' or '-'")
-        kind = tok.kind
         self.pos += 1
-        if kind is _NUMBER:
-            return self.number(tok.text)
-        if kind is _MINUS:
-            return self.negate(self.factor())
-        if kind is _LPAREN:
+        if tok[-1:].isdecimal():  # a numeral: it ends in a digit
+            return self.number(tok.replace(",", ""))
+        if tok == "(":
             value = self.expr()
-            self.expect(_RPAREN, "')'")
+            self.expect(")", "')'")
             return value
-        if kind in _NON_NUMERIC_KINDS:
-            raise MixedTypeError(tok.position)
-        raise DerivationSyntaxError(tok.position, "number, '(' or '-'", tok.text)
+        if tok == "-":
+            return self.negate(self.factor())
+        if tok == "[" or tok == "len" or (tok and tok[0] in _QUOTES):
+            raise self._mixed_type_error(self.pos - 1)
+        raise self._syntax_error(self.pos - 1, "number, '(' or '-'")
 
     def string_items(self) -> list[str]:
-        self.expect(_LBRACKET, "'['")
-        items = [self.expect(_STRING, "string item").text]
-        while (tok := self.stream[self.pos]) is not None and tok.kind is _COMMA:
+        """A bracketed list's items, trimmed."""
+        self.expect("[", "'['")
+        stream = self.stream
+        items = []
+        while True:
+            tok = stream[self.pos]
+            if not tok or tok[0] not in _QUOTES:
+                raise self._syntax_error(self.pos, "string item")
+            items.append(tok[1:-1].strip())
             self.pos += 1
-            items.append(self.expect(_STRING, "string item").text)
-        self.expect(_RBRACKET, "']'")
+            if stream[self.pos] != ",":
+                break
+            self.pos += 1
+        self.expect("]", "']'")
         return items
 
     def number(self, text: str) -> tuple[int, int]:
+        if "." not in text:
+            return int(text), 1
         whole, _, frac = text.partition(".")
         return int(whole + frac), 10 ** len(frac)
 
     def negate(self, value: tuple[int, int]) -> tuple[int, int]:
         return -value[0], value[1]
 
-    def binary(self, kind: TokenKind, left: tuple[int, int], right: tuple[int, int], start: int):
-        """`left <kind> right`; a term's operands begin at token `start`."""
+    def binary(self, op: str, left: tuple[int, int], right: tuple[int, int], start: int):
+        """`left <op> right`; a term's operands begin at token `start`."""
         (a, b), (c, d) = left, right
-        if kind is _PLUS:
+        if op == "+":
             return (a + c, b) if b == d else (a * d + c * b, b * d)
-        if kind is _MINUS:
+        if op == "-":
             return (a - c, b) if b == d else (a * d - c * b, b * d)
-        if kind is _STAR:
+        if op == "*":
             return a * c, b * d
         if c:
             return a * d, b * c
@@ -353,14 +442,14 @@ class _Parser:
         return 0, 1
 
     def strings(self, items: list[str]) -> list[str]:
-        return _trimmed(items)
+        return _nonempty(items)
 
     def length(self, items: list[str]) -> int:
-        return len(_trimmed(items))
+        return len(_nonempty(items))
 
 
 _ATOM = 3  # precedence of a numeral: above "*" and "/" (2) and "+" and "-" (1)
-_PRECEDENCE = {_PLUS: 1, _MINUS: 1, _STAR: 2, _SLASH: 2}
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
 class _Renderer(_Parser):
@@ -372,6 +461,8 @@ class _Renderer(_Parser):
     renders as "0-".
     """
 
+    __slots__ = ()
+
     def number(self, text: str) -> tuple[str, int]:
         return text, _ATOM
 
@@ -381,12 +472,12 @@ class _Renderer(_Parser):
             return (text[1:] if text[0] == "-" else "-" + text), _ATOM
         return "0-" + (f"({text})" if prec == 1 else text), 1
 
-    def binary(self, kind: TokenKind, left: tuple[str, int], right: tuple[str, int], start: int):
-        prec = _PRECEDENCE[kind]
+    def binary(self, op: str, left: tuple[str, int], right: tuple[str, int], start: int):
+        prec = _PRECEDENCE[op]
         text = f"({left[0]})" if left[1] < prec else left[0]
         if right[1] <= prec or (right[1] == _ATOM and right[0][0] == "-"):
-            return f"{text}{kind.value}({right[0]})", prec
-        return text + kind.value + right[0], prec
+            return f"{text}{op}({right[0]})", prec
+        return text + op + right[0], prec
 
     def strings(self, items: list[str]) -> tuple[str, int]:
         return render_list(items), _ATOM
@@ -395,7 +486,7 @@ class _Renderer(_Parser):
         return f"len({render_list(items)})", _ATOM
 
 
-def parse(tokens: list[Token]):
+def parse(tokens: Tokens):
     """Parse and compute a token sequence in one pass.
 
     The value is an integer (numerator, denominator) pair for arithmetic, a
@@ -416,10 +507,13 @@ def canonical_source(source: str) -> str:
 
 
 def _trimmed(items: list[str]) -> list[str]:
-    trimmed = [item.strip() for item in items]
-    if not all(trimmed):
+    return _nonempty([item.strip() for item in items])
+
+
+def _nonempty(items: list[str]) -> list[str]:
+    if not all(items):
         raise DerivationSyntaxError(0, "non-empty string item")
-    return trimmed
+    return items
 
 
 def render_list(items) -> str:
@@ -484,13 +578,13 @@ def render_decimal(value: Fraction, precision: int) -> str:
     return out
 
 
-_PUNCT = re.compile("[" + re.escape(string.punctuation) + "]")
-_WS = re.compile(r"\s+")
+# Deletes the ASCII punctuation characters; the metrics use it too.
+PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
 
 def normalize_answer_text(text: str) -> str:
     """Lowercase, strip punctuation, collapse whitespace."""
-    return _WS.sub(" ", _PUNCT.sub("", text.lower())).strip()
+    return " ".join(text.lower().translate(PUNCT_TABLE).split())
 
 
 class _Answer:

@@ -25,8 +25,10 @@ appended to a model input, and is itself part of the contract.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 RESERVED_MARKERS = (
@@ -177,12 +179,19 @@ def format_target(task: Task, clarification: bool, response: str) -> str:
     return f"[clari.] {flag} [resp.] {response}"
 
 
-@dataclass(frozen=True)
-class ParsedOutput:
+class ParsedOutput(NamedTuple):
     """Decoded model output split into clarification flag and payload."""
 
     clarification_flag: bool
     response_payload: str
+
+
+# What format_target writes: the markers and the flag one space apart, and a
+# payload that starts with a character other than whitespace. Trailing
+# whitespace is left off the payload, as strip() would.
+_MULTI_TASK = re.compile(
+    r"\[clari\.\] (True|False) \[resp\.\] (\S(?:.*\S)?)\s*", re.DOTALL
+).fullmatch
 
 
 def parse_output(decoded: str) -> ParsedOutput:
@@ -191,8 +200,24 @@ def parse_output(decoded: str) -> ParsedOutput:
 
     The flag token must be literally "True" or "False" between the
     "[clari.]" and "[resp.]" markers, and the payload must be non-empty and
-    hold no reserved marker.
+    hold no reserved marker. Text in the shape format_target writes is split
+    by one match; any other spacing, and every malformed output, takes the
+    step-by-step path, which names the fault.
     """
+    match = _MULTI_TASK(decoded)
+    if match is not None:
+        flag_token, payload = match.groups()
+    else:
+        flag_token, payload = _split_output(decoded)
+    try:
+        check_no_markers(payload)
+    except MarkerCollisionError as err:
+        raise MalformedOutput(str(err)) from err
+    return ParsedOutput(flag_token == "True", payload)
+
+
+def _split_output(decoded: str) -> tuple[str, str]:
+    """The flag token and payload, found step by step; names what is malformed."""
     text = decoded.strip()
     if not text.startswith("[clari.]"):
         raise MalformedOutput("missing [clari.] marker")
@@ -206,8 +231,4 @@ def parse_output(decoded: str) -> ParsedOutput:
     payload = rest[marker + len("[resp.]") :].strip()
     if not payload:
         raise MalformedOutput("empty response payload")
-    try:
-        check_no_markers(payload)
-    except MarkerCollisionError as err:
-        raise MalformedOutput(str(err)) from err
-    return ParsedOutput(flag_token == "True", payload)
+    return flag_token, payload

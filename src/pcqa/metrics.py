@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import re
-import string
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
@@ -30,6 +29,7 @@ from .corpus import GoldTurnAnswer
 from .derivation import (
     DEFAULT_CONFIG,
     NUMERIC_TOLERANCE,
+    PUNCT_TABLE,
     CanonicalAnswer,
     ClarifyAnswer,
     EvalConfig,
@@ -58,7 +58,6 @@ _CURRENCY = "$€£¥"
 # At least one digit: a whole part (with or without thousands separators) and
 # an optional fraction, or a fraction alone.
 _NUMERAL = re.compile(r"^[$€£¥]?-?(?:(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?|\.\d+)%?$")
-_PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 # A numeral holds at least one \d character: a Unicode decimal digit.
 _HAS_DIGIT = re.compile(r"\d").search
 
@@ -102,7 +101,7 @@ def _normalize(text: str, precision: int) -> _Normalized:
     if not _HAS_DIGIT(lowered):
         # No token can be a numeral: strip punctuation, which holds no
         # whitespace, and let split drop the tokens left empty.
-        kept = " ".join(tokens).translate(_PUNCT_TABLE).split()
+        kept = " ".join(tokens).translate(PUNCT_TABLE).split()
         return _Normalized(" ".join(kept), kept, None)
     em, f1 = [], []
     value = None  # of the last token kept, when it is a numeral
@@ -114,7 +113,7 @@ def _normalize(text: str, precision: int) -> _Normalized:
             em.append(prefix + rendered + suffix)
             f1.append(rendered)
         else:
-            stripped = token.translate(_PUNCT_TABLE)
+            stripped = token.translate(PUNCT_TABLE)
             if stripped:
                 em.append(stripped)
                 f1.append(stripped)

@@ -90,7 +90,8 @@ class TurnResult:
     samples: list[str]
     vote: VoteResult | None
     answer: CanonicalAnswer | None
-    final_text: str
+    spans: list[str]  # the answer's text spans, rendered once; none without an answer
+    final_text: str  # the spans joined by ", "
     fallback_used: bool
     latency_s: float
 
@@ -108,12 +109,6 @@ def run_turn(
     answer and scores zero. Malformed model output never aborts a run.
     """
     started = time.perf_counter()
-    greedy = GenerationRequest(
-        input=model_input,
-        mode=GREEDY,
-        max_target_length=config.max_target_length,
-        turn_id=turn.turn_id,
-    )
     vote: VoteResult | None = None
     answer: CanonicalAnswer | None = None
     fallback = False
@@ -135,18 +130,29 @@ def run_turn(
         except AllSamplesDiscarded:
             fallback = True
     else:
-        outputs = generator.generate(greedy)
+        outputs = generator.generate(_greedy_request(model_input, turn, config))
         answer = greedy_select(outputs)
     if fallback:
-        answer = greedy_select(generator.generate(greedy))
+        answer = greedy_select(generator.generate(_greedy_request(model_input, turn, config)))
+    spans = answer.text_spans(config.eval_config) if answer else []
     return TurnResult(
         turn_id=turn.turn_id,
         samples=[o.text for o in outputs],
         vote=vote,
         answer=answer,
-        final_text=answer.text(config.eval_config) if answer else "",
+        spans=spans,
+        final_text=", ".join(spans),
         fallback_used=fallback,
         latency_s=time.perf_counter() - started,
+    )
+
+
+def _greedy_request(model_input: str, turn: DialogueTurn, config: RunConfig) -> GenerationRequest:
+    return GenerationRequest(
+        input=model_input,
+        mode=GREEDY,
+        max_target_length=config.max_target_length,
+        turn_id=turn.turn_id,
     )
 
 
@@ -159,7 +165,7 @@ def _turn_record(
         predicted_scale="",
         gold=turn.gold,
     )
-    em, f1 = record_scores(record, config.eval_config)
+    em, f1 = record_scores(record, config.eval_config, result.spans)
     log = {
         "turn_id": turn.turn_id,
         "dialogue_id": dialogue.dialogue_id,

@@ -1,9 +1,11 @@
 """Reference derivation tokenizer: the original character-by-character loop.
 
-`pcqa.derivation.tokenize` lexes with one compiled pattern per token; this
-module walks the source one character at a time, so the property test can
-check that both give the same tokens, and the same error at the same
-position, on any source. Tokens are (kind, text, position) tuples.
+`pcqa.derivation.tokenize` scans the whole source with one compiled pattern
+and returns token texts, and `pcqa.derivation.locate` gives their kinds and
+positions; this module walks the source one character at a time, so the
+property test can check that both give the same tokens, and the same error
+at the same position, on any source. Tokens are (kind, text, position, end)
+tuples.
 """
 
 from __future__ import annotations

@@ -1,5 +1,9 @@
 import json
 import random
+import re
+import string
+import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -19,7 +23,6 @@ from pcqa.derivation import (
     SpanSetAnswer,
     CountAnswer,
     DerivationError,
-    Token,
     TokenKind,
     UnknownCharacterError,
     UnreconstructibleDerivation,
@@ -28,6 +31,8 @@ from pcqa.derivation import (
     decimal_fraction,
     evaluate,
     execute_source,
+    locate,
+    normalize_answer_text,
     parse,
     render_decimal,
     render_list,
@@ -51,12 +56,16 @@ GOLDEN_OUTCOMES = [
 ]
 
 
+def located(source):
+    return locate(tokenize(source))
+
+
 def kinds(source):
-    return [t.kind for t in tokenize(source)]
+    return [t.kind for t in located(source)]
 
 
 def texts(source):
-    return [t.text for t in tokenize(source)]
+    return [t.text for t in located(source)]
 
 
 class TestTokenize:
@@ -79,7 +88,7 @@ class TestTokenize:
 
     def test_non_grouping_commas_stay(self):
         # two digits after the comma: not a grouping comma
-        assert [t.kind for t in tokenize("1,06")] == [
+        assert kinds("1,06") == [
             TokenKind.NUMBER,
             TokenKind.COMMA,
             TokenKind.NUMBER,
@@ -88,7 +97,7 @@ class TestTokenize:
         assert TokenKind.COMMA in kinds("1,0623")
 
     def test_list_commas_never_merge(self):
-        toks = tokenize('["2018","2019"]')
+        toks = located('["2018","2019"]')
         assert [t.kind for t in toks] == [
             TokenKind.LBRACKET,
             TokenKind.STRING,
@@ -119,7 +128,7 @@ class TestTokenize:
     def test_numeral_digit_limit(self):
         assert MAX_NUMERAL_DIGITS == 30
         for numeral in ("9" * 30, "1" * 15 + "." + "1" * 15, ",".join(["999"] * 10)):
-            assert [t.kind for t in tokenize(numeral)] == [TokenKind.NUMBER]
+            assert kinds(numeral) == [TokenKind.NUMBER]
         for numeral in ("9" * 31, "1" * 16 + "." + "1" * 15, "9," + ",".join(["999"] * 10)):
             with pytest.raises(DerivationSyntaxError):
                 tokenize(numeral)
@@ -153,7 +162,8 @@ _DERIVATION_PIECES = [*"0123456789", "\u0663", ",", ".", '"', "'", "[", "]", "("
 
 
 def _lexed(lex, source):
-    """Tokens as (kind, text, position, end), or the error's class, message and position."""
+    """Tokens as (kind, text, position, end), or the error's class, message and position.
+    `tokenize` gives token texts; `locate` works out the rest."""
     try:
         return [tuple(token) for token in lex(source)]
     except DerivationError as err:
@@ -173,7 +183,53 @@ def _lexed(lex, source):
 @example("lens")
 @example(" \u00a0 ")
 def test_tokenize_matches_reference_property(source):
-    assert _lexed(tokenize, source) == _lexed(reference_tokenize, source)
+    assert _lexed(located, source) == _lexed(reference_tokenize, source)
+
+
+# Each is lexed in one linear scan: a scan that backtracks into the digits,
+# or rescans the whitespace before each character it cannot lex, takes
+# seconds to hours on these. Each gives the reference's tokens or error.
+_LINEAR_SOURCES = {
+    "spaces-before-unknown": "1" + " " * 20_000 + "x",
+    "spaces-before-quote": "1" + " " * 20_000 + "'",
+    "trailing-spaces": "1" + " " * 20_000,
+    "digits-before-unknown": "1" * 60 + "x",
+    "grouped-digits-before-unknown": "1" + ",111" * 20 + "x",
+    "too-many-tokens": "1+" * 200 + "1",
+    "too-many-tokens-then-unknown": "1+" * 200 + "x",
+    "listed-commas-over-the-limit": '["a"' + ", 1,000" * 90 + "]",
+    "listed-numerals": '["a", 1,000]',
+    "listed-grouping": "[1,234,567]",
+    "listed-long-numeral": "[1" + ",111" * 10 + "]",
+    "grouped-after-list": '["a"] 1,000',
+}
+
+
+@pytest.mark.parametrize("source", _LINEAR_SOURCES.values(), ids=_LINEAR_SOURCES.keys())
+def test_tokenize_is_linear_and_exact(source):
+    started = time.perf_counter()
+    lexed = _lexed(located, source)
+    assert time.perf_counter() - started < 0.5
+    assert lexed == _lexed(reference_tokenize, source)
+
+
+def _regex_normalize_answer_text(text):
+    """The regular-expression definition that normalize_answer_text replaces."""
+    punct = re.compile("[" + re.escape(string.punctuation) + "]")
+    return re.sub(r"\s+", " ", punct.sub("", text.lower())).strip()
+
+
+def test_normalize_answer_text_on_every_code_point_as_the_regex():
+    """Each code point alone between letters and in a run of its
+    neighbours: whitespace, punctuation and case are treated as before."""
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    for text in (every, "a" + "b|A".join(every) + "b", " ".join(every)):
+        assert normalize_answer_text(text) == _regex_normalize_answer_text(text)
+
+
+@given(st.text(alphabet=st.sampled_from(" \t\u00a0\u2028.,!-'\"Aa") | st.characters(), max_size=40))
+def test_normalize_answer_text_as_the_regex(text):
+    assert normalize_answer_text(text) == _regex_normalize_answer_text(text)
 
 
 @st.composite
@@ -448,8 +504,8 @@ class TestRenderRoundTrip:
         # rendered text re-tokenizes to the same token sequence.
         for source in ["(36.6-20.5)/20.5", "1+2*3", "8-3-2", "10/(2*5)", "88/105-1"]:
             rendered = canonical_source(source)
-            assert [(t.kind, t.text) for t in tokenize(rendered)] == [
-                (t.kind, t.text) for t in tokenize(source)
+            assert [(t.kind, t.text) for t in located(rendered)] == [
+                (t.kind, t.text) for t in located(source)
             ]
 
     def test_random_ast_round_trip(self):

@@ -2,7 +2,7 @@ import re
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pcqa.linearize import (
     RESERVED_MARKERS,
@@ -274,3 +274,51 @@ def test_format_parse_round_trip(flag, response):
     assert parsed.clarification_flag is flag
     assert parsed.response_payload == response
 
+
+
+def reference_parse_output(decoded: str) -> tuple[bool, str]:
+    """The step-by-step split that parse_output's single match stands in for."""
+    text = decoded.strip()
+    if not text.startswith("[clari.]"):
+        raise MalformedOutput("missing [clari.] marker")
+    rest = text[len("[clari.]") :].strip()
+    marker = rest.find("[resp.]")
+    if marker < 0:
+        raise MalformedOutput("missing [resp.] marker")
+    flag_token = rest[:marker].strip()
+    if flag_token not in ("True", "False"):
+        raise MalformedOutput(f"clarification flag must be True/False, got {flag_token!r}")
+    payload = rest[marker + len("[resp.]") :].strip()
+    if not payload:
+        raise MalformedOutput("empty response payload")
+    try:
+        check_no_markers(payload)
+    except MarkerCollisionError as err:
+        raise MalformedOutput(str(err)) from err
+    return flag_token == "True", payload
+
+
+def _parsed(parse, decoded):
+    try:
+        return tuple(parse(decoded))
+    except MalformedOutput as err:
+        return str(err)
+
+
+_output_pieces = st.sampled_from(
+    ["[clari.]", "[resp.]", "True", "False", "true", " ", "  ", "\n", "\u00a0", "x", "(1+2)",
+     '["a"]', "[user]", "</p>", "[", "]"]
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(_output_pieces, max_size=10).map("".join))
+@example("[clari.] False [resp.] (88-105)/105")
+@example("[clari.] True [resp.]  x ")
+@example(" [clari.] True [resp.] x")
+@example("[clari.] True [resp.] x [resp.] y")
+@example("[clari.] True [resp.] [user]")
+@example("[clari.] True  [resp.] x\n")
+@example("[clari.] False [resp.] \u00a0")
+def test_parse_output_as_the_step_by_step_split(decoded):
+    assert _parsed(parse_output, decoded) == _parsed(reference_parse_output, decoded)
