@@ -12,7 +12,6 @@ same objects that voting groups and the metrics score.
 from fractions import Fraction
 
 from pcqa import (
-    EvalConfig,
     ExecutionFailure,
     canonical_source,
     execute_source,
@@ -57,8 +56,7 @@ assert a == b == Fraction(-17, 105)
 # Rendering precision is a knob; the exact value never changes.
 print()
 for places in (2, 4, 6):
-    config = EvalConfig(render_precision=places)
-    print(f"precision {places}:", answer.text(config))
+    print(f"precision {places}:", answer.text(places))
 
 # Parsing is strict: only this grammar runs, nothing else, and only up to
 # MAX_TOKENS tokens with numerals of at most MAX_NUMERAL_DIGITS digits.

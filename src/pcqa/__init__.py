@@ -8,9 +8,7 @@ against any sequence-generation service.
 """
 
 from .derivation import (
-    DEFAULT_CONFIG,
     DerivationError,
-    EvalConfig,
     ExecutionFailure,
     canonical_source,
     evaluate,

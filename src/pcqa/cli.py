@@ -10,7 +10,7 @@ import json
 import sys
 
 from .corpus import CorpusExpectations, CorpusError, load_corpus, read_json, validate_corpus
-from .derivation import DerivationError, EvalConfig, SpanSetAnswer, execute_source
+from .derivation import DEFAULT_PRECISION, DerivationError, SpanSetAnswer, execute_source
 from .generation import GenerationError, HttpGenerator, ReplayGenerator, TransportError
 from .metrics import EmptyRecordSet, MetricReport
 from .runner import CV, RunConfig, UnknownTurnId, run_eval, score_predictions, write_jsonl
@@ -47,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Derivation-language QA harness: validate corpora, execute "
         "derivations, linearize inputs, score predictions, and drive a generator.",
     )
-    parser.add_argument("--precision", type=int, default=4, help="decimal places for rendering")
+    parser.add_argument("--precision", type=int, default=DEFAULT_PRECISION, help="decimal places for rendering")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="validate a corpus file, optionally against expected stats")
@@ -87,12 +87,12 @@ def _emit_report(report: MetricReport, style: str) -> None:
         print(json.dumps(report.to_dict(), indent=2))
 
 
-def cmd_validate(args: argparse.Namespace, config: EvalConfig) -> int:
+def cmd_validate(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus)
     expected = None
     if args.expected:
         expected = CorpusExpectations.from_obj(read_json(args.expected, "expected statistics"))
-    report = validate_corpus(corpus, expected, config)
+    report = validate_corpus(corpus, expected, args.precision)
     if args.report in ("text", "both"):
         stats = report.stats
         print(f"dialogues: {stats.dialogues}")
@@ -110,14 +110,14 @@ def cmd_validate(args: argparse.Namespace, config: EvalConfig) -> int:
     return EXIT_OK if report.passed else EXIT_INPUT
 
 
-def cmd_eval_derivation(args: argparse.Namespace, config: EvalConfig) -> int:
+def cmd_eval_derivation(args: argparse.Namespace) -> int:
     answer = execute_source(args.expression)
-    spans = answer.text_spans(config)
+    spans = answer.text_spans(args.precision)
     print(json.dumps(spans) if isinstance(answer, SpanSetAnswer) else spans[0])
     return EXIT_OK
 
 
-def cmd_linearize(args: argparse.Namespace, config: EvalConfig) -> int:
+def cmd_linearize(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus)
     matches = [d for d in corpus.dialogues if d.dialogue_id == args.dialogue]
     if not matches:
@@ -131,21 +131,21 @@ def cmd_linearize(args: argparse.Namespace, config: EvalConfig) -> int:
     context = linearize_document(corpus.documents[dialogue.doc_uid])
     for turn in turns[:-1]:
         model_input = build_model_input(context, turn.question)
-        context = add_response(model_input, turn.gold.response_text(config))
+        context = add_response(model_input, turn.gold.response_text(args.precision))
     print(build_model_input(context, turns[-1].question))
     return EXIT_OK
 
 
-def cmd_score(args: argparse.Namespace, config: EvalConfig) -> int:
+def cmd_score(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus)
-    report, logs = score_predictions(args.predictions, corpus, config)
+    report, logs = score_predictions(args.predictions, corpus, args.precision)
     if args.log:
         write_jsonl(logs, args.log)
     _emit_report(report, args.report)
     return EXIT_OK
 
 
-def cmd_run(args: argparse.Namespace, config: EvalConfig) -> int:
+def cmd_run(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus)
     generator = (
         ReplayGenerator.from_jsonl(args.fixture)
@@ -155,7 +155,7 @@ def cmd_run(args: argparse.Namespace, config: EvalConfig) -> int:
     run_config = RunConfig(
         mode=args.mode,
         history=args.history,
-        eval_config=config,
+        precision=args.precision,
         num_samples=args.num_samples,
         top_k=args.top_k,
         temperature=args.temperature,
@@ -176,10 +176,8 @@ def cmd_run(args: argparse.Namespace, config: EvalConfig) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        config = EvalConfig(render_precision=args.precision)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
+    if not 0 <= args.precision <= 10:
+        print("error: render_precision must be in [0, 10]", file=sys.stderr)
         return EXIT_INPUT
     handlers = {
         "validate": cmd_validate,
@@ -189,7 +187,7 @@ def main(argv: list[str] | None = None) -> int:
         "run": cmd_run,
     }
     try:
-        return handlers[args.command](args, config)
+        return handlers[args.command](args)
     except TransportError as err:
         print(f"transport error: {err}", file=sys.stderr)
         return EXIT_TRANSPORT

@@ -34,11 +34,10 @@ from pathlib import Path
 from typing import Any
 
 from .derivation import (
-    DEFAULT_CONFIG,
+    DEFAULT_PRECISION,
     CanonicalAnswer,
     ClarifyAnswer,
     DerivationError,
-    EvalConfig,
     NumericAnswer,
     SpanSetAnswer,
     UnreconstructibleDerivation,
@@ -142,12 +141,12 @@ class GoldTurnAnswer:
         items = [normalize_whitespace(part) for part in text.split(sep)]
         return [item for item in items if item]
 
-    def response_text(self, config: EvalConfig = DEFAULT_CONFIG) -> str:
+    def response_text(self, precision: int = DEFAULT_PRECISION) -> str:
         """The gold response as shown to the user (used for gold history).
 
         A clarifying question is said without the turn's scale word.
         """
-        text = self.canonical.text(config)
+        text = self.canonical.text(precision)
         return f"{text} {self.scale}" if self.scale and not self.req_clari else text
 
 
@@ -386,7 +385,7 @@ class Example:
     clarification: bool
 
 
-def build_examples(corpus: Corpus, task: Task, config: EvalConfig = DEFAULT_CONFIG) -> list[Example]:
+def build_examples(corpus: Corpus, task: Task, precision: int = DEFAULT_PRECISION) -> list[Example]:
     """Compile (input, target) pairs with gold-history teacher forcing.
 
     CQG examples cover only clarifying turns and CQA only non-clarifying
@@ -418,7 +417,7 @@ def build_examples(corpus: Corpus, task: Task, config: EvalConfig = DEFAULT_CONF
                     )
                 except (UnreconstructibleDerivation, LinearizeError) as err:
                     logger.warning("skipping turn %s: %s", turn.turn_id, err)
-            context = add_response(model_input, turn.gold.response_text(config))
+            context = add_response(model_input, turn.gold.response_text(precision))
     return examples
 
 
@@ -497,7 +496,7 @@ class ValidationReport:
 def validate_corpus(
     corpus: Corpus,
     expected: CorpusExpectations | None = None,
-    config: EvalConfig = DEFAULT_CONFIG,
+    precision: int = DEFAULT_PRECISION,
 ) -> ValidationReport:
     """Re-check invariants, execute reconstructed arithmetic targets, diff stats.
 
@@ -524,8 +523,8 @@ def validate_corpus(
                     Finding("ExecutionMismatch", turn.turn_id, "gold answer is not numeric")
                 )
                 continue
-            executed = answer.text(config)
-            rendered_gold = gold.canonical.text(config)
+            executed = answer.text(precision)
+            rendered_gold = gold.canonical.text(precision)
             if executed != rendered_gold:
                 findings.append(
                     Finding(

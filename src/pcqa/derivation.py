@@ -536,23 +536,11 @@ def _quote(item: str) -> str:
 NUMERIC_TOLERANCE = Fraction(1e-9)
 
 
-@dataclass(frozen=True)
-class EvalConfig:
-    """Numeric rendering knob.
-
-    render_precision: decimal places used when rendering exact rationals
-    (round half away from zero, trailing zeros dropped). Two numbers are
-    equal within NUMERIC_TOLERANCE, or else when their renderings are.
-    """
-
-    render_precision: int = 4
-
-    def __post_init__(self):
-        if not 0 <= self.render_precision <= 10:
-            raise ValueError("render_precision must be in [0, 10]")
-
-
-DEFAULT_CONFIG = EvalConfig()
+# Decimal places an exact rational is rendered at unless a caller passes
+# another precision in [0, 10]: rounded half away from zero, trailing zeros
+# dropped. Two numbers are equal within NUMERIC_TOLERANCE, or else when their
+# renderings are.
+DEFAULT_PRECISION = 4
 
 
 def render_decimal(value: Fraction, precision: int) -> str:
@@ -590,9 +578,9 @@ def normalize_answer_text(text: str) -> str:
 class _Answer:
     __slots__ = ()
 
-    def text(self, config: EvalConfig = DEFAULT_CONFIG) -> str:
+    def text(self, precision: int = DEFAULT_PRECISION) -> str:
         """The answer as said to the user: its text spans joined by ", "."""
-        return ", ".join(self.text_spans(config))
+        return ", ".join(self.text_spans(precision))
 
 
 @dataclass(frozen=True, slots=True)
@@ -603,11 +591,11 @@ class NumericAnswer(_Answer):
         """Vote key; a count with the same value shares it."""
         return ("num", self.value.numerator, self.value.denominator)
 
-    def text_spans(self, config: EvalConfig = DEFAULT_CONFIG) -> list[str]:
-        return [render_decimal(self.value, config.render_precision)]
+    def text_spans(self, precision: int = DEFAULT_PRECISION) -> list[str]:
+        return [render_decimal(self.value, precision)]
 
-    def describe(self, config: EvalConfig = DEFAULT_CONFIG) -> dict:
-        return {"kind": "number", "value": str(self.value), "rendered": self.text(config)}
+    def describe(self, precision: int = DEFAULT_PRECISION) -> dict:
+        return {"kind": "number", "value": str(self.value), "rendered": self.text(precision)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -618,10 +606,10 @@ class CountAnswer(_Answer):
         # "len([...])" and a numeral with the same value are one answer.
         return ("num", self.count, 1)
 
-    def text_spans(self, config: EvalConfig = DEFAULT_CONFIG) -> list[str]:
+    def text_spans(self, precision: int = DEFAULT_PRECISION) -> list[str]:
         return [str(self.count)]
 
-    def describe(self, config: EvalConfig = DEFAULT_CONFIG) -> dict:
+    def describe(self, precision: int = DEFAULT_PRECISION) -> dict:
         return {"kind": "count", "value": self.count}
 
 
@@ -637,10 +625,10 @@ class SpanSetAnswer(_Answer):
     def key(self) -> tuple:
         return ("spans", self.normalized())
 
-    def text_spans(self, config: EvalConfig = DEFAULT_CONFIG) -> list[str]:
+    def text_spans(self, precision: int = DEFAULT_PRECISION) -> list[str]:
         return list(self.spans)
 
-    def describe(self, config: EvalConfig = DEFAULT_CONFIG) -> dict:
+    def describe(self, precision: int = DEFAULT_PRECISION) -> dict:
         return {"kind": "spans", "value": list(self.spans)}
 
 
@@ -654,10 +642,10 @@ class ClarifyAnswer(_Answer):
     def key(self) -> tuple:
         return ("clarify", self.normalized())
 
-    def text_spans(self, config: EvalConfig = DEFAULT_CONFIG) -> list[str]:
+    def text_spans(self, precision: int = DEFAULT_PRECISION) -> list[str]:
         return [self.question]
 
-    def describe(self, config: EvalConfig = DEFAULT_CONFIG) -> dict:
+    def describe(self, precision: int = DEFAULT_PRECISION) -> dict:
         return {"kind": "clarify", "value": self.question}
 
 

@@ -2,7 +2,7 @@
 
 Predictions and gold answers are the same canonical answer types
 (`pcqa.derivation`) and are compared through their text spans, rendered at
-the configured precision. Normalization has two flavors. Exact match keeps
+the given precision. Normalization has two flavors. Exact match keeps
 currency/percent symbols attached to numerals (so "148,502" against
 "$148,502" is an EM miss), while the token-F1 side strips them (so the same
 pair keeps a high F1). A numeric mismatch zeroes the pair F1 outright.
@@ -21,18 +21,18 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
 
 from .corpus import GoldTurnAnswer
 from .derivation import (
-    DEFAULT_CONFIG,
+    DEFAULT_PRECISION,
     NUMERIC_TOLERANCE,
     PUNCT_TABLE,
     CanonicalAnswer,
     ClarifyAnswer,
-    EvalConfig,
     NumericAnswer,
     decimal_fraction,
     decimal_value,
@@ -41,15 +41,7 @@ from .derivation import (
 )
 
 
-class MetricError(Exception):
-    pass
-
-
-class LengthMismatch(MetricError):
-    pass
-
-
-class EmptyRecordSet(MetricError):
+class EmptyRecordSet(Exception):
     pass
 
 
@@ -151,15 +143,15 @@ def _as_spans(side: Spans) -> list[str]:
 
 
 def _answer_spans(
-    answer: CanonicalAnswer | None, config: EvalConfig, texts: Sequence[str] | None = None
+    answer: CanonicalAnswer | None, precision: int, texts: Sequence[str] | None = None
 ) -> list[_Normalized]:
     if answer is None:
         return []
     if texts is None:
-        texts = answer.text_spans(config)
+        texts = answer.text_spans(precision)
     if isinstance(answer, NumericAnswer):
-        return [_numeric_span(texts[0], config.render_precision)]
-    return [_normalize(s, config.render_precision) for s in texts]
+        return [_numeric_span(texts[0], precision)]
+    return [_normalize(s, precision) for s in texts]
 
 
 def _em_comparable(pred: CanonicalAnswer | None, pred_scale: str, gold: GoldTurnAnswer) -> bool:
@@ -202,7 +194,7 @@ def _pair_f1(pred: _Normalized, gold: _Normalized) -> float:
     return 0.0
 
 
-def numeracy_f1(pred: Spans, gold: Spans, config: EvalConfig = DEFAULT_CONFIG) -> float:
+def numeracy_f1(pred: Spans, gold: Spans, precision: int = DEFAULT_PRECISION) -> float:
     """Numeracy-focused token F1 (DROP, TAT-QA).
 
     A numeric side that disagrees with the other side scores zero. Multi-span
@@ -210,7 +202,6 @@ def numeracy_f1(pred: Spans, gold: Spans, config: EvalConfig = DEFAULT_CONFIG) -
     optimal assignment, as the DROP and TAT-QA scorers solve it), and the
     total is divided by max(len(pred), len(gold)).
     """
-    precision = config.render_precision
     return _pairing_f1(
         [_normalize(s, precision) for s in _as_spans(pred)],
         [_normalize(s, precision) for s in _as_spans(gold)],
@@ -297,12 +288,10 @@ def rouge2_f1(pred: str, gold: str) -> float:
 
 
 def classification_prf(preds: Sequence[bool], golds: Sequence[bool]) -> tuple[float, float, float]:
-    """Precision/recall/F1 with "needs clarification" as the positive class."""
-    if len(preds) != len(golds):
-        raise LengthMismatch(f"{len(preds)} predictions vs {len(golds)} golds")
-    tp = sum(1 for p, g in zip(preds, golds) if p and g)
-    fp = sum(1 for p, g in zip(preds, golds) if p and not g)
-    fn = sum(1 for p, g in zip(preds, golds) if not p and g)
+    """Precision/recall/F1 with "needs clarification" as the positive class;
+    lists of different lengths raise ValueError."""
+    pairs = Counter(zip(map(bool, preds), map(bool, golds), strict=True))
+    tp, fp, fn = pairs[True, True], pairs[True, False], pairs[False, True]
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
@@ -323,7 +312,7 @@ class PredictionRecord:
 
 def record_scores(
     record: PredictionRecord,
-    config: EvalConfig = DEFAULT_CONFIG,
+    precision: int = DEFAULT_PRECISION,
     predicted_spans: Sequence[str] | None = None,
 ) -> tuple[int, float]:
     """(EM, F1) of one turn, normalizing each span once for both.
@@ -331,11 +320,11 @@ def record_scores(
     EM is 1 iff the normalized spans are equal as multisets. Clarification
     questions only ever match clarification predictions, and the scale
     strings must match exactly for every answer type. `predicted_spans`,
-    when given, is `record.predicted.text_spans(config)`, which the caller
+    when given, is `record.predicted.text_spans(precision)`, which the caller
     has rendered already.
     """
-    pred = _answer_spans(record.predicted, config, predicted_spans)
-    gold = _answer_spans(record.gold.canonical, config)
+    pred = _answer_spans(record.predicted, precision, predicted_spans)
+    gold = _answer_spans(record.gold.canonical, precision)
     comparable = _em_comparable(record.predicted, record.predicted_scale, record.gold)
     return (_same_spans(pred, gold) if comparable else 0), _pairing_f1(pred, gold)
 
@@ -463,7 +452,7 @@ class MetricReport:
 
 
 def aggregate_report(
-    per_record: Sequence[ScoredRecord], config: EvalConfig = DEFAULT_CONFIG
+    per_record: Sequence[ScoredRecord], precision: int = DEFAULT_PRECISION
 ) -> MetricReport:
     """Assemble the full report from each record and its `record_scores`.
 
@@ -487,7 +476,7 @@ def aggregate_report(
         if not r.gold.req_clari:
             answering.append((em, f1))
             continue
-        spans = r.predicted.text_spans(config) if r.predicted else []
+        spans = r.predicted.text_spans(precision) if r.predicted else []
         pred_text = ", ".join(spans)
         gold_text = r.gold.clarification_question
         rouge_scores.append(rouge2_f1(pred_text, gold_text))
@@ -496,7 +485,7 @@ def aggregate_report(
         )
         # The turn's F1 scored this one span against the gold question, the
         # gold's one span. Joined spans, or none, make a span of their own.
-        cqg_f1s.append(f1 if len(spans) == 1 else numeracy_f1(pred_text, gold_text, config))
+        cqg_f1s.append(f1 if len(spans) == 1 else numeracy_f1(pred_text, gold_text, precision))
     cqg_rouge = cqg_em = cqg_f1 = None
     if rouge_scores:
         cqg_rouge = sum(rouge_scores) / len(rouge_scores)

@@ -19,12 +19,12 @@ import logging
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, TextIO
 
 from .corpus import Corpus, Dialogue, DialogueTurn
-from .derivation import DEFAULT_CONFIG, EvalConfig
+from .derivation import DEFAULT_PRECISION
 from .generation import (
     GREEDY,
     SAMPLE,
@@ -68,7 +68,7 @@ class UnknownTurnId(Exception):
 class RunConfig:
     mode: str = CV  # "cv" or "greedy"
     history: str = "gold"  # "gold" or "predicted"
-    eval_config: EvalConfig = field(default_factory=EvalConfig)
+    precision: int = DEFAULT_PRECISION  # decimal places for rendering numbers
     num_samples: int = 40
     top_k: int = 40
     temperature: float = 0.5
@@ -82,6 +82,8 @@ class RunConfig:
             raise ValueError(f"history must be gold or predicted, got {self.history!r}")
         if self.concurrency < 1:
             raise ValueError(f"concurrency must be at least 1, got {self.concurrency}")
+        if not 0 <= self.precision <= 10:
+            raise ValueError("render_precision must be in [0, 10]")
 
 
 @dataclass
@@ -134,7 +136,7 @@ def run_turn(
         answer = greedy_select(outputs)
     if fallback:
         answer = greedy_select(generator.generate(_greedy_request(model_input, turn, config)))
-    spans = answer.text_spans(config.eval_config) if answer else []
+    spans = answer.text_spans(config.precision) if answer else []
     return TurnResult(
         turn_id=turn.turn_id,
         samples=[o.text for o in outputs],
@@ -165,7 +167,7 @@ def _turn_record(
         predicted_scale="",
         gold=turn.gold,
     )
-    em, f1 = record_scores(record, config.eval_config, result.spans)
+    em, f1 = record_scores(record, config.precision, result.spans)
     log = {
         "turn_id": turn.turn_id,
         "dialogue_id": dialogue.dialogue_id,
@@ -178,7 +180,7 @@ def _turn_record(
         "f1": round(f1, 6),
         "fallback_used": result.fallback_used,
         "latency_ms": round(result.latency_s * 1000, 3),
-        "vote": result.vote.to_record(config.eval_config) if result.vote else None,
+        "vote": result.vote.to_record(config.precision) if result.vote else None,
         "samples": result.samples,
         "gold": {
             "answer_type": turn.gold.answer_type,
@@ -229,7 +231,7 @@ def run_eval(
             done.append(_turn_record(dialogue, turn, result, config))
             context = add_response(
                 model_input,
-                turn.gold.response_text(config.eval_config) if gold_history else result.final_text,
+                turn.gold.response_text(config.precision) if gold_history else result.final_text,
             )
 
     finished: list[list[tuple[ScoredRecord, dict]]] = [[] for _ in corpus.dialogues]
@@ -252,14 +254,14 @@ def run_eval(
         except BaseException:
             stop.set()
             raise
-    report = aggregate_report(records, config.eval_config)
+    report = aggregate_report(records, config.precision)
     return report, logs
 
 
 def score_predictions(
     predictions_path: str | Path,
     corpus: Corpus,
-    config: EvalConfig = DEFAULT_CONFIG,
+    precision: int = DEFAULT_PRECISION,
 ) -> tuple[MetricReport, list[dict]]:
     """Score an offline predictions file against a corpus, no generator needed.
 
@@ -278,9 +280,9 @@ def score_predictions(
         for turn in dialogue.turns:
             raw, scale = predictions.get(turn.turn_id, (None, ""))
             answer = None if raw is None else canonicalize(raw)
-            spans = answer.text_spans(config) if answer else []
+            spans = answer.text_spans(precision) if answer else []
             record = PredictionRecord(turn.turn_id, answer, scale, turn.gold)
-            em, f1 = record_scores(record, config, spans)
+            em, f1 = record_scores(record, precision, spans)
             records.append((record, em, f1))
             logs.append(
                 {
@@ -294,7 +296,7 @@ def score_predictions(
             )
     if not records:
         raise EmptyRecordSet("corpus has no turns")
-    return aggregate_report(records, config), logs
+    return aggregate_report(records, precision), logs
 
 
 def _load_predictions(path: Path, corpus: Corpus) -> dict[str, tuple[str, str]]:

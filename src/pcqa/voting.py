@@ -22,13 +22,12 @@ from dataclasses import dataclass
 # The answer classes live with the evaluator that produces them; voting is
 # where most callers look for them, so they are re-exported here.
 from .derivation import (
-    DEFAULT_CONFIG,
+    DEFAULT_PRECISION,
     NUMERIC_TOLERANCE,
     CanonicalAnswer,
     ClarifyAnswer,
     CountAnswer,
     DerivationError,
-    EvalConfig,
     NumericAnswer,
     SpanSetAnswer,
     execute_source,
@@ -81,11 +80,11 @@ class VoteResult:
     def counts(self) -> list[int]:
         return [count for _, count in self.tallies]
 
-    def to_record(self, config: EvalConfig = DEFAULT_CONFIG) -> dict:
+    def to_record(self, precision: int = DEFAULT_PRECISION) -> dict:
         return {
-            "winner": self.winner.describe(config),
+            "winner": self.winner.describe(precision),
             "tallies": [
-                {"answer": answer.describe(config), "votes": count, "exemplar": exemplar}
+                {"answer": answer.describe(precision), "votes": count, "exemplar": exemplar}
                 for (answer, count), exemplar in zip(self.tallies, self.exemplars)
             ],
             "discarded": self.discarded,

@@ -18,7 +18,7 @@ import json
 import random
 from pathlib import Path
 
-from pcqa.derivation import EvalConfig, ExecutionFailure, execute_source
+from pcqa.derivation import ExecutionFailure, execute_source
 from pcqa.linearize import MalformedOutput, parse_output
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -42,8 +42,8 @@ def outcome(source: str) -> dict:
         }
     return {
         "source": source,
-        "describe4": answer.describe(EvalConfig(render_precision=4)),
-        "describe10": answer.describe(EvalConfig(render_precision=10)),
+        "describe4": answer.describe(4),
+        "describe10": answer.describe(10),
         "text": answer.text(),
     }
 

@@ -26,8 +26,8 @@ from pcqa.corpus import (
     validate_corpus,
 )
 from pcqa.derivation import (
+    DEFAULT_PRECISION,
     DivisionByZeroError,
-    EvalConfig,
     ExecutionFailure,
     execute_source,
 )
@@ -44,8 +44,6 @@ from pcqa.voting import (
 
 from oracle_rational import oracle_eval, random_arithmetic_expr, to_source
 from reference_drop import ref_numeracy_f1
-
-CONFIG = EvalConfig()
 
 
 def _passed(line: str) -> None:
@@ -91,7 +89,7 @@ def test_derivation_evaluator_oracle_suite():
 def test_paper_execution_examples():
     """Quotient renders 0.7854; the count example yields 2; equivalent derivations share a group."""
     quotient = execute_source("(36.6-20.5)/20.5")
-    assert quotient.text(CONFIG) == "0.7854"
+    assert quotient.text() == "0.7854"
     assert quotient.value == Fraction(161, 205)
     count = execute_source('len(["2018","2019"])')
     assert count.count == 2
@@ -182,7 +180,7 @@ def test_corpus_validation_statistics(fixtures_dir):
     expected = CorpusExpectations.from_obj(
         json.loads((fixtures_dir / "corpus_small_expected.json").read_text())
     )
-    report = validate_corpus(corpus, expected, CONFIG)
+    report = validate_corpus(corpus, expected)
     assert report.passed, [f"{f.kind}@{f.where}: {f.detail}" for f in report.findings]
     stats = report.stats
     assert (stats.dialogues, stats.turns, stats.clarifying_turns) == (5, 16, 2)
@@ -211,7 +209,7 @@ def test_reconstruction_soundness(fixtures_dir):
     validated = 0
     mismatches = []
     for corpus in corpora:
-        report = validate_corpus(corpus, None, CONFIG)
+        report = validate_corpus(corpus, None)
         total += report.arithmetic_turns
         validated += report.validated_arithmetic_turns
         mismatches += [f"{f.where}: {f.detail}" for f in report.findings]
@@ -229,9 +227,9 @@ def test_metric_oracle_suite(fixtures_dir):
     assert len(pairs) == 50
     worst = 0.0
     for pair in pairs:
-        actual = numeracy_f1(pair["pred"], pair["gold"], CONFIG)
+        actual = numeracy_f1(pair["pred"], pair["gold"])
         frozen = pair["expected_f1"]
-        live = ref_numeracy_f1(pair["pred"], pair["gold"], CONFIG.render_precision)
+        live = ref_numeracy_f1(pair["pred"], pair["gold"], DEFAULT_PRECISION)
         worst = max(worst, abs(actual - frozen), abs(actual - live))
         assert abs(actual - frozen) <= 1e-6, pair
         assert abs(actual - live) <= 1e-6, pair
@@ -291,7 +289,7 @@ def test_offline_scoring_throughput(tmp_path):
                 }
                 fh.write(json.dumps(line) + "\n")
     started = time.perf_counter()
-    report, _ = score_predictions(path, corpus, CONFIG)
+    report, _ = score_predictions(path, corpus)
     elapsed = time.perf_counter() - started
     assert report.overall_em == 1.0
     assert elapsed < 10.0, f"scoring took {elapsed:.2f}s"

@@ -111,8 +111,9 @@ class TestEvalDerivation:
         assert "error" in capsys.readouterr().err
 
     def test_precision_flag(self, capsys):
-        assert main(["--precision", "2", "eval-derivation", "(36.6-20.5)/20.5"]) == 0
-        assert capsys.readouterr().out.strip() == "0.79"
+        for places, expected in (("2", "0.79"), ("0", "1"), ("10", "0.7853658537")):
+            assert main(["--precision", places, "eval-derivation", "(36.6-20.5)/20.5"]) == 0
+            assert capsys.readouterr().out.strip() == expected
 
     def test_span_list(self, capsys):
         assert main(["eval-derivation", '["a", "b"]']) == 0
@@ -327,5 +328,7 @@ class TestRun:
         assert code == 1
         assert "concurrency" in capsys.readouterr().err
 
-    def test_bad_precision_exits_1(self, fixtures_dir):
-        assert main(["--precision", "99", "eval-derivation", "1"]) == 1
+    def test_bad_precision_exits_1(self, capsys):
+        for places in ("-1", "11", "99"):
+            assert main(["--precision", places, "eval-derivation", "1"]) == 1
+            assert capsys.readouterr().err == "error: render_precision must be in [0, 10]\n"

@@ -16,7 +16,6 @@ from pcqa.derivation import (
     MAX_TOKENS,
     DerivationSyntaxError,
     DivisionByZeroError,
-    EvalConfig,
     ExecutionFailure,
     MixedTypeError,
     NumericAnswer,
@@ -428,9 +427,8 @@ class TestExecuteSource:
                 answer = execute_source(source)
             except ExecutionFailure as err:
                 return err.stage
-            config = EvalConfig(render_precision=10)
-            answer.text(config)
-            answer.describe(config)
+            answer.text(10)
+            answer.describe(10)
             canonical_source(source)
             return None
 
@@ -473,8 +471,9 @@ class TestRenderDecimal:
             assert render_decimal(Fraction(2, 3), 6) == "0.666667"
 
     def test_precision_bounds(self):
-        with pytest.raises(ValueError):
-            EvalConfig(render_precision=11)
+        # The CLI and RunConfig admit 0 to 10 places.
+        assert render_decimal(Fraction(161, 205), 0) == "1"
+        assert render_decimal(Fraction(161, 205), 10) == "0.7853658537"
 
 
 

@@ -12,13 +12,12 @@ from pcqa.corpus import GoldTurnAnswer
 from pcqa.derivation import (
     MAX_NUMERAL_DIGITS,
     NUMERIC_TOLERANCE,
-    EvalConfig,
+    DEFAULT_PRECISION,
     decimal_fraction,
     render_decimal,
 )
 from pcqa.metrics import (
     EmptyRecordSet,
-    LengthMismatch,
     PredictionRecord,
     _bag_f1,
     _best_pairing,
@@ -36,8 +35,6 @@ from pcqa.voting import ClarifyAnswer, CountAnswer, NumericAnswer, SpanSetAnswer
 
 from reference_drop import ref_numeracy_f1
 
-CONFIG = EvalConfig()
-
 
 def gold(answer_type, answer, derivation="", scale="", source="table", clari=""):
     return GoldTurnAnswer(
@@ -51,51 +48,51 @@ def gold(answer_type, answer, derivation="", scale="", source="table", clari="")
     )
 
 
-def record_em(pred, scale, g, config):
+def record_em(pred, scale, g):
     """The EM half of `record_scores`."""
-    return record_scores(PredictionRecord("t", pred, scale, g), config)[0]
+    return record_scores(PredictionRecord("t", pred, scale, g))[0]
 
 
 class TestExactMatch:
     def test_numeric_rendered_equality(self):
         g = gold("arithmetic", "0.7854", derivation="(36.6-20.5)/20.5")
-        assert record_em(NumericAnswer(Fraction(161, 205)), "", g, CONFIG) == 1
+        assert record_em(NumericAnswer(Fraction(161, 205)), "", g) == 1
 
     def test_currency_preserved(self):
         g = gold("span", ["$148,502"])
-        assert record_em(SpanSetAnswer(("148,502",)), "", g, CONFIG) == 0
-        assert record_em(SpanSetAnswer(("$148,502",)), "", g, CONFIG) == 1
+        assert record_em(SpanSetAnswer(("148,502",)), "", g) == 0
+        assert record_em(SpanSetAnswer(("$148,502",)), "", g) == 1
 
     def test_clarification_case_insensitive(self):
         g = gold("clarification", "Which period are you asking about?",
                  clari="Which period are you asking about?")
-        assert record_em(ClarifyAnswer("which PERIOD are you asking about?"), "", g, CONFIG) == 1
+        assert record_em(ClarifyAnswer("which PERIOD are you asking about?"), "", g) == 1
 
     def test_clarification_needs_clarify_prediction(self):
         g = gold("clarification", "Which period?", clari="Which period?")
-        assert record_em(SpanSetAnswer(("Which period?",)), "", g, CONFIG) == 0
+        assert record_em(SpanSetAnswer(("Which period?",)), "", g) == 0
 
     def test_scale_mismatch_scores_zero(self):
         g = gold("arithmetic", 0.7854, derivation="(36.6-20.5)/20.5", scale="percent")
-        assert record_em(NumericAnswer(Fraction(161, 205)), "", g, CONFIG) == 0
-        assert record_em(NumericAnswer(Fraction(161, 205)), "percent", g, CONFIG) == 1
+        assert record_em(NumericAnswer(Fraction(161, 205)), "", g) == 0
+        assert record_em(NumericAnswer(Fraction(161, 205)), "percent", g) == 1
 
     def test_span_multiset_order_free(self):
         g = gold("multi-span", ["Americas", "EMEA"])
-        assert record_em(SpanSetAnswer(("EMEA", "Americas")), "", g, CONFIG) == 1
-        assert record_em(SpanSetAnswer(("EMEA",)), "", g, CONFIG) == 0
+        assert record_em(SpanSetAnswer(("EMEA", "Americas")), "", g) == 1
+        assert record_em(SpanSetAnswer(("EMEA",)), "", g) == 0
 
     def test_count_vs_numeric_cross_type(self):
         g = gold("count", 3, derivation="a, b, c")
-        assert record_em(CountAnswer(3), "", g, CONFIG) == 1
-        assert record_em(NumericAnswer(Fraction(3)), "", g, CONFIG) == 1
+        assert record_em(CountAnswer(3), "", g) == 1
+        assert record_em(NumericAnswer(Fraction(3)), "", g) == 1
 
     def test_none_prediction(self):
-        assert record_em(None, "", gold("span", ["x"]), CONFIG) == 0
+        assert record_em(None, "", gold("span", ["x"])) == 0
 
     def test_grouping_commas_equal(self):
         g = gold("span", ["148,502"])
-        assert record_em(SpanSetAnswer(("148502",)), "", g, CONFIG) == 1
+        assert record_em(SpanSetAnswer(("148502",)), "", g) == 1
 
 
 class TestParseNumeral:
@@ -116,14 +113,14 @@ class TestParseNumeral:
 
 class TestNumeracyF1:
     def test_identity_and_mismatch(self):
-        assert numeracy_f1("2", "2", CONFIG) == 1.0
-        assert numeracy_f1("2", "3", CONFIG) == 0.0
+        assert numeracy_f1("2", "2") == 1.0
+        assert numeracy_f1("2", "3") == 0.0
 
     def test_number_vs_text_zeroes(self):
-        assert numeracy_f1("2", "two plans", CONFIG) == 0.0
+        assert numeracy_f1("2", "two plans") == 0.0
 
     def test_bag_f1(self):
-        assert numeracy_f1("Lease and loan receivables", "loan receivables", CONFIG) == (
+        assert numeracy_f1("Lease and loan receivables", "loan receivables") == (
             pytest.approx(2 * 0.5 * 1.0 / 1.5)
         )
 
@@ -131,18 +128,18 @@ class TestNumeracyF1:
         pairs = json.loads((fixtures_dir / "numeracy_pairs.json").read_text())
         assert len(pairs) == 50
         for pair in pairs:
-            actual = numeracy_f1(pair["pred"], pair["gold"], CONFIG)
+            actual = numeracy_f1(pair["pred"], pair["gold"])
             assert actual == pytest.approx(pair["expected_f1"], abs=1e-6), pair
-            live = ref_numeracy_f1(pair["pred"], pair["gold"], CONFIG.render_precision)
+            live = ref_numeracy_f1(pair["pred"], pair["gold"], DEFAULT_PRECISION)
             assert actual == pytest.approx(live, abs=1e-6), pair
 
     def test_multi_span_alignment(self):
-        assert numeracy_f1(["Americas", "EMEA"], ["EMEA", "Americas"], CONFIG) == 1.0
-        assert numeracy_f1(["Americas"], ["Americas", "EMEA"], CONFIG) == 0.5
+        assert numeracy_f1(["Americas", "EMEA"], ["EMEA", "Americas"]) == 1.0
+        assert numeracy_f1(["Americas"], ["Americas", "EMEA"]) == 0.5
 
     def test_empty_sides(self):
-        assert numeracy_f1([], [], CONFIG) == 1.0
-        assert numeracy_f1([], ["x"], CONFIG) == 0.0
+        assert numeracy_f1([], []) == 1.0
+        assert numeracy_f1([], ["x"]) == 0.0
 
 
 class TestRouge:
@@ -183,7 +180,7 @@ class TestClassificationPRF:
         assert classification_prf([False, False], [True, False]) == (0.0, 0.0, 0.0)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ValueError):
             classification_prf([True], [True, False])
 
 
@@ -192,7 +189,7 @@ def make_record(turn_id, predicted, g, scale=""):
 
 
 def scored(records):
-    return [(r, *record_scores(r, CONFIG)) for r in records]
+    return [(r, *record_scores(r)) for r in records]
 
 
 def all_correct_records():
@@ -214,7 +211,7 @@ def all_correct_records():
 
 class TestAggregateReport:
     def test_all_correct(self):
-        report = aggregate_report(scored(all_correct_records()), CONFIG)
+        report = aggregate_report(scored(all_correct_records()))
         assert report.overall_em == 1.0
         assert report.overall_f1 == 1.0
         assert (report.cnp_precision, report.cnp_recall, report.cnp_f1) == (1.0, 1.0, 1.0)
@@ -223,15 +220,15 @@ class TestAggregateReport:
 
     def test_single_record(self):
         record = all_correct_records()[0]
-        report = aggregate_report(scored([record]), CONFIG)
-        em, f1 = record_scores(record, CONFIG)
+        report = aggregate_report(scored([record]))
+        em, f1 = record_scores(record)
         assert report.overall_em == em and report.overall_f1 == f1
 
     def test_breakdown_grid_and_linearity(self):
         records = all_correct_records() + [
             make_record("t6", NumericAnswer(Fraction(99)), gold("arithmetic", 1, derivation="1"))
         ]
-        report = aggregate_report(scored(records), CONFIG)
+        report = aggregate_report(scored(records))
         weighted = sum(cell.em * cell.count for cell in report.breakdown.values())
         total = sum(cell.count for cell in report.breakdown.values())
         assert total == len(records)
@@ -242,7 +239,7 @@ class TestAggregateReport:
         assert ("Counting", "Text") not in report.breakdown
 
     def test_report_rendering(self):
-        report = aggregate_report(scored(all_correct_records()), CONFIG)
+        report = aggregate_report(scored(all_correct_records()))
         text = report.format_text()
         for row in ("Span", "Spans", "Counting", "Arithmetic", "Question", "Total"):
             assert row in text
@@ -254,7 +251,7 @@ class TestAggregateReport:
 
     def test_empty_record_set(self):
         with pytest.raises(EmptyRecordSet):
-            aggregate_report([], CONFIG)
+            aggregate_report([])
 
     def test_em_never_exceeds_f1(self):
         cases = [
@@ -265,7 +262,7 @@ class TestAggregateReport:
             make_record("x4", None, gold("span", ["x"])),
         ] + all_correct_records()
         for record in cases:
-            em, f1 = record_scores(record, CONFIG)
+            em, f1 = record_scores(record)
             assert em <= f1 + 1e-12
 
 
@@ -282,7 +279,7 @@ _number_strings = st.one_of(
 def test_em_le_f1_numeric_property(pred, gold_text):
     g = gold("arithmetic", gold_text, derivation=gold_text)
     record = make_record("p", NumericAnswer(Fraction(pred)), g)
-    em, f1 = record_scores(record, CONFIG)
+    em, f1 = record_scores(record)
     assert 0.0 <= f1 <= 1.0
     assert em in (0, 1)
     assert em <= f1 + 1e-12
@@ -294,8 +291,8 @@ def test_em_le_f1_numeric_property(pred, gold_text):
     b=st.lists(st.sampled_from(["alpha", "beta", "gamma", "delta"]), min_size=1, max_size=5),
 )
 def test_bag_f1_symmetry_property(a, b):
-    assert numeracy_f1(" ".join(a), " ".join(b), CONFIG) == pytest.approx(
-        numeracy_f1(" ".join(b), " ".join(a), CONFIG)
+    assert numeracy_f1(" ".join(a), " ".join(b)) == pytest.approx(
+        numeracy_f1(" ".join(b), " ".join(a))
     )
 
 
@@ -324,11 +321,11 @@ def test_parse_numeral_matches_reference_property(token):
     assert parse_numeral(token) == _ref_parse_numeral(token)
 
 
-def _ref_numbers_equal(a, b, config):
+def _ref_numbers_equal(a, b, precision):
     """Equal within NUMERIC_TOLERANCE, or identical once rendered."""
     if abs(a - b) <= NUMERIC_TOLERANCE:
         return True
-    return render_decimal(a, config.render_precision) == render_decimal(b, config.render_precision)
+    return render_decimal(a, precision) == render_decimal(b, precision)
 
 
 def _ref_plain_number(text):
@@ -354,13 +351,13 @@ def _ref_normalize_for_match(text, precision, keep_symbols):
     return " ".join(out)
 
 
-def _ref_pair_f1(pred, gold, config):
-    pred_norm = _ref_normalize_for_match(pred, config.render_precision, keep_symbols=False)
-    gold_norm = _ref_normalize_for_match(gold, config.render_precision, keep_symbols=False)
+def _ref_pair_f1(pred, gold, precision):
+    pred_norm = _ref_normalize_for_match(pred, precision, keep_symbols=False)
+    gold_norm = _ref_normalize_for_match(gold, precision, keep_symbols=False)
     pred_num = _ref_plain_number(pred_norm)
     gold_num = _ref_plain_number(gold_norm)
     if pred_num is not None or gold_num is not None:
-        same = pred_num is not None and gold_num is not None and _ref_numbers_equal(pred_num, gold_num, config)
+        same = pred_num is not None and gold_num is not None and _ref_numbers_equal(pred_num, gold_num, precision)
         return 1.0 if same else 0.0
     pred_tokens, gold_tokens = Counter(pred_norm.split()), Counter(gold_norm.split())
     if not pred_tokens and not gold_tokens:
@@ -368,16 +365,15 @@ def _ref_pair_f1(pred, gold, config):
     overlap = sum((pred_tokens & gold_tokens).values())
     if overlap == 0:
         return 0.0
-    precision = overlap / sum(pred_tokens.values())
-    recall = overlap / sum(gold_tokens.values())
-    return 2 * precision * recall / (precision + recall)
+    p = overlap / sum(pred_tokens.values())
+    r = overlap / sum(gold_tokens.values())
+    return 2 * p * r / (p + r)
 
 
-def _ref_record_scores(record, config):
+def _ref_record_scores(record, precision):
     pred, gold_answer = record.predicted, record.gold
-    precision = config.render_precision
-    pred_spans = pred.text_spans(config) if pred is not None else []
-    gold_spans = gold_answer.canonical.text_spans(config)
+    pred_spans = pred.text_spans(precision) if pred is not None else []
+    gold_spans = gold_answer.canonical.text_spans(precision)
     em = 0
     same_kind = gold_answer.req_clari == isinstance(pred, ClarifyAnswer)
     if pred is not None and same_kind and record.predicted_scale == gold_answer.scale:
@@ -389,7 +385,7 @@ def _ref_record_scores(record, config):
         return em, 1.0
     if not pred_spans or not gold_spans:
         return em, 0.0
-    matrix = [[_ref_pair_f1(p, g, config) for g in gold_spans] for p in pred_spans]
+    matrix = [[_ref_pair_f1(p, g, precision) for g in gold_spans] for p in pred_spans]
     return em, _ref_best_total(matrix) / max(len(pred_spans), len(gold_spans))
 
 
@@ -457,22 +453,20 @@ def _marked_pair(draw):
 @settings(max_examples=500, deadline=None)
 @given(
     turn=st.one_of(st.tuples(_predicted, _scale, _gold), _marked_pair()),
-    config=st.sampled_from(
-        [EvalConfig(), EvalConfig(render_precision=0), EvalConfig(render_precision=2)]
-    ),
+    precision=st.sampled_from([DEFAULT_PRECISION, 0, 2]),
 )
-def test_record_scores_matches_reference_property(turn, config):
+def test_record_scores_matches_reference_property(turn, precision):
     predicted, scale, g = turn
     record = make_record("p", predicted, g, scale=scale)
-    em, f1 = record_scores(record, config)
-    ref_em, ref_f1 = _ref_record_scores(record, config)
+    em, f1 = record_scores(record, precision)
+    ref_em, ref_f1 = _ref_record_scores(record, precision)
     # Pairings of equal total can sum their scores in another order.
     assert em == ref_em and f1 == pytest.approx(ref_f1, rel=0, abs=1e-12)
 
 
 # A numeric answer is scored from its value (one rendering, one parse); a
 # span answer through its text. Both must score like the rendered text.
-_FAST_PATH_CONFIGS = [EvalConfig(render_precision=0), EvalConfig(), EvalConfig(render_precision=10)]
+_FAST_PATH_PRECISIONS = [0, DEFAULT_PRECISION, 10]
 _fast_path_value = st.one_of(
     st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**12),
     # Negatives that round to "0" at every precision but 10.
@@ -482,8 +476,8 @@ _fast_path_value = st.one_of(
 )
 
 
-def _as_rendered_text(answer, config):
-    return SpanSetAnswer(tuple(answer.text_spans(config)))
+def _as_rendered_text(answer, precision):
+    return SpanSetAnswer(tuple(answer.text_spans(precision)))
 
 
 @settings(max_examples=1000, deadline=None)
@@ -493,30 +487,30 @@ def _as_rendered_text(answer, config):
     # renderings differ by less, and more, than the 1e-9 tolerance.
     offset=st.integers(-20, 20),
     places=st.sampled_from([0, 4, 9, 10, 11, 12]),
-    config=st.sampled_from(_FAST_PATH_CONFIGS),
+    precision=st.sampled_from(_FAST_PATH_PRECISIONS),
 )
-@example(value=Fraction(10**35 - 1, 10**5), offset=0, places=0, config=_FAST_PATH_CONFIGS[1])
-@example(value=Fraction(-1, 10**6), offset=0, places=0, config=_FAST_PATH_CONFIGS[1])
-@example(value=Fraction(1234567891, 10**10), offset=1, places=10, config=_FAST_PATH_CONFIGS[2])
-@example(value=Fraction(5, 2), offset=-1, places=10, config=_FAST_PATH_CONFIGS[0])
-def test_numeric_fast_path_matches_text_path_property(value, offset, places, config):
+@example(value=Fraction(10**35 - 1, 10**5), offset=0, places=0, precision=_FAST_PATH_PRECISIONS[1])
+@example(value=Fraction(-1, 10**6), offset=0, places=0, precision=_FAST_PATH_PRECISIONS[1])
+@example(value=Fraction(1234567891, 10**10), offset=1, places=10, precision=_FAST_PATH_PRECISIONS[2])
+@example(value=Fraction(5, 2), offset=-1, places=10, precision=_FAST_PATH_PRECISIONS[0])
+def test_numeric_fast_path_matches_text_path_property(value, offset, places, precision):
     gold_numeral = render_decimal(value + Fraction(offset, 10**places), 12)
     numeric_gold = gold("arithmetic", gold_numeral, derivation=gold_numeral)
-    text_gold = gold("span", numeric_gold.canonical.text_spans(config))
+    text_gold = gold("span", numeric_gold.canonical.text_spans(precision))
     predicted = NumericAnswer(value)
     # The reference scores every answer through its rendered text.
-    expected = _ref_record_scores(make_record("p", predicted, numeric_gold), config)
-    for pred in (predicted, _as_rendered_text(predicted, config)):
+    expected = _ref_record_scores(make_record("p", predicted, numeric_gold), precision)
+    for pred in (predicted, _as_rendered_text(predicted, precision)):
         for g in (numeric_gold, text_gold):
-            assert record_scores(make_record("p", pred, g), config) == expected
+            assert record_scores(make_record("p", pred, g), precision) == expected
 
 
 def test_lone_numeral_compares_at_its_rendered_value():
     # 1.00005 and 1.0000499999 lie within the 1e-9 tolerance, but score at
     # their renderings "1.0001" and "1", which do not.
     for pred, g in (("1.00005", "1.0000499999"), ("$1.00005", "1.0000499999%")):
-        assert numeracy_f1(pred, g, CONFIG) == _ref_pair_f1(pred, g, CONFIG) == 0.0
-    assert numeracy_f1("1.00005", "1.00014999", CONFIG) == 1.0
+        assert numeracy_f1(pred, g) == _ref_pair_f1(pred, g, DEFAULT_PRECISION) == 0.0
+    assert numeracy_f1("1.00005", "1.00014999") == 1.0
 
 
 # The rewritten helpers against Counter-based references.
@@ -639,17 +633,17 @@ _one_span_prediction = st.one_of(
 @given(
     predicted=_one_span_prediction | st.lists(_span_text, max_size=3).map(lambda s: SpanSetAnswer(tuple(s))),
     g=_clarifying_gold,
-    config=st.sampled_from([EvalConfig(), EvalConfig(render_precision=0)]),
+    precision=st.sampled_from([DEFAULT_PRECISION, 0]),
 )
-@example(predicted=None, g=gold("clarification", "the", clari="the"), config=EvalConfig())
-@example(predicted=SpanSetAnswer(()), g=gold("clarification", "?", clari="?"), config=EvalConfig())
-def test_cqg_f1_is_the_joined_text_scored_property(predicted, g, config):
+@example(predicted=None, g=gold("clarification", "the", clari="the"), precision=DEFAULT_PRECISION)
+@example(predicted=SpanSetAnswer(()), g=gold("clarification", "?", clari="?"), precision=DEFAULT_PRECISION)
+def test_cqg_f1_is_the_joined_text_scored_property(predicted, g, precision):
     """The report reuses a one-span turn's F1 for CQG; that is the F1 of the
     prediction's text against the gold question."""
     record = make_record("q", predicted, g)
-    report = aggregate_report([(record, *record_scores(record, config))], config)
-    pred_text = predicted.text(config) if predicted else ""
-    assert report.cqg_token_f1 == numeracy_f1(pred_text, g.clarification_question, config)
+    report = aggregate_report([(record, *record_scores(record, precision))], precision)
+    pred_text = predicted.text(precision) if predicted else ""
+    assert report.cqg_token_f1 == numeracy_f1(pred_text, g.clarification_question, precision)
 
 
 # Span lists on which the library and reference_drop normalize alike: no
@@ -663,12 +657,12 @@ _drop_span = st.lists(
 @given(pred=st.lists(_drop_span, max_size=4), gold_spans=st.lists(_drop_span, max_size=4))
 @example(pred=["a b c d", "a b"], gold_spans=["a b c", "c d"])
 def test_optimal_pairing_matches_reference_drop_property(pred, gold_spans):
-    assert numeracy_f1(pred, gold_spans, CONFIG) == pytest.approx(ref_numeracy_f1(pred, gold_spans), abs=1e-12)
+    assert numeracy_f1(pred, gold_spans) == pytest.approx(ref_numeracy_f1(pred, gold_spans), abs=1e-12)
 
 
 def test_optimal_pairing_beats_greedy():
     # Greedy takes "a b c d"/"a b c" (F1 6/7) first and leaves "a b"/"c d" at 0.
-    assert numeracy_f1(["a b c d", "a b"], ["a b c", "c d"], CONFIG) == pytest.approx(11 / 15)
+    assert numeracy_f1(["a b c d", "a b"], ["a b c", "c d"]) == pytest.approx(11 / 15)
 
 
 @settings(max_examples=300, deadline=None)
@@ -693,4 +687,4 @@ def test_pairing_of_many_spans_is_polynomial():
     n = 120
     pred = [f"z w{i}" for i in range(n)]
     gold_spans = ["z"] + [f"w{i} q r" for i in range(1, n)]
-    assert numeracy_f1(pred, gold_spans, CONFIG) == pytest.approx((2 / 3 + 0.4 * (n - 1)) / n)
+    assert numeracy_f1(pred, gold_spans) == pytest.approx((2 / 3 + 0.4 * (n - 1)) / n)

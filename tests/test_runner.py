@@ -232,6 +232,9 @@ class TestRunTurnAndEval:
             RunConfig(history="oracle")
         with pytest.raises(ValueError):
             RunConfig(concurrency=0)
+        for precision in (-1, 11):
+            with pytest.raises(ValueError, match=r"render_precision must be in \[0, 10\]"):
+                RunConfig(precision=precision)
 
 
 class TestScorePredictions:

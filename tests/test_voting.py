@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pcqa import voting
-from pcqa.derivation import NUMERIC_TOLERANCE, EvalConfig
+from pcqa.derivation import NUMERIC_TOLERANCE
 from pcqa.generation import GeneratedOutput
 from pcqa.voting import (
     AllSamplesDiscarded,
@@ -305,9 +305,8 @@ DERIVATION_PIECES = list("0123456789.,+-*/()[]'\" ") + ["len"]
 def test_canonicalize_never_raises(prefix, body):
     answer = canonicalize(prefix + body)
     if answer is not None:
-        config = EvalConfig(render_precision=10)
-        answer.text(config)
-        answer.describe(config)
+        answer.text(10)
+        answer.describe(10)
 
 
 def reference_vote(samples):
