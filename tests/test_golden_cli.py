@@ -34,6 +34,7 @@ T7 = str(FIXTURES / "table7_corpus.json")
 
 CASES = {
     "validate_small": ["validate", SMALL, "--expected", str(FIXTURES / "corpus_small_expected.json"), "--report", "both"],
+    "validate_small_mismatch": ["validate", SMALL, "--expected", str(FIXTURES / "corpus_small_mismatch_expected.json"), "--report", "both"],
     "score_small": ["score", str(FIXTURES / "corpus_small_predictions.jsonl"), SMALL, "--report", "both", "--log"],
     "score_small_p2": ["--precision", "2", "score", str(FIXTURES / "corpus_small_predictions.jsonl"), SMALL, "--report", "both", "--log"],
     "run_t7_cv": ["run", T7, "--fixture", str(FIXTURES / "table7_replay.jsonl"), "--mode", "cv", "--report", "both", "--log"],
