@@ -17,14 +17,14 @@ from pcqa import (
     execute_source,
     tokenize,
 )
-from pcqa.derivation import MAX_NUMERAL_DIGITS, MAX_TOKENS, locate
+from pcqa.derivation import MAX_NUMERAL_DIGITS, MAX_TOKENS, token_starts
 
 # A percentage-change derivation, straight from a gold annotation.
 source = "(36.6-20.5)/20.5"
 print("source:   ", source)
 tokens = tokenize(source)  # the token texts as written; positions only on demand
 print("tokens:   ", list(tokens))
-print("located:  ", [(t.kind.name, t.text, t.position) for t in locate(tokens)][:3], "...")
+print("starts:   ", token_starts(tokens))  # worked out only when an error needs one
 answer = execute_source(source)
 print("answer:   ", answer)                # NumericAnswer(value=Fraction(161, 205))
 print("rendered: ", answer.text())     # 0.7854 (4 places, half away from zero)

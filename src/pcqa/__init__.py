@@ -30,7 +30,6 @@ from .linearize import (
 )
 from .corpus import (
     Corpus,
-    CorpusExpectations,
     CorpusStats,
     Dialogue,
     DialogueTurn,
@@ -39,6 +38,7 @@ from .corpus import (
     corpus_stats,
     load_corpus,
     load_release_file,
+    read_expectations,
     reconstruct_code,
     validate_corpus,
 )

@@ -9,9 +9,9 @@ import argparse
 import json
 import sys
 
-from .corpus import CorpusExpectations, CorpusError, load_corpus, read_json, validate_corpus
+from .corpus import STAT_LABELS, CorpusError, load_corpus, read_expectations, read_json, validate_corpus
 from .derivation import DEFAULT_PRECISION, DerivationError, SpanSetAnswer, execute_source
-from .generation import GenerationError, HttpGenerator, ReplayGenerator, TransportError
+from .generation import GREEDY, GenerationError, HttpGenerator, ReplayGenerator, TransportError
 from .metrics import EmptyRecordSet, MetricReport
 from .runner import CV, RunConfig, UnknownTurnId, run_eval, score_predictions, write_jsonl
 from .linearize import add_response, build_model_input, linearize_document
@@ -27,16 +27,16 @@ def _add_report_flag(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_decode_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--mode", choices=(CV, "greedy"), default=CV)
-    parser.add_argument("--num-samples", type=int, default=40)
-    parser.add_argument("--top-k", type=int, default=40)
-    parser.add_argument("--temperature", type=float, default=0.5)
-    parser.add_argument("--max-target-length", type=int, default=128)
-    parser.add_argument("--history", choices=("gold", "predicted"), default="gold")
+    parser.add_argument("--mode", choices=(CV, GREEDY), default=RunConfig.mode)
+    parser.add_argument("--num-samples", type=int, default=RunConfig.num_samples)
+    parser.add_argument("--top-k", type=int, default=RunConfig.top_k)
+    parser.add_argument("--temperature", type=float, default=RunConfig.temperature)
+    parser.add_argument("--max-target-length", type=int, default=RunConfig.max_target_length)
+    parser.add_argument("--history", choices=("gold", "predicted"), default=RunConfig.history)
     parser.add_argument(
         "--concurrency",
         type=int,
-        default=8,
+        default=RunConfig.concurrency,
         help="dialogues in flight at once (at least 1); the turns of a dialogue run in order",
     )
 
@@ -91,16 +91,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus)
     expected = None
     if args.expected:
-        expected = CorpusExpectations.from_obj(read_json(args.expected, "expected statistics"))
+        expected = read_expectations(read_json(args.expected, "expected statistics"))
     report = validate_corpus(corpus, expected, args.precision)
     if args.report in ("text", "both"):
-        stats = report.stats
-        print(f"dialogues: {stats.dialogues}")
-        print(f"turns: {stats.turns}")
-        print(f"clarifying turns: {stats.clarifying_turns}")
-        print(f"avg turns/dialogue: {stats.avg_turns_per_dialogue:.1f}")
-        print(f"avg words/question: {stats.avg_words_per_question:.1f}")
-        print(f"avg words/answer: {stats.avg_words_per_answer:.1f}")
+        for name, value in report.stats.summary().items():
+            print(f"{STAT_LABELS[name]}: {value}")
         print(f"arithmetic turns validated: {report.validated_arithmetic_turns}/{report.arithmetic_turns}")
         for finding in report.findings:
             print(f"FINDING {finding.kind} at {finding.where}: {finding.detail}")

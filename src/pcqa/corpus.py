@@ -300,6 +300,18 @@ def _by_order(entries: list[dict], where: str) -> list[dict]:
         raise SchemaError(where, f"order values cannot be compared: {err}") from err
 
 
+# The statistics a corpus is summed up by, in report order, each with its
+# label in the text report.
+STAT_LABELS = {
+    "dialogues": "dialogues",
+    "turns": "turns",
+    "clarifying_turns": "clarifying turns",
+    "avg_turns_per_dialogue": "avg turns/dialogue",
+    "avg_words_per_question": "avg words/question",
+    "avg_words_per_answer": "avg words/answer",
+}
+
+
 @dataclass(frozen=True)
 class CorpusStats:
     dialogues: int
@@ -315,6 +327,11 @@ class CorpusStats:
 
     def source_total(self, source: str) -> int:
         return sum(v for (_, s), v in self.by_type_source.items() if s == source)
+
+    def summary(self) -> dict:
+        """Each statistic of STAT_LABELS as reported: an average rounded to
+        one decimal, a count as it is."""
+        return {name: round(getattr(self, name), 1) for name in STAT_LABELS}
 
 
 def corpus_stats(corpus: Corpus) -> CorpusStats:
@@ -428,36 +445,23 @@ class Finding:
     detail: str
 
 
-@dataclass(frozen=True)
-class CorpusExpectations:
-    """Expected statistics to diff against (absent fields are not checked).
-
-    Averages compare after rounding to one decimal, matching how they are
-    conventionally reported.
+def read_expectations(raw: Any) -> dict:
+    """Expected statistics to diff against: the names of STAT_LABELS, and
+    "by_type" and "by_source", which map an answer type or a source to its
+    turn count. The key "total_questions" stands for "turns" when "turns" is
+    absent; other keys are dropped. A null or absent value is not checked,
+    and an average compares as it is reported, rounded to one decimal.
     """
-
-    dialogues: int | None = None
-    turns: int | None = None
-    clarifying_turns: int | None = None
-    avg_turns_per_dialogue: float | None = None
-    avg_words_per_question: float | None = None
-    avg_words_per_answer: float | None = None
-    by_type: dict[str, int] = field(default_factory=dict)
-    by_source: dict[str, int] = field(default_factory=dict)
-
-    @classmethod
-    def from_obj(cls, raw: dict) -> "CorpusExpectations":
-        """Read an expectations object; the key "total_questions" stands for turns."""
-        if not isinstance(raw, dict):
-            raise SchemaError("expectations", "expected statistics must be a JSON object")
-        known = {f for f in cls.__dataclass_fields__}
-        fields = {k: v for k, v in raw.items() if k in known}
-        if "turns" not in fields and "total_questions" in raw:
-            fields["turns"] = raw["total_questions"]
-        for name in ("by_type", "by_source"):
-            if not isinstance(fields.get(name, {}), dict):
-                raise SchemaError(f"expectations.{name}", "must be a JSON object")
-        return cls(**fields)
+    if not isinstance(raw, dict):
+        raise SchemaError("expectations", "expected statistics must be a JSON object")
+    tallies = ("by_type", "by_source")
+    expected = {k: v for k, v in raw.items() if k in STAT_LABELS or k in tallies}
+    if "turns" not in expected and "total_questions" in raw:
+        expected["turns"] = raw["total_questions"]
+    for name in tallies:
+        if not isinstance(expected.get(name, {}), dict):
+            raise SchemaError(f"expectations.{name}", "must be a JSON object")
+    return expected
 
 
 @dataclass
@@ -475,12 +479,7 @@ class ValidationReport:
         return {
             "passed": self.passed,
             "stats": {
-                "dialogues": self.stats.dialogues,
-                "turns": self.stats.turns,
-                "clarifying_turns": self.stats.clarifying_turns,
-                "avg_turns_per_dialogue": round(self.stats.avg_turns_per_dialogue, 1),
-                "avg_words_per_question": round(self.stats.avg_words_per_question, 1),
-                "avg_words_per_answer": round(self.stats.avg_words_per_answer, 1),
+                **self.stats.summary(),
                 "by_type_source": {
                     f"{t}/{s}": v for (t, s), v in sorted(self.stats.by_type_source.items())
                 },
@@ -495,10 +494,11 @@ class ValidationReport:
 
 def validate_corpus(
     corpus: Corpus,
-    expected: CorpusExpectations | None = None,
+    expected: dict | None = None,
     precision: int = DEFAULT_PRECISION,
 ) -> ValidationReport:
-    """Re-check invariants, execute reconstructed arithmetic targets, diff stats.
+    """Re-check invariants, execute reconstructed arithmetic targets, diff
+    stats against `read_expectations`'s dict.
 
     Every arithmetic turn's reconstructed code is executed and compared to
     the gold answer at rendered precision; mismatches are reported, never
@@ -546,27 +546,17 @@ def validate_corpus(
     )
 
 
-def _diff_stats(stats: CorpusStats, expected: CorpusExpectations) -> list[Finding]:
-    findings = []
-
-    def check(name: str, actual, want, round_to: int | None = None):
-        if want is None:
-            return
-        shown = round(actual, round_to) if round_to is not None else actual
-        if shown != want:
-            findings.append(Finding("StatMismatch", name, f"expected {want}, got {shown}"))
-
-    check("dialogues", stats.dialogues, expected.dialogues)
-    check("turns", stats.turns, expected.turns)
-    check("clarifying_turns", stats.clarifying_turns, expected.clarifying_turns)
-    check("avg_turns_per_dialogue", stats.avg_turns_per_dialogue, expected.avg_turns_per_dialogue, 1)
-    check("avg_words_per_question", stats.avg_words_per_question, expected.avg_words_per_question, 1)
-    check("avg_words_per_answer", stats.avg_words_per_answer, expected.avg_words_per_answer, 1)
-    for answer_type, want in expected.by_type.items():
-        check(f"by_type[{answer_type}]", stats.type_total(answer_type), want)
-    for source, want in expected.by_source.items():
-        check(f"by_source[{source}]", stats.source_total(source), want)
-    return findings
+def _diff_stats(stats: CorpusStats, expected: dict) -> list[Finding]:
+    checks = [(name, actual, expected.get(name)) for name, actual in stats.summary().items()]
+    for answer_type, want in expected.get("by_type", {}).items():
+        checks.append((f"by_type[{answer_type}]", stats.type_total(answer_type), want))
+    for source, want in expected.get("by_source", {}).items():
+        checks.append((f"by_source[{source}]", stats.source_total(source), want))
+    return [
+        Finding("StatMismatch", where, f"expected {want}, got {actual}")
+        for where, actual, want in checks
+        if want is not None and actual != want
+    ]
 
 
 def load_release_file(path: str | Path) -> Corpus:

@@ -12,10 +12,10 @@ that returns the token texts as written (a `Tokens` list that keeps the
 source); `parse`, one recursive-descent pass over those texts that computes
 the value in integer numerator/denominator pairs, with no tree; and
 `evaluate`, which makes the canonical answer, one `Fraction` per number. A
-token's kind follows from its first character. Positions are worked out
-only on the error path (`token_starts`, which `locate` also uses), so an
-error still names the position it always did. The same parser with render
-actions gives `canonical_source`.
+numeral is a token whose last character is a decimal digit. Positions are
+worked out only on the error path (`token_starts`), so an error still names
+the position it always did. The same parser with render actions gives
+`canonical_source`.
 
 The answer is a `NumericAnswer`, `CountAnswer` or `SpanSetAnswer`
 (`ClarifyAnswer` is the fourth kind, made by voting from a clarifying decode
@@ -51,9 +51,8 @@ from __future__ import annotations
 import re
 import string
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import Union
 
 
 MAX_TOKENS = 256
@@ -114,34 +113,11 @@ class UnreconstructibleDerivation(DerivationError):
     """Gold derivation text falls outside the derivation grammar."""
 
 
-class TokenKind(Enum):
-    NUMBER = "NUMBER"
-    STRING = "STRING"
-    PLUS = "+"
-    MINUS = "-"
-    STAR = "*"
-    SLASH = "/"
-    LPAREN = "("
-    RPAREN = ")"
-    LBRACKET = "["
-    RBRACKET = "]"
-    COMMA = ","
-    LEN = "len"
-
-
-class Token(NamedTuple):
-    kind: TokenKind
-    text: str  # a numeral without grouping commas, a string without quotes
-    position: int
-    end: int  # just past the token's source text, quotes and grouping commas included
-
-
 class Tokens(list):
     """Token texts exactly as written in `source`, quotes and grouping commas
-    included. A token's kind follows from its first character: a digit or a
-    point starts a numeral, a quote a string; the rest are `len` and the
-    punctuation tokens. Positions are worked out only on demand
-    (`token_starts`, `locate`)."""
+    included. A numeral ends in a decimal digit and a string starts with a
+    quote; the rest are `len` and the punctuation tokens. Positions are
+    worked out only on demand (`token_starts`)."""
 
     __slots__ = ("source",)
 
@@ -163,10 +139,6 @@ _IS_TOKEN = re.compile(_TOKEN).fullmatch
 _LONG_RUN = re.compile(r"[\d.,]{%d}" % (MAX_NUMERAL_DIGITS + 1)).search
 _GROUPING_COMMA = re.compile(r"\d,\d").search
 _QUOTES = "\"'"
-# The kinds whose text is fixed: `len` and the punctuation tokens.
-_WORD_KINDS = {
-    kind.value: kind for kind in TokenKind if kind not in (TokenKind.NUMBER, TokenKind.STRING)
-}
 
 
 def tokenize(source: str) -> Tokens:
@@ -197,7 +169,7 @@ def tokenize(source: str) -> Tokens:
         _split_listed_numerals(tokens)
     if _LONG_RUN(source):
         for index, text in enumerate(tokens):
-            numeral = _kind(text) is TokenKind.NUMBER
+            numeral = text[-1].isdecimal()
             if numeral and len(_text(text)) - ("." in text) > MAX_NUMERAL_DIGITS:
                 expected = f"a numeral of at most {MAX_NUMERAL_DIGITS} digits"
                 raise DerivationSyntaxError(token_starts(tokens, index)[0], expected)
@@ -220,27 +192,19 @@ def _split_listed_numerals(tokens: Tokens) -> None:
             depth += 1
         elif text == "]" and depth:
             depth -= 1
-        elif depth and "," in text and _kind(text) is TokenKind.NUMBER:
+        elif depth and "," in text and text[-1].isdecimal():
             split += re.split("(,)", text)
             continue
         split.append(text)
     tokens[:] = split
 
 
-def _kind(text: str) -> TokenKind:
-    kind = _WORD_KINDS.get(text)
-    if kind is not None:
-        return kind
-    return TokenKind.STRING if text[0] in _QUOTES else TokenKind.NUMBER
-
-
 def _text(text: str) -> str:
     """A token's text as the parser reads it: a numeral without its
     grouping commas, a string without its quotes."""
-    kind = _kind(text)
-    if kind is TokenKind.STRING:
+    if text[0] in _QUOTES:
         return text[1:-1]
-    if kind is TokenKind.NUMBER:
+    if text[-1].isdecimal():
         return text.replace(",", "")
     return text
 
@@ -249,12 +213,12 @@ def token_starts(tokens: Tokens, first: int = 0) -> list[int]:
     """Where each token from index `first` on starts in `tokens.source`.
 
     The only place token positions are worked out, called only to raise an
-    error (and by `locate`). Only whitespace lies between two tokens and
-    after the last one, and every token ends with a character that is not
-    whitespace (the rest of the source that ends a failed scan ends the
-    source), so walking back from the end, each token is the last
-    occurrence of its text before the token after it. Errors lie near the
-    end more often than not, so the walk is short.
+    error. Only whitespace lies between two tokens and after the last one,
+    and every token ends with a character that is not whitespace (the rest
+    of the source that ends a failed scan ends the source), so walking back
+    from the end, each token is the last occurrence of its text before the
+    token after it. Errors lie near the end more often than not, so the
+    walk is short.
     """
     source = tokens.source
     starts = []
@@ -264,15 +228,6 @@ def token_starts(tokens: Tokens, first: int = 0) -> list[int]:
         starts.append(start)
     starts.reverse()
     return starts
-
-
-def locate(tokens: Tokens) -> list[Token]:
-    """Each token's kind, its text as the parser reads it, and its position
-    and end in the source."""
-    return [
-        Token(_kind(text), _text(text), start, start + len(text))
-        for text, start in zip(tokens, token_starts(tokens))
-    ]
 
 
 def decimal_fraction(text: str) -> Fraction:

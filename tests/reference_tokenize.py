@@ -1,11 +1,13 @@
 """Reference derivation tokenizer: the original character-by-character loop.
 
 `pcqa.derivation.tokenize` scans the whole source with one compiled pattern
-and returns token texts, and `pcqa.derivation.locate` gives their kinds and
-positions; this module walks the source one character at a time, so the
-property test can check that both give the same tokens, and the same error
-at the same position, on any source. Tokens are (kind, text, position, end)
-tuples.
+and returns token texts as written, and `pcqa.derivation.token_starts` gives
+their positions; this module walks the source one character at a time, so
+the property test can check that both give the same tokens, and the same
+error at the same position, on any source. Tokens are (kind, text, position,
+end) tuples: the kind is "NUMBER", "STRING" or the text of `len` or the
+punctuation character, and the text is a numeral without its grouping commas
+or a string without its quotes.
 """
 
 from __future__ import annotations
@@ -14,28 +16,17 @@ from pcqa.derivation import (
     MAX_NUMERAL_DIGITS,
     MAX_TOKENS,
     DerivationSyntaxError,
-    TokenKind,
     UnknownCharacterError,
     UnterminatedStringError,
 )
 
-_SINGLE = {
-    "(": TokenKind.LPAREN,
-    ")": TokenKind.RPAREN,
-    "[": TokenKind.LBRACKET,
-    "]": TokenKind.RBRACKET,
-    "+": TokenKind.PLUS,
-    "-": TokenKind.MINUS,
-    "*": TokenKind.STAR,
-    "/": TokenKind.SLASH,
-    ",": TokenKind.COMMA,
-}
+_SINGLE = "()[]+-*/,"
 
 
-def reference_tokenize(source: str) -> list[tuple[TokenKind, str, int, int]]:
+def reference_tokenize(source: str) -> list[tuple[str, str, int, int]]:
     if not source or not source.strip():
         raise DerivationSyntaxError(0, "non-empty derivation source")
-    tokens: list[tuple[TokenKind, str, int, int]] = []
+    tokens: list[tuple[str, str, int, int]] = []
     i = 0
     n = len(source)
     bracket_depth = 0
@@ -49,7 +40,7 @@ def reference_tokenize(source: str) -> list[tuple[TokenKind, str, int, int]]:
                 bracket_depth += 1
             elif ch == "]":
                 bracket_depth = max(0, bracket_depth - 1)
-            tokens.append((_SINGLE[ch], ch, i, i + 1))
+            tokens.append((ch, ch, i, i + 1))
             i += 1
         elif ch in "\"'":
             j = i + 1
@@ -57,16 +48,16 @@ def reference_tokenize(source: str) -> list[tuple[TokenKind, str, int, int]]:
                 j += 1
             if j >= n:
                 raise UnterminatedStringError(i)
-            tokens.append((TokenKind.STRING, source[i + 1 : j], i, j + 1))
+            tokens.append(("STRING", source[i + 1 : j], i, j + 1))
             i = j + 1
         elif ch.isdecimal() or (ch == "." and i + 1 < n and source[i + 1].isdecimal()):
             start = i
             text, i = _lex_number(source, i, grouping=bracket_depth == 0)
             if len(text) - ("." in text) > MAX_NUMERAL_DIGITS:
                 raise DerivationSyntaxError(start, f"a numeral of at most {MAX_NUMERAL_DIGITS} digits")
-            tokens.append((TokenKind.NUMBER, text, start, i))
+            tokens.append(("NUMBER", text, start, i))
         elif source.startswith("len", i):
-            tokens.append((TokenKind.LEN, "len", i, i + 3))
+            tokens.append(("len", "len", i, i + 3))
             i += 3
         else:
             raise UnknownCharacterError(ch, i)

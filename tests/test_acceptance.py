@@ -15,7 +15,6 @@ import pytest
 
 from pcqa.corpus import (
     Corpus,
-    CorpusExpectations,
     Dialogue,
     DialogueTurn,
     GoldTurnAnswer,
@@ -23,6 +22,7 @@ from pcqa.corpus import (
     corpus_stats,
     load_corpus,
     load_release_file,
+    read_expectations,
     validate_corpus,
 )
 from pcqa.derivation import (
@@ -177,7 +177,7 @@ def test_corpus_validation_statistics(fixtures_dir):
         _passed("corpus statistics match the published split and type totals")
         return
     corpus = load_corpus(fixtures_dir / "corpus_small.json")
-    expected = CorpusExpectations.from_obj(
+    expected = read_expectations(
         json.loads((fixtures_dir / "corpus_small_expected.json").read_text())
     )
     report = validate_corpus(corpus, expected)

@@ -7,7 +7,6 @@ import pytest
 
 from pcqa.corpus import (
     Corpus,
-    CorpusExpectations,
     InvariantViolation,
     SchemaError,
     UnreconstructibleDerivation,
@@ -16,6 +15,7 @@ from pcqa.corpus import (
     corpus_stats,
     load_corpus,
     load_release_file,
+    read_expectations,
     reconstruct_code,
     validate_corpus,
 )
@@ -173,14 +173,14 @@ def test_unreadable_json_is_schema_error(tmp_path, loader, content):
 @pytest.mark.parametrize("field", ["by_type", "by_source"])
 def test_expected_tallies_must_be_objects(field):
     with pytest.raises(SchemaError):
-        CorpusExpectations.from_obj({field: ["span", 5]})
+        read_expectations({field: ["span", 5]})
 
 
 def test_expectations_key_total_questions_means_turns():
-    assert CorpusExpectations.from_obj({"total_questions": 16}).turns == 16
-    assert CorpusExpectations.from_obj({"turns": 3, "total_questions": 16}).turns == 3
+    assert read_expectations({"total_questions": 16})["turns"] == 16
+    assert read_expectations({"turns": 3, "total_questions": 16})["turns"] == 3
     with pytest.raises(SchemaError):
-        CorpusExpectations.from_obj([16])
+        read_expectations([16])
 
 
 class TestCorpusStats:
@@ -328,7 +328,7 @@ class TestBuildExamples:
 
 class TestValidateCorpus:
     def test_fixture_validates_cleanly(self, small_corpus, fixtures_dir):
-        expected = CorpusExpectations.from_obj(
+        expected = read_expectations(
             json.loads((fixtures_dir / "corpus_small_expected.json").read_text())
         )
         report = validate_corpus(small_corpus, expected)
@@ -406,7 +406,7 @@ class TestValidateCorpus:
             assert gold.canonical == canonical
 
     def test_stat_diff_reported(self, small_corpus):
-        report = validate_corpus(small_corpus, CorpusExpectations(turns=99))
+        report = validate_corpus(small_corpus, read_expectations({"turns": 99}))
         assert any(f.kind == "StatMismatch" for f in report.findings)
 
     def test_no_expectations_stats_only(self, small_corpus):

@@ -20,10 +20,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from pcqa.corpus import (
     CorpusError,
-    CorpusExpectations,
     SchemaError,
     corpus_from_obj,
     load_release_file,
+    read_expectations,
     validate_corpus,
 )
 from pcqa.generation import (
@@ -129,7 +129,7 @@ def test_corpus_from_obj_fuzz(raw):
 @example(raw={**EXPECTED, "by_source": None})
 def test_corpus_expectations_fuzz(small_corpus, raw):
     try:
-        expected = CorpusExpectations.from_obj(raw)
+        expected = read_expectations(raw)
     except SchemaError:
         return
     # The expectations are only read when diffed against a corpus.
