@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
@@ -125,8 +126,15 @@ class GoldTurnAnswer:
         return [answer if isinstance(answer, str) else normalize_whitespace(str(answer))]
 
     def numeric_value(self) -> Fraction | None:
-        """The gold answer as an exact rational, when it is a decimal numeral."""
-        return decimal_value(str(self.answer).strip().replace(",", ""))
+        """The gold answer as an exact rational, when it is a decimal numeral
+        (a float read positionally, so 5e-05 is 0.00005), or a count's list
+        of items, which counts them."""
+        answer = self.answer
+        if isinstance(answer, list):
+            return Fraction(len(answer)) if self.answer_type == "count" else None
+        if isinstance(answer, float):
+            answer = format(Decimal(repr(answer)), "f")
+        return decimal_value(str(answer).strip().replace(",", ""))
 
     def count_items(self) -> list[str]:
         """Enumerated items behind a counting answer.
@@ -449,18 +457,26 @@ def read_expectations(raw: Any) -> dict:
     """Expected statistics to diff against: the names of STAT_LABELS, and
     "by_type" and "by_source", which map an answer type or a source to its
     turn count. The key "total_questions" stands for "turns" when "turns" is
-    absent; other keys are dropped. A null or absent value is not checked,
-    and an average compares as it is reported, rounded to one decimal.
+    absent; other keys are dropped. Each value is a number; a null or absent
+    one is not checked, and an average compares as it is reported, rounded
+    to one decimal.
     """
     if not isinstance(raw, dict):
         raise SchemaError("expectations", "expected statistics must be a JSON object")
     tallies = ("by_type", "by_source")
     expected = {k: v for k, v in raw.items() if k in STAT_LABELS or k in tallies}
+    values = [(name, v) for name, v in expected.items() if name in STAT_LABELS]
     if "turns" not in expected and "total_questions" in raw:
         expected["turns"] = raw["total_questions"]
+        values.append(("total_questions", expected["turns"]))
     for name in tallies:
-        if not isinstance(expected.get(name, {}), dict):
+        tally = expected.get(name, {})
+        if not isinstance(tally, dict):
             raise SchemaError(f"expectations.{name}", "must be a JSON object")
+        values += [(f"{name}.{key}", v) for key, v in tally.items()]
+    for where, value in values:
+        if value is not None and type(value) not in (int, float):  # a bool is no number
+            raise SchemaError(f"expectations.{where}", f"must be a number or null, got {value!r}")
     return expected
 
 

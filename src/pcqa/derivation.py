@@ -621,15 +621,12 @@ def evaluate(value) -> CanonicalAnswer:
 
 def execute_source(source: str) -> CanonicalAnswer:
     """tokenize -> parse -> evaluate; any stage error becomes ExecutionFailure."""
+    stage = "tokenize"
     try:
         tokens = tokenize(source)
-    except DerivationError as err:
-        raise ExecutionFailure("tokenize", err) from err
-    try:
+        stage = "parse"
         value = parse(tokens)
-    except DerivationError as err:
-        raise ExecutionFailure("parse", err) from err
-    try:
+        stage = "evaluate"
         return evaluate(value)
     except DerivationError as err:
-        raise ExecutionFailure("evaluate", err) from err
+        raise ExecutionFailure(stage, err) from err

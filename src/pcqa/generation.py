@@ -75,15 +75,8 @@ class GenerationRequest:
         return 1 if self.mode == GREEDY else self.num_samples
 
     def to_payload(self) -> dict:
-        return {
-            "input": self.input,
-            "mode": self.mode,
-            "num_samples": self.num_samples,
-            "top_k": self.top_k,
-            "temperature": self.temperature,
-            "max_target_length": self.max_target_length,
-            "turn_id": self.turn_id,
-        }
+        """The JSON body: every field, in declaration order."""
+        return dict(vars(self))
 
 
 @dataclass(frozen=True, slots=True)

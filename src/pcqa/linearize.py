@@ -2,8 +2,8 @@
 
 These are public wire formats: the generation service consumes the
 linearized document+history string and produces multi-task target strings,
-which `parse_output` splits back into flag and payload. The single-task
-formats exist only as training targets (`format_target`).
+which `parse_output` splits back into flag and payload in one match. The
+single-task formats exist only as training targets (`format_target`).
 
 Input template (single spaces everywhere):
 
@@ -186,49 +186,26 @@ class ParsedOutput(NamedTuple):
     response_payload: str
 
 
-# What format_target writes: the markers and the flag one space apart, and a
-# payload that starts with a character other than whitespace. Trailing
-# whitespace is left off the payload, as strip() would.
+# The markers, flag and payload in order, with any whitespace (or none) around
+# each; the payload starts and ends with a character other than whitespace.
 _MULTI_TASK = re.compile(
-    r"\[clari\.\] (True|False) \[resp\.\] (\S(?:.*\S)?)\s*", re.DOTALL
+    r"\s*\[clari\.\]\s*(True|False)\s*\[resp\.\]\s*(\S(?:.*\S)?)\s*", re.DOTALL
 ).fullmatch
 
 
 def parse_output(decoded: str) -> ParsedOutput:
-    """Inverse of the multi-task format_target. Raises MalformedOutput on
-    anything else.
-
-    The flag token must be literally "True" or "False" between the
-    "[clari.]" and "[resp.]" markers, and the payload must be non-empty and
-    hold no reserved marker. Text in the shape format_target writes is split
-    by one match; any other spacing, and every malformed output, takes the
-    step-by-step path, which names the fault.
+    """Inverse of the multi-task format_target, split by one match; anything
+    else raises MalformedOutput. The flag token must be literally "True" or
+    "False" between the "[clari.]" and "[resp.]" markers, and the payload
+    non-empty and free of reserved markers. Any whitespace, or none, may
+    separate the parts.
     """
     match = _MULTI_TASK(decoded)
-    if match is not None:
-        flag_token, payload = match.groups()
-    else:
-        flag_token, payload = _split_output(decoded)
+    if match is None:
+        raise MalformedOutput("expected [clari.] True|False [resp.] payload")
+    flag_token, payload = match.groups()
     try:
         check_no_markers(payload)
     except MarkerCollisionError as err:
         raise MalformedOutput(str(err)) from err
     return ParsedOutput(flag_token == "True", payload)
-
-
-def _split_output(decoded: str) -> tuple[str, str]:
-    """The flag token and payload, found step by step; names what is malformed."""
-    text = decoded.strip()
-    if not text.startswith("[clari.]"):
-        raise MalformedOutput("missing [clari.] marker")
-    rest = text[len("[clari.]") :].strip()
-    marker = rest.find("[resp.]")
-    if marker < 0:
-        raise MalformedOutput("missing [resp.] marker")
-    flag_token = rest[:marker].strip()
-    if flag_token not in ("True", "False"):
-        raise MalformedOutput(f"clarification flag must be True/False, got {flag_token!r}")
-    payload = rest[marker + len("[resp.]") :].strip()
-    if not payload:
-        raise MalformedOutput("empty response payload")
-    return flag_token, payload

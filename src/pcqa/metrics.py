@@ -422,8 +422,8 @@ class MetricReport:
         return "\n".join(lines)
 
     def _format_grid(self) -> str:
-        type_rows = ["Span", "Spans", "Counting", "Arithmetic", "Question", "Total"]
-        source_cols = ["Table", "Text", "Table-text", "Total"]
+        type_rows = [*_TYPE_LABELS.values(), "Total"]
+        source_cols = [*_SOURCE_LABELS.values(), "Total"]
         header = f"{'EM/F1':<12}" + "".join(f"{c:>14}" for c in source_cols)
         lines = [header]
         for t in type_rows:

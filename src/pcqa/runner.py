@@ -69,10 +69,10 @@ class RunConfig:
     mode: str = CV  # "cv" or "greedy"
     history: str = "gold"  # "gold" or "predicted"
     precision: int = DEFAULT_PRECISION  # decimal places for rendering numbers
-    num_samples: int = 40
-    top_k: int = 40
-    temperature: float = 0.5
-    max_target_length: int = 128
+    num_samples: int = GenerationRequest.num_samples
+    top_k: int = GenerationRequest.top_k
+    temperature: float = GenerationRequest.temperature
+    max_target_length: int = GenerationRequest.max_target_length
     concurrency: int = 8
 
     def __post_init__(self):
@@ -294,8 +294,6 @@ def score_predictions(
                     "f1": round(f1, 6),
                 }
             )
-    if not records:
-        raise EmptyRecordSet("corpus has no turns")
     return aggregate_report(records, precision), logs
 
 

@@ -77,6 +77,14 @@ class TestValidate:
         assert main(["validate", corpus_path, "--expected", str(expected)]) == 2
         assert "schema error" in capsys.readouterr().err
 
+    def test_expected_statistic_not_a_number_exits_2(self, corpus_path, tmp_path, capsys):
+        expected = tmp_path / "exp.json"
+        expected.write_text(json.dumps({"turns": "16", "by_type": {"span": "5"}}))
+        assert main(["validate", corpus_path, "--expected", str(expected)]) == 2
+        err = capsys.readouterr().err
+        assert "schema error" in err
+        assert "expectations.turns" in err
+
     def test_non_utf8_corpus_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_bytes(b'[{"uid": "caf\xe9"}]')

@@ -19,7 +19,7 @@ from pcqa.corpus import (
     reconstruct_code,
     validate_corpus,
 )
-from pcqa.derivation import MAX_NUMERAL_DIGITS, NumericAnswer, SpanSetAnswer
+from pcqa.derivation import MAX_NUMERAL_DIGITS, NumericAnswer, SpanSetAnswer, execute_source
 from pcqa.generation import ReplayGenerator
 from pcqa.linearize import MarkerCollisionError, Task
 from pcqa.runner import RunConfig, run_eval
@@ -176,6 +176,24 @@ def test_expected_tallies_must_be_objects(field):
         read_expectations({field: ["span", 5]})
 
 
+@pytest.mark.parametrize(
+    "raw, where",
+    [
+        ({"turns": "16"}, "expectations.turns"),
+        ({"dialogues": True}, "expectations.dialogues"),
+        ({"avg_words_per_question": [7.4]}, "expectations.avg_words_per_question"),
+        ({"clarifying_turns": {"n": 2}}, "expectations.clarifying_turns"),
+        ({"total_questions": "16"}, "expectations.total_questions"),
+        ({"by_type": {"span": "5"}}, "expectations.by_type.span"),
+        ({"by_source": {"text": False}}, "expectations.by_source.text"),
+    ],
+)
+def test_expected_statistics_must_be_numbers(raw, where):
+    with pytest.raises(SchemaError) as caught:
+        read_expectations(raw)
+    assert caught.value.location == where
+
+
 def test_expectations_key_total_questions_means_turns():
     assert read_expectations({"total_questions": 16})["turns"] == 16
     assert read_expectations({"turns": 3, "total_questions": 16})["turns"] == 3
@@ -266,6 +284,24 @@ class TestGoldCompilation:
         assert type(gold.canonical).__name__ == kind
         assert gold.canonical.text_spans() == spans
         assert gold.response_text() == text
+
+    def test_listed_count_answer_counts_its_items(self, raw_blocks):
+        blocks = copy.deepcopy(raw_blocks)
+        blocks[0]["questions"][1]["answer"] = ["Americas", "EMEA", "Asia Pacific"]
+        gold = turn_by_id(corpus_from_obj(blocks), "a1-q2").gold
+        assert gold.canonical == NumericAnswer(Fraction(3))
+        assert gold.response_text() == "3"
+        target = reconstruct_code(gold)
+        assert target == 'len(["Americas", "EMEA", "Asia Pacific"])'
+        assert execute_source(target).key() == gold.canonical.key()
+
+    def test_exponent_float_gold_validates(self, raw_blocks):
+        blocks = copy.deepcopy(raw_blocks)
+        q = blocks[0]["questions"][3]
+        q["derivation"], q["answer"] = "0.0001/2", json.loads("5e-05")
+        report = validate_corpus(corpus_from_obj(blocks))
+        assert report.passed
+        assert report.validated_arithmetic_turns == report.arithmetic_turns
 
     def test_scale_follows_answers_but_not_questions(self, raw_blocks):
         blocks = copy.deepcopy(raw_blocks)
@@ -399,6 +435,13 @@ class TestValidateCorpus:
             ("9" * MAX_NUMERAL_DIGITS, NumericAnswer(Fraction(10**30 - 1))),
             ("-." + "5" * MAX_NUMERAL_DIGITS, NumericAnswer(-Fraction("." + "5" * 30))),
             ("9" * (MAX_NUMERAL_DIGITS + 1), SpanSetAnswer(("9" * 31,))),
+            # A JSON float is read in positional notation, under the same limit.
+            (0.00005, NumericAnswer(Fraction(1, 20000))),
+            (1.5e16, NumericAnswer(Fraction(15 * 10**15))),
+            (1e300, SpanSetAnswer(("1e+300",))),
+            (1e-40, SpanSetAnswer(("1e-40",))),
+            (float("nan"), SpanSetAnswer(("nan",))),
+            (float("inf"), SpanSetAnswer(("inf",))),
         ]:
             blocks = copy.deepcopy(raw_blocks)
             blocks[0]["questions"][3]["answer"] = answer

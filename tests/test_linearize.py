@@ -226,6 +226,10 @@ class TestFormatTarget:
             format_target(task, flag, response)
 
 
+# The one message for every output not in the multi-task shape.
+_SHAPE = r"^expected \[clari\.\] True\|False \[resp\.\] payload$"
+
+
 class TestParseOutput:
     def test_multitask(self):
         parsed = parse_output("[clari.] False [resp.] (88-105)/105")
@@ -233,19 +237,19 @@ class TestParseOutput:
         assert parsed.response_payload == "(88-105)/105"
 
     def test_missing_flag_marker(self):
-        with pytest.raises(MalformedOutput):
+        with pytest.raises(MalformedOutput, match=_SHAPE):
             parse_output("[resp.] only")
 
     def test_missing_resp_marker(self):
-        with pytest.raises(MalformedOutput):
+        with pytest.raises(MalformedOutput, match=_SHAPE):
             parse_output("[clari.] False 42")
 
     def test_bad_flag_token(self):
-        with pytest.raises(MalformedOutput):
+        with pytest.raises(MalformedOutput, match=_SHAPE):
             parse_output("[clari.] maybe [resp.] 42")
 
     def test_empty_payload(self):
-        with pytest.raises(MalformedOutput):
+        with pytest.raises(MalformedOutput, match=_SHAPE):
             parse_output("[clari.] True [resp.] ")
 
 
@@ -299,15 +303,17 @@ def reference_parse_output(decoded: str) -> tuple[bool, str]:
 
 
 def _parsed(parse, decoded):
+    """The flag and payload; the message of a reserved marker in the payload;
+    or, for any other malformed output, only that it is malformed."""
     try:
         return tuple(parse(decoded))
     except MalformedOutput as err:
-        return str(err)
+        return str(err) if isinstance(err.__cause__, MarkerCollisionError) else "malformed"
 
 
 _output_pieces = st.sampled_from(
-    ["[clari.]", "[resp.]", "True", "False", "true", " ", "  ", "\n", "\u00a0", "x", "(1+2)",
-     '["a"]', "[user]", "</p>", "[", "]"]
+    ["[clari.]", "[resp.]", "True", "False", "true", " ", "  ", "\n", "\u00a0", "\u3000", "\x1c",
+     "\u2028", "x", "(1+2)", '["a"]', "[user]", "</p>", "[", "]"]
 )
 
 
@@ -320,5 +326,10 @@ _output_pieces = st.sampled_from(
 @example("[clari.] True [resp.] [user]")
 @example("[clari.] True  [resp.] x\n")
 @example("[clari.] False [resp.] \u00a0")
+@example("[clari.]True[resp.]x")
+@example("\u3000[clari.]\x1cTrue\u2028[resp.]\u3000x\x1c")
+@example("\x1c[clari.]\u2028False\u3000[resp.]\x1cx y\u2028")
+@example("\n \t[clari.] False [resp.] x")
+@example("[clari.] True [resp.] \u3000\x1c\u2028 \n")
 def test_parse_output_as_the_step_by_step_split(decoded):
     assert _parsed(parse_output, decoded) == _parsed(reference_parse_output, decoded)
