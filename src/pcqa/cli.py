@@ -8,13 +8,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 
-from .corpus import STAT_LABELS, CorpusError, load_corpus, read_expectations, read_json, validate_corpus
+from .corpus import (
+    STAT_LABELS,
+    CorpusError,
+    gold_history_inputs,
+    load_corpus,
+    read_expectations,
+    read_json,
+    validate_corpus,
+)
 from .derivation import DEFAULT_PRECISION, DerivationError, SpanSetAnswer, execute_source
 from .generation import GREEDY, GenerationError, HttpGenerator, ReplayGenerator, TransportError
 from .metrics import EmptyRecordSet, MetricReport
 from .runner import CV, RunConfig, UnknownTurnId, run_eval, score_predictions, write_jsonl
-from .linearize import add_response, build_model_input, linearize_document
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -122,12 +130,8 @@ def cmd_linearize(args: argparse.Namespace) -> int:
     if not 1 <= args.turn <= len(dialogue.turns):
         print(f"dialogue has {len(dialogue.turns)} turns, no turn {args.turn}", file=sys.stderr)
         return EXIT_INPUT
-    turns = dialogue.turns[: args.turn]
-    context = linearize_document(corpus.documents[dialogue.doc_uid])
-    for turn in turns[:-1]:
-        model_input = build_model_input(context, turn.question)
-        context = add_response(model_input, turn.gold.response_text(args.precision))
-    print(build_model_input(context, turns[-1].question))
+    inputs = gold_history_inputs(corpus, dialogue, args.precision)
+    print(next(islice(inputs, args.turn - 1, None))[1])
     return EXIT_OK
 
 

@@ -17,11 +17,13 @@ A block may give "doc_uid" instead of "table"/"paragraphs" to attach a
 dialogue to a document defined by an earlier block. Unknown fields are
 ignored. Ragged table rows are right-padded at load time.
 
-`load_release_file` is a schema-migration shim for the public source
-dataset release (one file per split, same block structure but with the
-table grid under "table"."table" and clarification turns marked by a
-"req_clari" flag); it is the only place that should change if that
-release's field names differ.
+`load_release_file` reads the public source dataset release (one file per
+split) through a key mapping, the only place to change if that release's
+field names differ. It renames "table"."table" to "cells"; a question with
+a truthy "req_clari" or answer_type "clarification" gets req_clari true,
+answer_type "clarification" and a clari_question that falls back to its
+answer; and, as a trait of the release, a question without "order" takes
+its position in the file. Every other field passes through unchanged.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from .derivation import (
     DEFAULT_PRECISION,
@@ -190,6 +192,16 @@ def read_json(path: str | Path, what: str) -> Any:
         raise SchemaError(str(path), f"cannot read {what} JSON: {err}") from err
 
 
+def jsonl_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Each non-blank line of a UTF-8 file, numbered from 1, without its "\n".
+    Lines are read one at a time and end at "\n", "\r\n" or "\r", never at
+    the other code points that str.splitlines() takes for line ends."""
+    with open(path, encoding="utf-8") as lines:
+        for lineno, line in enumerate(lines, start=1):
+            if line.strip():
+                yield lineno, line.rstrip("\n")
+
+
 def load_corpus(path: str | Path) -> Corpus:
     """Load and fully validate a corpus file."""
     return corpus_from_obj(read_json(path, "corpus"), location=str(path))
@@ -234,7 +246,7 @@ def _load_block_document(block: dict, where: str, documents: dict[str, HybridDoc
         raise SchemaError(f"{where}.paragraphs", "paragraphs must be a list")
     if not all(isinstance(p, dict) and "text" in p for p in paragraphs):
         raise SchemaError(f"{where}.paragraphs", "each paragraph needs a text field")
-    texts = [str(p["text"]) for p in _by_order(paragraphs, f"{where}.paragraphs")]
+    texts = [str(paragraphs[k]["text"]) for k in _by_order(paragraphs, f"{where}.paragraphs")]
     try:
         doc = HybridDocument.from_raw(uid, texts, cells)
     except (ValueError, LinearizeError) as err:
@@ -254,13 +266,14 @@ def _load_block_dialogue(block: dict, where: str, doc_uid: str) -> Dialogue:
     for j, q in enumerate(questions):
         if not isinstance(q, dict):
             raise SchemaError(f"{where}.questions[{j}]", "question must be an object")
-    for j, q in enumerate(_by_order(questions, f"{where}.questions")):
         for key in ("uid", "order", "question", "answer", "answer_type", "answer_from"):
             if key not in q:
                 raise SchemaError(f"{where}.questions[{j}]", f"missing field {key!r}")
+    for n, j in enumerate(_by_order(questions, f"{where}.questions"), start=1):
+        q = questions[j]
         turn_id = str(q["uid"])
         order = q["order"]
-        if order != j + 1:
+        if order != n:
             raise InvariantViolation(turn_id, f"turn order must be contiguous from 1, got {order}")
         answer_type = q["answer_type"]
         if answer_type not in ANSWER_TYPES:
@@ -283,9 +296,14 @@ def _load_block_dialogue(block: dict, where: str, doc_uid: str) -> Dialogue:
         question_text = normalize_whitespace(str(q["question"]))
         if not question_text:
             raise InvariantViolation(turn_id, "empty question")
+        answer = q["answer"]
+        if answer_type == "arithmetic" and isinstance(answer, list):
+            if len(answer) != 1:
+                raise SchemaError(f"{where}.questions[{j}].answer", "an arithmetic answer list needs one item")
+            answer = answer[0]
         gold = GoldTurnAnswer(
             answer_type=answer_type,
-            answer=q["answer"],
+            answer=answer,
             derivation=derivation,
             scale=scale,
             source=source,
@@ -301,9 +319,10 @@ def _load_block_dialogue(block: dict, where: str, doc_uid: str) -> Dialogue:
     return Dialogue(dialogue_id=dialogue_id, doc_uid=doc_uid, turns=tuple(turns))
 
 
-def _by_order(entries: list[dict], where: str) -> list[dict]:
+def _by_order(entries: list[dict], where: str) -> list[int]:
+    """The entries' indexes, sorted by their "order" (ties keep file order)."""
     try:
-        return sorted(entries, key=lambda e: e.get("order", 0))
+        return sorted(range(len(entries)), key=lambda j: entries[j].get("order", 0))
     except TypeError as err:
         raise SchemaError(where, f"order values cannot be compared: {err}") from err
 
@@ -421,9 +440,7 @@ def build_examples(corpus: Corpus, task: Task, precision: int = DEFAULT_PRECISIO
     """
     examples: list[Example] = []
     for dialogue in corpus.dialogues:
-        context = linearize_document(corpus.documents[dialogue.doc_uid])
-        for turn in dialogue.turns:
-            model_input = build_model_input(context, turn.question)
+        for turn, model_input in gold_history_inputs(corpus, dialogue, precision):
             clarifying = turn.gold.req_clari
             skip = (task is Task.CQG and not clarifying) or (task is Task.CQA and clarifying)
             if not skip:
@@ -442,8 +459,19 @@ def build_examples(corpus: Corpus, task: Task, precision: int = DEFAULT_PRECISIO
                     )
                 except (UnreconstructibleDerivation, LinearizeError) as err:
                     logger.warning("skipping turn %s: %s", turn.turn_id, err)
-            context = add_response(model_input, turn.gold.response_text(precision))
     return examples
+
+
+def gold_history_inputs(
+    corpus: Corpus, dialogue: Dialogue, precision: int = DEFAULT_PRECISION
+) -> Iterator[tuple[DialogueTurn, str]]:
+    """Each turn of `dialogue` with its model input under gold history: the
+    document, then every earlier turn's question and gold response."""
+    context = linearize_document(corpus.documents[dialogue.doc_uid])
+    for turn in dialogue.turns:
+        model_input = build_model_input(context, turn.question)
+        yield turn, model_input
+        context = add_response(model_input, turn.gold.response_text(precision))
 
 
 @dataclass(frozen=True)
@@ -458,13 +486,13 @@ def read_expectations(raw: Any) -> dict:
     "by_type" and "by_source", which map an answer type or a source to its
     turn count. The key "total_questions" stands for "turns" when "turns" is
     absent; other keys are dropped. Each value is a number; a null or absent
-    one is not checked, and an average compares as it is reported, rounded
-    to one decimal.
+    one, or a null tally, is not checked, and an average compares as it is
+    reported, rounded to one decimal.
     """
     if not isinstance(raw, dict):
         raise SchemaError("expectations", "expected statistics must be a JSON object")
     tallies = ("by_type", "by_source")
-    expected = {k: v for k, v in raw.items() if k in STAT_LABELS or k in tallies}
+    expected = {k: v for k, v in raw.items() if k in STAT_LABELS or k in tallies and v is not None}
     values = [(name, v) for name, v in expected.items() if name in STAT_LABELS]
     if "turns" not in expected and "total_questions" in raw:
         expected["turns"] = raw["total_questions"]
@@ -576,52 +604,20 @@ def _diff_stats(stats: CorpusStats, expected: dict) -> list[Finding]:
 
 
 def load_release_file(path: str | Path) -> Corpus:
-    """Schema-migration shim for the public source-dataset release format.
-
-    Maps blocks shaped like {"table": {"uid", "table": [[...]]},
-    "paragraphs": [...], "questions": [...]} into the schema documented at
-    the top of this module. Clarifying turns are recognized by a truthy
-    "req_clari" field or an explicit "clarification" answer type.
-    """
+    """Load a file of the public source-dataset release through the key
+    mapping described at the top of this module."""
     raw = read_json(path, "release")
-    if not isinstance(raw, list):
-        raise SchemaError(str(path), "release file must be a list of blocks")
-    blocks = []
-    for i, item in enumerate(raw):
-        where = f"{path}[{i}]"
-        if not isinstance(item, dict):
-            raise SchemaError(where, "release block must be an object")
-        table = item.get("table", {})
-        if not isinstance(table, dict):
-            raise SchemaError(f"{where}.table", "table must be an object")
-        cells = table.get("table", table.get("cells", []))
-        release_questions = item.get("questions", [])
-        if not isinstance(release_questions, list) or not all(
-            isinstance(q, dict) for q in release_questions
-        ):
-            raise SchemaError(f"{where}.questions", "questions must be a list of objects")
-        questions = []
-        for j, q in enumerate(release_questions):
-            req_clari = bool(q.get("req_clari", False)) or q.get("answer_type") == "clarification"
-            questions.append(
-                {
-                    "uid": q.get("uid", f"{table.get('uid', i)}-q{j + 1}"),
-                    "order": q.get("order", j + 1),
-                    "question": q.get("question", ""),
-                    "answer": q.get("answer", ""),
-                    "answer_type": "clarification" if req_clari else q.get("answer_type", "span"),
-                    "answer_from": q.get("answer_from", "table-text"),
-                    "derivation": q.get("derivation", ""),
-                    "scale": q.get("scale", ""),
-                    "req_clari": req_clari,
-                    "clari_question": q.get("clari_question", q.get("answer", "") if req_clari else ""),
-                }
-            )
-        blocks.append(
-            {
-                "table": {"uid": table.get("uid", f"doc-{i}"), "cells": cells},
-                "paragraphs": item.get("paragraphs", []),
-                "questions": questions,
-            }
-        )
-    return corpus_from_obj(blocks, location=str(path))
+    for block in raw if isinstance(raw, list) else ():
+        if not isinstance(block, dict):
+            continue
+        table = block.get("table")
+        if isinstance(table, dict) and "table" in table:
+            table["cells"] = table.pop("table")
+        questions = block.get("questions")
+        for j, q in enumerate(questions if isinstance(questions, list) else ()):
+            if isinstance(q, dict):
+                q.setdefault("order", j + 1)
+                if q.get("req_clari") or q.get("answer_type") == "clarification":
+                    q.update(req_clari=True, answer_type="clarification")
+                    q.setdefault("clari_question", q.get("answer"))
+    return corpus_from_obj(raw, location=str(path))

@@ -39,6 +39,8 @@ from pathlib import Path
 from typing import Protocol
 from urllib.parse import urlsplit
 
+from .corpus import jsonl_lines
+
 GREEDY = "greedy"
 SAMPLE = "sample"
 
@@ -378,20 +380,14 @@ class ReplayGenerator:
     def from_jsonl(cls, path: str | Path) -> "ReplayGenerator":
         entries: dict[tuple[str, str], list[GeneratedOutput]] = {}
         path = Path(path)
-        # Read line by line, so the whole text is never held at once. Lines end
-        # at "\n", "\r\n" or "\r" (read as "\n"), never at the other code
-        # points that str.splitlines() takes for line ends.
         try:
-            with open(path, encoding="utf-8") as lines:
-                for lineno, line in enumerate(lines, start=1):
-                    if not line.strip():
-                        continue
-                    try:
-                        record = json.loads(line.rstrip("\n"))
-                        key = (str(record["turn_id"]), str(record.get("mode", SAMPLE)))
-                    except (ValueError, RecursionError, KeyError, TypeError) as err:
-                        raise TransportError(f"{path}:{lineno}: bad replay line: {err}") from err
-                    entries[key] = _parse_outputs(record)
+            for lineno, line in jsonl_lines(path):
+                try:
+                    record = json.loads(line)
+                    key = (str(record["turn_id"]), str(record.get("mode", SAMPLE)))
+                except (ValueError, RecursionError, KeyError, TypeError) as err:
+                    raise TransportError(f"{path}:{lineno}: bad replay line: {err}") from err
+                entries[key] = _parse_outputs(record)
         except (OSError, UnicodeDecodeError) as err:
             raise TransportError(f"cannot read replay fixture {path}: {err}") from err
         return cls(entries)

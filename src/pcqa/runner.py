@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, TextIO
 
-from .corpus import Corpus, Dialogue, DialogueTurn
+from .corpus import Corpus, Dialogue, DialogueTurn, jsonl_lines
 from .derivation import DEFAULT_PRECISION
 from .generation import (
     GREEDY,
@@ -300,28 +300,24 @@ def score_predictions(
 def _load_predictions(path: Path, corpus: Corpus) -> dict[str, tuple[str, str]]:
     turn_ids = {turn.turn_id for d in corpus.dialogues for turn in d.turns}
     predictions: dict[str, tuple[str, str]] = {}
-    # Line by line, as ReplayGenerator.from_jsonl reads: "\n", "\r\n" and "\r" end a line.
-    with open(path, encoding="utf-8") as lines:
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line.rstrip("\n"))
-                turn_id = str(obj["turn_id"])
-                if "output" in obj:
-                    raw = _string_field(obj, "output")
-                else:
-                    flag = obj["clarification"]
-                    if not isinstance(flag, bool):
-                        raise TypeError(f"clarification must be true or false, got {flag!r}")
-                    raw = format_target(Task.MULTI, flag, _string_field(obj, "response"))
-                scale = _string_field(obj, "scale") if "scale" in obj else ""
-            except Exception as err:  # malformed line: warn, the turn scores 0
-                logger.warning("%s:%d: malformed prediction line (%s); skipped", path, lineno, err)
-                continue
-            if turn_id not in turn_ids:
-                raise UnknownTurnId(f"{path}:{lineno}: unknown turn id {turn_id!r}")
-            predictions[turn_id] = (raw, scale)
+    for lineno, line in jsonl_lines(path):
+        try:
+            obj = json.loads(line)
+            turn_id = str(obj["turn_id"])
+            if "output" in obj:
+                raw = _string_field(obj, "output")
+            else:
+                flag = obj["clarification"]
+                if not isinstance(flag, bool):
+                    raise TypeError(f"clarification must be true or false, got {flag!r}")
+                raw = format_target(Task.MULTI, flag, _string_field(obj, "response"))
+            scale = _string_field(obj, "scale") if "scale" in obj else ""
+        except Exception as err:  # malformed line: warn, the turn scores 0
+            logger.warning("%s:%d: malformed prediction line (%s); skipped", path, lineno, err)
+            continue
+        if turn_id not in turn_ids:
+            raise UnknownTurnId(f"{path}:{lineno}: unknown turn id {turn_id!r}")
+        predictions[turn_id] = (raw, scale)
     if not predictions:
         raise EmptyRecordSet(f"no usable prediction lines in {path}")
     return predictions

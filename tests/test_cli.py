@@ -77,6 +77,13 @@ class TestValidate:
         assert main(["validate", corpus_path, "--expected", str(expected)]) == 2
         assert "schema error" in capsys.readouterr().err
 
+    def test_null_expected_tally_exits_0(self, corpus_path, fixtures_dir, tmp_path, capsys):
+        raw = json.loads((fixtures_dir / "corpus_small_expected.json").read_text())
+        expected = tmp_path / "exp.json"
+        expected.write_text(json.dumps({**raw, "by_type": None}))
+        assert main(["validate", corpus_path, "--expected", str(expected)]) == 0
+        assert "OK" in capsys.readouterr().out
+
     def test_expected_statistic_not_a_number_exits_2(self, corpus_path, tmp_path, capsys):
         expected = tmp_path / "exp.json"
         expected.write_text(json.dumps({"turns": "16", "by_type": {"span": "5"}}))

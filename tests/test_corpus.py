@@ -127,17 +127,27 @@ _RELEASE = [
 ]
 
 
+def _reverse_questions_and_drop_first_answer(blocks):
+    """The first block's questions in reverse file order, the first in the
+    file (the last turn) without its answer."""
+    blocks[0]["questions"].reverse()
+    del blocks[0]["questions"][0]["answer"]
+
+
 @pytest.mark.parametrize(
-    "release,mutate",
+    "release,mutate,where",
     [
-        (False, _set((2, "paragraphs", 0), "a bare string")),
-        (False, _set((0, "questions", 1), 7)),
-        (False, _set((2, "paragraphs", 0, "order"), "1")),
-        (False, _set((0, "questions", 1, "order"), "2")),
-        (False, _set((1, "doc_uid"), ["doc-alpha"])),
-        (True, _set((0,), "a bare string")),
-        (True, _set((0, "table"), ["not", "an", "object"])),
-        (True, _set((0, "questions", 0), None)),
+        (False, _set((2, "paragraphs", 0), "a bare string"), "[2].paragraphs"),
+        (False, _set((0, "questions", 1), 7), "[0].questions[1]"),
+        (False, _set((2, "paragraphs", 0, "order"), "1"), "[2].paragraphs"),
+        (False, _set((0, "questions", 1, "order"), "2"), "[0].questions"),
+        (False, _set((1, "doc_uid"), ["doc-alpha"]), "[1]"),
+        (False, _reverse_questions_and_drop_first_answer, "[0].questions[0]"),
+        (False, _set((0, "questions", 3, "answer"), []), "[0].questions[3].answer"),
+        (False, _set((0, "questions", 3, "answer"), ["0.1932", "0.2"]), "[0].questions[3].answer"),
+        (True, _set((0,), "a bare string"), "[0]"),
+        (True, _set((0, "table"), ["not", "an", "object"]), "[0]"),
+        (True, _set((0, "questions", 0), None), "[0].questions[0]"),
     ],
     ids=[
         "paragraph-not-object",
@@ -145,18 +155,22 @@ _RELEASE = [
         "paragraph-order-mixes-int-and-str",
         "question-order-mixes-int-and-str",
         "doc-uid-not-string",
+        "missing-field-located-in-file-order",
+        "arithmetic-answer-empty-list",
+        "arithmetic-answer-two-item-list",
         "release-block-not-object",
         "release-table-not-object",
         "release-question-not-object",
     ],
 )
-def test_malformed_entries_are_schema_errors(raw_blocks, tmp_path, release, mutate):
+def test_malformed_entries_are_schema_errors(raw_blocks, tmp_path, release, mutate, where):
     blocks = copy.deepcopy(_RELEASE if release else raw_blocks)
     mutate(blocks)
     path = tmp_path / "corpus.json"
     path.write_text(json.dumps(blocks))
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError) as caught:
         (load_release_file if release else load_corpus)(path)
+    assert caught.value.location == f"{path}{where}"
 
 
 @pytest.mark.parametrize(
@@ -172,8 +186,17 @@ def test_unreadable_json_is_schema_error(tmp_path, loader, content):
 
 @pytest.mark.parametrize("field", ["by_type", "by_source"])
 def test_expected_tallies_must_be_objects(field):
-    with pytest.raises(SchemaError):
-        read_expectations({field: ["span", 5]})
+    for tally in (["span", 5], [], 0, False, "", "span"):
+        with pytest.raises(SchemaError) as caught:
+            read_expectations({field: tally})
+        assert caught.value.location == f"expectations.{field}"
+
+
+@pytest.mark.parametrize("field", ["by_type", "by_source"])
+def test_null_expected_tally_is_not_checked(small_corpus, field):
+    expected = read_expectations({"turns": 16, field: None})
+    assert validate_corpus(small_corpus, expected).passed
+    assert validate_corpus(small_corpus, read_expectations({"turns": 99, field: None})).findings
 
 
 @pytest.mark.parametrize(
@@ -301,6 +324,15 @@ class TestGoldCompilation:
         q["derivation"], q["answer"] = "0.0001/2", json.loads("5e-05")
         report = validate_corpus(corpus_from_obj(blocks))
         assert report.passed
+        assert report.validated_arithmetic_turns == report.arithmetic_turns
+
+    def test_one_item_arithmetic_answer_list_takes_its_item(self, raw_blocks):
+        blocks = copy.deepcopy(raw_blocks)
+        blocks[0]["questions"][3]["answer"] = [0.1932]
+        corpus = corpus_from_obj(blocks)
+        assert turn_by_id(corpus, "a1-q4").gold.canonical == NumericAnswer(Fraction("0.1932"))
+        report = validate_corpus(corpus)
+        assert report.findings == []
         assert report.validated_arithmetic_turns == report.arithmetic_turns
 
     def test_scale_follows_answers_but_not_questions(self, raw_blocks):
@@ -502,3 +534,35 @@ class TestReleaseShim:
         turn = turn_by_id(corpus, "rel-q2")
         assert turn.gold.answer_type == "clarification"
         assert turn.gold.clarification_question == "Which period are you asking about?"
+
+    def test_renamed_grid_loads_as_the_corpus(self, fixtures_dir, raw_blocks, tmp_path):
+        for block in raw_blocks:
+            if "table" in block:
+                block["table"]["table"] = block["table"].pop("cells")
+        path = tmp_path / "release.json"
+        path.write_text(json.dumps(raw_blocks))
+        assert load_release_file(path) == load_corpus(fixtures_dir / "corpus_small.json")
+
+    @pytest.mark.parametrize(
+        "path, field",
+        [
+            (("questions", 0, "uid"), "uid"),
+            (("questions", 0, "question"), "question"),
+            (("questions", 0, "answer"), "answer"),
+            (("questions", 0, "answer_from"), "answer_from"),
+            (("questions", 0, "answer_type"), "answer_type"),
+            (("table", "uid"), "uid"),
+        ],
+        ids=["uid", "question", "answer", "answer_from", "answer_type", "table-uid"],
+    )
+    def test_missing_release_field_is_schema_error(self, tmp_path, path, field):
+        release = copy.deepcopy(_RELEASE)
+        target = release[0]
+        for key in path[:-1]:
+            target = target[key]
+        del target[path[-1]]
+        file = tmp_path / "release.json"
+        file.write_text(json.dumps(release))
+        with pytest.raises(SchemaError) as caught:
+            load_release_file(file)
+        assert field in caught.value.detail

@@ -59,7 +59,8 @@ RELEASE = [
         "paragraphs": BLOCKS[0]["paragraphs"],
         "questions": [
             *BLOCKS[0]["questions"][:2],
-            {"uid": "rel-q3", "question": "And the change?", "answer": "Which year?", "req_clari": True},
+            {"uid": "rel-q3", "question": "And the change?", "answer": "Which year?", "req_clari": True,
+             "answer_from": "table"},
         ],
     }
 ]
