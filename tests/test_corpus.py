@@ -561,8 +561,8 @@ class TestReleaseShim:
         for key in path[:-1]:
             target = target[key]
         del target[path[-1]]
-        file = tmp_path / "release.json"
-        file.write_text(json.dumps(release))
+        release_path = tmp_path / "release.json"
+        release_path.write_text(json.dumps(release))
         with pytest.raises(SchemaError) as caught:
-            load_release_file(file)
+            load_release_file(release_path)
         assert field in caught.value.detail
