@@ -21,9 +21,10 @@ ignored. Ragged table rows are right-padded at load time.
 split) through a key mapping, the only place to change if that release's
 field names differ. It renames "table"."table" to "cells"; a question with
 a truthy "req_clari" or answer_type "clarification" gets req_clari true,
-answer_type "clarification" and a clari_question that falls back to its
-answer; and, as a trait of the release, a question without "order" takes
-its position in the file. Every other field passes through unchanged.
+answer_type "clarification" and a clari_question that, when absent or null,
+falls back to its answer; and, as a trait of the release, a question
+without "order" takes its position in the file. Every other field passes
+through unchanged.
 """
 
 from __future__ import annotations
@@ -106,10 +107,15 @@ class GoldTurnAnswer:
 
     def __post_init__(self):
         answer = self.answer
+        if isinstance(answer, list) and self.answer_type == "arithmetic":
+            if len(answer) != 1:
+                raise ValueError("an arithmetic answer list needs one item")
+            answer = answer[0]
         if isinstance(answer, list):
-            object.__setattr__(self, "answer", [normalize_whitespace(str(a)) for a in answer])
+            answer = [normalize_whitespace(str(a)) for a in answer]
         elif isinstance(answer, str):
-            object.__setattr__(self, "answer", normalize_whitespace(answer))
+            answer = normalize_whitespace(answer)
+        object.__setattr__(self, "answer", answer)
         if self.req_clari:
             canonical = ClarifyAnswer(self.clarification_question)
         elif self.answer_type not in ("arithmetic", "count"):
@@ -287,7 +293,16 @@ def _load_block_dialogue(block: dict, where: str, doc_uid: str) -> Dialogue:
         req_clari = bool(q.get("req_clari", False))
         if req_clari != (answer_type == "clarification"):
             raise InvariantViolation(turn_id, "req_clari and answer_type=clarification must agree")
-        clari_question = normalize_whitespace(str(q.get("clari_question", "")))
+        clari_question = q.get("clari_question")
+        if isinstance(clari_question, list) and len(clari_question) == 1:
+            clari_question = clari_question[0]
+        elif clari_question is None:
+            clari_question = ""
+        if not isinstance(clari_question, str):
+            raise SchemaError(
+                f"{where}.questions[{j}].clari_question", "clarification question must be a string or a list of one"
+            )
+        clari_question = normalize_whitespace(clari_question)
         if req_clari and not clari_question:
             raise InvariantViolation(turn_id, "clarifying turn needs a clarification question")
         derivation = normalize_whitespace(str(q.get("derivation", "")))
@@ -296,20 +311,18 @@ def _load_block_dialogue(block: dict, where: str, doc_uid: str) -> Dialogue:
         question_text = normalize_whitespace(str(q["question"]))
         if not question_text:
             raise InvariantViolation(turn_id, "empty question")
-        answer = q["answer"]
-        if answer_type == "arithmetic" and isinstance(answer, list):
-            if len(answer) != 1:
-                raise SchemaError(f"{where}.questions[{j}].answer", "an arithmetic answer list needs one item")
-            answer = answer[0]
-        gold = GoldTurnAnswer(
-            answer_type=answer_type,
-            answer=answer,
-            derivation=derivation,
-            scale=scale,
-            source=source,
-            req_clari=req_clari,
-            clarification_question=clari_question,
-        )
+        try:
+            gold = GoldTurnAnswer(
+                answer_type=answer_type,
+                answer=q["answer"],
+                derivation=derivation,
+                scale=scale,
+                source=source,
+                req_clari=req_clari,
+                clarification_question=clari_question,
+            )
+        except ValueError as err:
+            raise SchemaError(f"{where}.questions[{j}].answer", str(err)) from err
         try:
             check_no_markers(question_text)
             check_no_markers(gold.response_text())
@@ -619,5 +632,6 @@ def load_release_file(path: str | Path) -> Corpus:
                 q.setdefault("order", j + 1)
                 if q.get("req_clari") or q.get("answer_type") == "clarification":
                     q.update(req_clari=True, answer_type="clarification")
-                    q.setdefault("clari_question", q.get("answer"))
+                    if q.get("clari_question") is None:
+                        q["clari_question"] = q.get("answer")
     return corpus_from_obj(raw, location=str(path))

@@ -10,14 +10,16 @@ numeric groups within `NUMERIC_TOLERANCE` of each other merge. The plurality
 group wins. Samples that fail to parse or execute, including those beyond the
 derivation language's size limits, cast no vote.
 
-Sampled decodes repeat, so each distinct decoded text is executed once per
-vote and its later samples only add to its group. Nothing is remembered
-between votes.
+Sampled decodes repeat, so samples are gathered into one score list per
+distinct text, each executed once per vote; ties break on the exact score
+sum, whatever order the samples arrive in. Nothing is kept between votes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 # The answer classes live with the evaluator that produces them; voting is
 # where most callers look for them, so they are re-exported here.
@@ -61,11 +63,8 @@ def canonicalize(text: str) -> CanonicalAnswer | None:
 @dataclass
 class _Group:
     answer: CanonicalAnswer
-    count: int
-    min_index: int
-    score_sum: float
-    all_scored: bool
     exemplar: str
+    scores: list[float | None]
 
 
 @dataclass(frozen=True)
@@ -91,62 +90,50 @@ class VoteResult:
         }
 
 
-_UNSEEN = object()
-
-
 def consensus_vote(outputs: tuple[GeneratedOutput, ...]) -> VoteResult:
     """Plurality vote over the canonicalized outputs of one sampling request.
 
     Groups with the same count are tied. Ties break on higher total sequence
-    score when every sample in the tied groups carries one, then on the
-    lowest exemplar sampling index; both rules make repeated runs
-    deterministic.
+    score, summed exactly whatever the sample order, when every sample in the
+    tied groups carries one, then on the lowest exemplar sampling index.
     """
-    groups: dict[tuple, _Group] = {}
-    # Each distinct text's group, or None when its samples are discarded.
-    seen: dict[str, _Group | None] = {}
+    scores_by_text: dict[str, list[float | None]] = {}
+    for output in outputs:
+        scores_by_text.setdefault(output.text, []).append(output.score)
+    groups: dict[tuple, _Group] = {}  # in order of first appearance
     discarded = 0
-    for index, output in enumerate(outputs):
-        text = output.text
-        group = seen.get(text, _UNSEEN)
-        if group is _UNSEEN:
-            answer = canonicalize(text)
-            if answer is None:
-                group = None
-            else:
-                key = answer.key()
-                group = groups.get(key)
-                if group is None:
-                    group = groups[key] = _Group(
-                        answer=answer,
-                        count=0,
-                        min_index=index,
-                        score_sum=0.0,
-                        all_scored=True,
-                        exemplar=text,
-                    )
-            seen[text] = group
-        if group is None:
-            discarded += 1
-            continue
-        group.count += 1
-        group.score_sum += output.score or 0.0
-        group.all_scored = group.all_scored and output.score is not None
+    for text, scores in scores_by_text.items():
+        answer = canonicalize(text)
+        if answer is None:
+            discarded += len(scores)
+        elif (group := groups.get(key := answer.key())) is None:
+            groups[key] = _Group(answer, text, scores)
+        else:
+            group.scores += scores
     if not groups:
         raise AllSamplesDiscarded(f"all {len(outputs)} samples discarded")
     _merge_numeric_within_tolerance(groups)
-    # A count whose groups all carry full scores ranks them by score sum.
-    unscored = {g.count for g in groups.values() if not g.all_scored}
+    # A count whose groups all carry full scores ranks them by score sum. The
+    # sort is stable, so groups still tied stay in order of first appearance.
+    unscored = {len(g.scores) for g in groups.values() if None in g.scores}
     ordered = sorted(
         groups.values(),
-        key=lambda g: (-g.count, 0.0 if g.count in unscored else -g.score_sum, g.min_index),
+        key=lambda g: (-len(g.scores), 0.0 if len(g.scores) in unscored else -_exact_sum(g.scores)),
     )
     return VoteResult(
         winner=ordered[0].answer,
-        tallies=tuple((g.answer, g.count) for g in ordered),
+        tallies=tuple((g.answer, len(g.scores)) for g in ordered),
         discarded=discarded,
         exemplars=tuple(g.exemplar for g in ordered),
     )
+
+
+def _exact_sum(scores: list[float]) -> float | Fraction:
+    """The correctly rounded, so order-free, sum; a Fraction past float range."""
+    try:
+        return math.fsum(scores)
+    except OverflowError:
+        return sum(map(Fraction, scores))
 
 
 def _merge_numeric_within_tolerance(groups: dict[tuple, _Group]) -> None:
@@ -154,27 +141,19 @@ def _merge_numeric_within_tolerance(groups: dict[tuple, _Group]) -> None:
 
     Exact rational execution makes equivalent derivations collide exactly, so
     this almost never fires; it exists so "the same number" means the same
-    thing for voting as for scoring. Earlier-seen groups absorb later ones
-    and keep their exemplar.
+    thing for voting as for scoring. Earlier groups absorb later ones
+    and keep their exemplar and rank.
     """
     numeric_keys = [k for k in groups if k[0] == "num"]
-    absorbed: set[tuple] = set()
     tolerance_num, tolerance_den = NUMERIC_TOLERANCE.numerator, NUMERIC_TOLERANCE.denominator
     for i, key in enumerate(numeric_keys):
-        if key in absorbed:
+        if key not in groups:
             continue
         for other in numeric_keys[i + 1 :]:
             (_, p, q), (_, r, s) = key, other
             # |p/q - r/s| <= tolerance, cross-multiplied (q and s are positive)
-            if other not in absorbed and abs(p * s - r * q) * tolerance_den <= tolerance_num * q * s:
-                host, guest = groups[key], groups[other]
-                host.count += guest.count
-                host.score_sum += guest.score_sum
-                host.all_scored = host.all_scored and guest.all_scored
-                host.min_index = min(host.min_index, guest.min_index)
-                absorbed.add(other)
-    for key in absorbed:
-        del groups[key]
+            if other in groups and abs(p * s - r * q) * tolerance_den <= tolerance_num * q * s:
+                groups[key].scores += groups.pop(other).scores
 
 
 def greedy_select(outputs: tuple[GeneratedOutput, ...]) -> CanonicalAnswer | None:

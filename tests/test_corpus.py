@@ -7,6 +7,7 @@ import pytest
 
 from pcqa.corpus import (
     Corpus,
+    GoldTurnAnswer,
     InvariantViolation,
     SchemaError,
     UnreconstructibleDerivation,
@@ -19,7 +20,7 @@ from pcqa.corpus import (
     reconstruct_code,
     validate_corpus,
 )
-from pcqa.derivation import MAX_NUMERAL_DIGITS, NumericAnswer, SpanSetAnswer, execute_source
+from pcqa.derivation import MAX_NUMERAL_DIGITS, ClarifyAnswer, NumericAnswer, SpanSetAnswer, execute_source
 from pcqa.generation import ReplayGenerator
 from pcqa.linearize import MarkerCollisionError, Task
 from pcqa.runner import RunConfig, run_eval
@@ -145,9 +146,18 @@ def _reverse_questions_and_drop_first_answer(blocks):
         (False, _reverse_questions_and_drop_first_answer, "[0].questions[0]"),
         (False, _set((0, "questions", 3, "answer"), []), "[0].questions[3].answer"),
         (False, _set((0, "questions", 3, "answer"), ["0.1932", "0.2"]), "[0].questions[3].answer"),
+        (False, _set((1, "questions", 2, "clari_question"), ["Which year?", "Which period?"]), "[1].questions[2].clari_question"),
+        (False, _set((1, "questions", 2, "clari_question"), [None]), "[1].questions[2].clari_question"),
+        (False, _set((0, "questions", 0, "clari_question"), 5), "[0].questions[0].clari_question"),
         (True, _set((0,), "a bare string"), "[0]"),
         (True, _set((0, "table"), ["not", "an", "object"]), "[0]"),
         (True, _set((0, "questions", 0), None), "[0].questions[0]"),
+        (
+            True,
+            _set((0, "questions", 0), {"uid": "q1", "question": "Revenue?", "answer": ["Which year?", "Which period?"],
+                                       "req_clari": True, "answer_from": "table"}),
+            "[0].questions[0].clari_question",
+        ),
     ],
     ids=[
         "paragraph-not-object",
@@ -158,9 +168,13 @@ def _reverse_questions_and_drop_first_answer(blocks):
         "missing-field-located-in-file-order",
         "arithmetic-answer-empty-list",
         "arithmetic-answer-two-item-list",
+        "clari-question-two-item-list",
+        "clari-question-list-of-null",
+        "clari-question-number",
         "release-block-not-object",
         "release-table-not-object",
         "release-question-not-object",
+        "release-clari-question-from-a-list-answer-of-two",
     ],
 )
 def test_malformed_entries_are_schema_errors(raw_blocks, tmp_path, release, mutate, where):
@@ -334,6 +348,29 @@ class TestGoldCompilation:
         report = validate_corpus(corpus)
         assert report.findings == []
         assert report.validated_arithmetic_turns == report.arithmetic_turns
+
+    def test_direct_arithmetic_answer_list(self):
+        gold = GoldTurnAnswer("arithmetic", [0.1932], "(105-88)/88", "", "table", False, "")
+        assert gold.answer == 0.1932
+        assert gold.canonical == NumericAnswer(Fraction("0.1932"))
+        for answer in ([], [0.1932, 0.2]):
+            with pytest.raises(ValueError, match="an arithmetic answer list needs one item"):
+                GoldTurnAnswer("arithmetic", answer, "(105-88)/88", "", "table", False, "")
+
+    def test_clarification_question_list_of_one_takes_its_item(self, raw_blocks):
+        blocks = copy.deepcopy(raw_blocks)
+        blocks[1]["questions"][2]["clari_question"] = ["Which  year are you asking about?"]
+        gold = turn_by_id(corpus_from_obj(blocks), "a2-q3").gold
+        assert gold.clarification_question == "Which year are you asking about?"
+        assert gold.canonical == ClarifyAnswer("Which year are you asking about?")
+
+    def test_null_clarification_question_is_absent(self, raw_blocks):
+        blocks = copy.deepcopy(raw_blocks)
+        blocks[0]["questions"][3]["clari_question"] = None
+        assert turn_by_id(corpus_from_obj(blocks), "a1-q4").gold.clarification_question == ""
+        blocks[1]["questions"][2]["clari_question"] = None
+        with pytest.raises(InvariantViolation, match="needs a clarification question"):
+            corpus_from_obj(blocks)
 
     def test_scale_follows_answers_but_not_questions(self, raw_blocks):
         blocks = copy.deepcopy(raw_blocks)
@@ -534,6 +571,16 @@ class TestReleaseShim:
         turn = turn_by_id(corpus, "rel-q2")
         assert turn.gold.answer_type == "clarification"
         assert turn.gold.clarification_question == "Which period are you asking about?"
+
+    @pytest.mark.parametrize("extra", [{}, {"clari_question": None}], ids=["absent", "null"])
+    def test_list_answer_gives_the_clarification_question(self, tmp_path, extra):
+        release = copy.deepcopy(_RELEASE)
+        release[0]["questions"][0].update(answer=["Which year?"], req_clari=True, **extra)
+        path = tmp_path / "release.json"
+        path.write_text(json.dumps(release))
+        gold = turn_by_id(load_release_file(path), "rel-q1").gold
+        assert gold.clarification_question == "Which year?"
+        assert gold.canonical == ClarifyAnswer("Which year?")
 
     def test_renamed_grid_loads_as_the_corpus(self, fixtures_dir, raw_blocks, tmp_path):
         for block in raw_blocks:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -324,14 +325,12 @@ def reference_vote(samples):
                 "answer": answer,
                 "count": 0,
                 "first": index,
-                "sum": 0.0,
-                "scored": True,
+                "scores": [],
                 "text": output.text,
             },
         )
         group["count"] += 1
-        group["sum"] += output.score or 0.0
-        group["scored"] = group["scored"] and output.score is not None
+        group["scores"].append(output.score)
     if not groups:
         raise AllSamplesDiscarded
     tol = Fraction(1e-9)
@@ -344,17 +343,17 @@ def reference_vote(samples):
                 guest = groups.pop(other)
                 host = groups[key]
                 host["count"] += guest["count"]
-                host["sum"] += guest["sum"]
-                host["scored"] = host["scored"] and guest["scored"]
+                host["scores"] += guest["scores"]
                 host["first"] = min(host["first"], guest["first"])
 
-    # Groups with the same count are tied. A tie ranks by higher score sum
-    # only when every one of its groups is fully scored, then by lowest index.
+    # Groups with the same count are tied. A tie ranks by higher score sum,
+    # added up exactly, only when every one of its groups is fully scored, then
+    # by lowest index.
     ordered = []
     for count in sorted({g["count"] for g in groups.values()}, reverse=True):
         tied = sorted((g for g in groups.values() if g["count"] == count), key=lambda g: g["first"])
-        if all(g["scored"] for g in tied):
-            tied.sort(key=lambda g: -g["sum"])  # stable: equal sums keep index order
+        if all(None not in g["scores"] for g in tied):
+            tied.sort(key=lambda g: -math.fsum(g["scores"]))  # stable: equal sums keep index order
         ordered += tied
     return (
         ordered[0]["answer"],
@@ -386,20 +385,24 @@ VOTE_POOL = [
 ]
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    samples=st.lists(
-        st.builds(
-            GeneratedOutput,
-            st.sampled_from(VOTE_POOL),
-            st.one_of(st.none(), st.sampled_from([-1.0, -0.5, -0.25]), st.floats(-5, 0)),
-        ),
-        min_size=1,
-        max_size=40,
+VOTE_SAMPLES = st.lists(
+    st.builds(
+        GeneratedOutput,
+        st.sampled_from(VOTE_POOL),
+        st.one_of(st.none(), st.sampled_from([-1.0, -0.5, -0.25]), st.floats(-5, 0)),
     ),
+    min_size=1,
+    max_size=40,
 )
+
+
+@settings(max_examples=300, deadline=None)
+@given(samples=VOTE_SAMPLES)
 # Three groups tied at one vote, one of them unscored: the lowest index wins.
 @example(samples=outputs(["[clari.] False [resp.] 1", "[clari.] False [resp.] 2", "junk", "[clari.] False [resp.] 88/105-1"], [-3.0, -1.0, None, None]))
+# 2 and 1 tie at three votes on the exact sum -1 - 2e-16, so 2 wins; added up
+# in sample order, 1's -1.0 - 1e-16 - 1e-16 would round to -1.0 and win.
+@example(samples=outputs(["[clari.] False [resp.] 2"] * 3 + ["[clari.] False [resp.] 1"] * 3, [-1.0000000000000002, 0.0, 0.0, -1.0, -1e-16, -1e-16]))
 def test_vote_matches_reference_property(samples):
     samples = tuple(samples)
     try:
@@ -410,3 +413,36 @@ def test_vote_matches_reference_property(samples):
         return
     vote = consensus_vote(samples)
     assert (vote.winner, vote.tallies, vote.discarded, vote.exemplars) == expected
+
+
+def reorder_within_texts(samples):
+    """The samples with each text's later samples in reverse order, every
+    text's first sample kept in place."""
+    positions = {}
+    for index, output in enumerate(samples):
+        positions.setdefault(output.text, []).append(index)
+    reordered = list(samples)
+    for indexes in positions.values():
+        for index, source in zip(indexes[1:], reversed(indexes[1:])):
+            reordered[index] = samples[source]
+    return tuple(reordered)
+
+
+@settings(max_examples=300, deadline=None)
+@given(samples=VOTE_SAMPLES)
+# 1's later scores, reversed, add up in sample order to -1.0000000000000002
+# (a tie that 2 wins) instead of -1.0.
+@example(samples=outputs(["[clari.] False [resp.] 2"] * 3 + ["[clari.] False [resp.] 1"] * 3, [-1.0000000000000002, 0.0, 0.0, -1e-16, -1.0, -1e-16]))
+def test_vote_ignores_sample_order_within_a_text(samples):
+    samples = tuple(samples)
+    try:
+        vote = consensus_vote(samples)
+    except AllSamplesDiscarded:
+        return
+    assert consensus_vote(reorder_within_texts(samples)) == vote
+
+
+def test_tie_break_sums_beyond_float_range():
+    # Both sums overflow a float; exactly, 2's 2.5e308 beats 1's 2e308.
+    samples = outputs(["[clari.] False [resp.] 1"] * 2 + ["[clari.] False [resp.] 2"] * 2, [1e308, 1e308, 1e308, 1.5e308])
+    assert consensus_vote(samples).winner == NumericAnswer(Fraction(2))
