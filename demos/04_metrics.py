@@ -14,7 +14,6 @@ from pcqa import (
     ClarifyAnswer,
     GoldTurnAnswer,
     NumericAnswer,
-    PredictionRecord,
     SpanSetAnswer,
     aggregate_report,
     classification_prf,
@@ -39,7 +38,7 @@ def gold(answer_type, answer, derivation="", scale="", source="table", clari="")
 # A value-correct but symbol-dropping prediction: EM misses, F1 forgives.
 g = gold("span", ["$148,502"], source="text")
 pred = SpanSetAnswer(("148,502",))
-print("EM :", record_scores(PredictionRecord("t0", pred, "", g))[0])
+print("EM :", record_scores(pred, g).em)
 print("F1 :", numeracy_f1("148,502", "$148,502"))
 
 # Numeric mistakes are not forgiven at all.
@@ -56,29 +55,15 @@ print("CNP PRF:", classification_prf([True, True, False, False],
 # The gold side of a turn is a canonical answer too.
 print("gold spans:", g.canonical.text_spans(), " as said to the user:", g.response_text())
 
-# A small end-to-end report.
-records = [
-    PredictionRecord(
-        turn_id="t1",
-        predicted=NumericAnswer(Fraction(161, 205)),
-        predicted_scale="",
-        gold=gold("arithmetic", 0.7854, derivation="(36.6-20.5)/20.5"),
-    ),
-    PredictionRecord(
-        turn_id="t2",
-        predicted=ClarifyAnswer("Which period are you asking about?"),
-        predicted_scale="",
-        gold=gold("clarification", "Which period are you asking about?",
-                  source="table-text", clari="Which period are you asking about?"),
-    ),
-    PredictionRecord(
-        turn_id="t3",
-        predicted=NumericAnswer(Fraction(3)),
-        predicted_scale="",
-        gold=gold("arithmetic", 2, derivation="1+1", source="table"),
-    ),
-]
-# Each turn is scored once; the report sums those scores.
-report = aggregate_report([(r, *record_scores(r)) for r in records])
+# A small end-to-end report: each turn is scored once, into one record, and
+# the report sums those records.
+report = aggregate_report([
+    record_scores(NumericAnswer(Fraction(161, 205)),
+                  gold("arithmetic", 0.7854, derivation="(36.6-20.5)/20.5")),
+    record_scores(ClarifyAnswer("Which period are you asking about?"),
+                  gold("clarification", "Which period are you asking about?",
+                       source="table-text", clari="Which period are you asking about?")),
+    record_scores(NumericAnswer(Fraction(3)), gold("arithmetic", 2, derivation="1+1", source="table")),
+])
 print()
 print(report.format_text())

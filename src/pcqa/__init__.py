@@ -56,7 +56,7 @@ from .voting import (
 )
 from .metrics import (
     MetricReport,
-    PredictionRecord,
+    ScoredTurn,
     aggregate_report,
     classification_prf,
     numeracy_f1,

@@ -107,6 +107,9 @@ class GoldTurnAnswer:
 
     def __post_init__(self):
         answer = self.answer
+        # Each list item is a string or a number, and a bool is no number.
+        if isinstance(answer, list) and any(type(a) not in (str, int, float) for a in answer):
+            raise ValueError(f"each answer list item must be a string or a number, got {answer!r}")
         if isinstance(answer, list) and self.answer_type == "arithmetic":
             if len(answer) != 1:
                 raise ValueError("an arithmetic answer list needs one item")
@@ -219,6 +222,7 @@ def corpus_from_obj(raw: Any, location: str = "<memory>") -> Corpus:
     documents: dict[str, HybridDocument] = {}
     dialogues: list[Dialogue] = []
     seen_dialogue_ids: set[str] = set()
+    seen_turn_ids: set[str] = set()
     for i, block in enumerate(raw):
         where = f"{location}[{i}]"
         if not isinstance(block, dict):
@@ -228,6 +232,10 @@ def corpus_from_obj(raw: Any, location: str = "<memory>") -> Corpus:
         if dialogue.dialogue_id in seen_dialogue_ids:
             raise InvariantViolation(dialogue.dialogue_id, "duplicate dialogue id")
         seen_dialogue_ids.add(dialogue.dialogue_id)
+        for turn in dialogue.turns:
+            if turn.turn_id in seen_turn_ids:
+                raise InvariantViolation(turn.turn_id, "duplicate turn id")
+            seen_turn_ids.add(turn.turn_id)
         dialogues.append(dialogue)
     return Corpus(documents=documents, dialogues=tuple(dialogues))
 
@@ -275,6 +283,10 @@ def _load_block_dialogue(block: dict, where: str, doc_uid: str) -> Dialogue:
         for key in ("uid", "order", "question", "answer", "answer_type", "answer_from"):
             if key not in q:
                 raise SchemaError(f"{where}.questions[{j}]", f"missing field {key!r}")
+        if type(q["uid"]) not in (str, int):  # a bool is no integer
+            raise SchemaError(
+                f"{where}.questions[{j}].uid", f"turn id must be a string or an integer, got {q['uid']!r}"
+            )
     for n, j in enumerate(_by_order(questions, f"{where}.questions"), start=1):
         q = questions[j]
         turn_id = str(q["uid"])

@@ -10,11 +10,12 @@ Each span is normalized once per turn, to both flavors and its plain
 number; a numeric answer goes there straight from its rendering, parsed
 once, and a span with no digit skips numeral parsing altogether. Token and
 bigram overlaps are counted with one dict; multi-span answers pair under the
-optimal assignment (Hungarian method). `record_scores` scores one turn;
-`aggregate_report` sums those per-turn scores. Its clarifying-question block
-adds ROUGE-2 and the question EM, and reuses the turn's F1 as the question
-token F1 unless the prediction has several text spans, or none, which it
-joins and scores as one.
+optimal assignment (Hungarian method). `record_scores` gives one
+`ScoredTurn` per turn: the gold, the prediction, its text spans rendered once,
+and the turn's EM and F1. `aggregate_report` sums those records. Its
+clarifying-question block adds ROUGE-2 and the question EM over the joined
+spans, and reuses the turn's F1 as the question token F1 unless the
+prediction has several text spans, or none, which it scores as one.
 """
 
 from __future__ import annotations
@@ -142,20 +143,11 @@ def _as_spans(side: Spans) -> list[str]:
     return [str(s) for s in side]
 
 
-def _answer_spans(
-    answer: CanonicalAnswer | None, precision: int, texts: Sequence[str] | None = None
-) -> list[_Normalized]:
-    if answer is None:
-        return []
-    if texts is None:
-        texts = answer.text_spans(precision)
+def _answer_spans(answer: CanonicalAnswer | None, texts: Sequence[str], precision: int) -> list[_Normalized]:
+    """`texts` is `answer.text_spans(precision)`, or none without an answer."""
     if isinstance(answer, NumericAnswer):
         return [_numeric_span(texts[0], precision)]
     return [_normalize(s, precision) for s in texts]
-
-
-def _em_comparable(pred: CanonicalAnswer | None, pred_scale: str, gold: GoldTurnAnswer) -> bool:
-    return pred is not None and gold.req_clari == isinstance(pred, ClarifyAnswer) and pred_scale == gold.scale
 
 
 def _same_spans(pred: list[_Normalized], gold: list[_Normalized]) -> int:
@@ -298,12 +290,15 @@ def classification_prf(preds: Sequence[bool], golds: Sequence[bool]) -> tuple[fl
     return precision, recall, f1
 
 
-@dataclass(frozen=True)
-class PredictionRecord:
-    turn_id: str
-    predicted: CanonicalAnswer | None
-    predicted_scale: str
+class ScoredTurn(NamedTuple):
+    """One scored turn: its gold answer, the predicted answer, the predicted
+    text spans, rendered once, and the turn's EM and F1."""
+
     gold: GoldTurnAnswer
+    predicted: CanonicalAnswer | None
+    spans: list[str]
+    em: int
+    f1: float
 
     @property
     def clarification_pred(self) -> bool:
@@ -311,25 +306,22 @@ class PredictionRecord:
 
 
 def record_scores(
-    record: PredictionRecord,
-    precision: int = DEFAULT_PRECISION,
-    predicted_spans: Sequence[str] | None = None,
-) -> tuple[int, float]:
-    """(EM, F1) of one turn, normalizing each span once for both.
+    predicted: CanonicalAnswer | None, gold: GoldTurnAnswer, precision: int = DEFAULT_PRECISION, scale: str = ""
+) -> ScoredTurn:
+    """Score one turn, rendering the predicted spans once and normalizing
+    each span once for both EM and F1.
 
     EM is 1 iff the normalized spans are equal as multisets. Clarification
-    questions only ever match clarification predictions, and the scale
-    strings must match exactly for every answer type. `predicted_spans`,
-    when given, is `record.predicted.text_spans(precision)`, which the caller
-    has rendered already.
+    questions only ever match clarification predictions, and the predicted
+    `scale` must match the gold scale exactly for every answer type.
     """
-    pred = _answer_spans(record.predicted, precision, predicted_spans)
-    gold = _answer_spans(record.gold.canonical, precision)
-    comparable = _em_comparable(record.predicted, record.predicted_scale, record.gold)
-    return (_same_spans(pred, gold) if comparable else 0), _pairing_f1(pred, gold)
-
-
-ScoredRecord = tuple[PredictionRecord, int, float]
+    spans = predicted.text_spans(precision) if predicted is not None else []
+    pred = _answer_spans(predicted, spans, precision)
+    gold_spans = _answer_spans(gold.canonical, gold.canonical.text_spans(precision), precision)
+    em = 0
+    if predicted is not None and gold.req_clari == isinstance(predicted, ClarifyAnswer) and scale == gold.scale:
+        em = _same_spans(pred, gold_spans)
+    return ScoredTurn(gold, predicted, spans, em, _pairing_f1(pred, gold_spans))
 
 
 _TYPE_LABELS = {
@@ -451,41 +443,38 @@ class MetricReport:
         return CellScore(count=total, em=em, f1=f1)
 
 
-def aggregate_report(
-    per_record: Sequence[ScoredRecord], precision: int = DEFAULT_PRECISION
-) -> MetricReport:
-    """Assemble the full report from each record and its `record_scores`.
+def aggregate_report(turns: Sequence[ScoredTurn], precision: int = DEFAULT_PRECISION) -> MetricReport:
+    """Sum the per-turn records of `record_scores` into the full report.
 
     Clarifying gold turns contribute the CQG block, the rest the CQA block,
     and all of them the pooled overall EM/F1 and the type-by-source grid.
     """
-    if not per_record:
+    if not turns:
         raise EmptyRecordSet("no prediction records to aggregate")
-    overall_em = sum(em for _, em, _ in per_record) / len(per_record)
-    overall_f1 = sum(f1 for _, _, f1 in per_record) / len(per_record)
+    overall_em = sum(t.em for t in turns) / len(turns)
+    overall_f1 = sum(t.f1 for t in turns) / len(turns)
     cnp_p, cnp_r, cnp_f = classification_prf(
-        [r.clarification_pred for r, _, _ in per_record], [r.gold.req_clari for r, _, _ in per_record]
+        [t.clarification_pred for t in turns], [t.gold.req_clari for t in turns]
     )
     rouge_scores: list[float] = []
     cqg_ems: list[float] = []
     cqg_f1s: list[float] = []
     answering: list[tuple[int, float]] = []
     grid: dict[tuple[str, str], list[tuple[int, float]]] = {}
-    for r, em, f1 in per_record:
-        grid.setdefault((_TYPE_LABELS[r.gold.answer_type], _SOURCE_LABELS[r.gold.source]), []).append((em, f1))
-        if not r.gold.req_clari:
-            answering.append((em, f1))
+    for t in turns:
+        grid.setdefault((_TYPE_LABELS[t.gold.answer_type], _SOURCE_LABELS[t.gold.source]), []).append((t.em, t.f1))
+        if not t.gold.req_clari:
+            answering.append((t.em, t.f1))
             continue
-        spans = r.predicted.text_spans(precision) if r.predicted else []
-        pred_text = ", ".join(spans)
-        gold_text = r.gold.clarification_question
+        pred_text = ", ".join(t.spans)
+        gold_text = t.gold.clarification_question
         rouge_scores.append(rouge2_f1(pred_text, gold_text))
         cqg_ems.append(
             1.0 if pred_text and normalize_answer_text(pred_text) == normalize_answer_text(gold_text) else 0.0
         )
         # The turn's F1 scored this one span against the gold question, the
         # gold's one span. Joined spans, or none, make a span of their own.
-        cqg_f1s.append(f1 if len(spans) == 1 else numeracy_f1(pred_text, gold_text, precision))
+        cqg_f1s.append(t.f1 if len(t.spans) == 1 else numeracy_f1(pred_text, gold_text, precision))
     cqg_rouge = cqg_em = cqg_f1 = None
     if rouge_scores:
         cqg_rouge = sum(rouge_scores) / len(rouge_scores)
@@ -504,7 +493,7 @@ def aggregate_report(
         for key, scores in grid.items()
     }
     return MetricReport(
-        records=len(per_record),
+        records=len(turns),
         overall_em=overall_em,
         overall_f1=overall_f1,
         cnp_precision=cnp_p,

@@ -41,8 +41,7 @@ from .linearize import (
 from .metrics import (
     EmptyRecordSet,
     MetricReport,
-    PredictionRecord,
-    ScoredRecord,
+    ScoredTurn,
     aggregate_report,
     record_scores,
 )
@@ -92,8 +91,6 @@ class TurnResult:
     samples: list[str]
     vote: VoteResult | None
     answer: CanonicalAnswer | None
-    spans: list[str]  # the answer's text spans, rendered once; none without an answer
-    final_text: str  # the spans joined by ", "
     fallback_used: bool
     latency_s: float
 
@@ -104,7 +101,7 @@ def run_turn(
     generator: Generator,
     config: RunConfig,
 ) -> TurnResult:
-    """Generate, vote (or greedy-select), and render one turn's response.
+    """Generate and vote (or greedy-select) one turn's answer.
 
     When every sampled output is discarded, an extra greedy request is the
     fallback; if that decode is also unusable the turn yields the empty
@@ -136,14 +133,11 @@ def run_turn(
         answer = greedy_select(outputs)
     if fallback:
         answer = greedy_select(generator.generate(_greedy_request(model_input, turn, config)))
-    spans = answer.text_spans(config.precision) if answer else []
     return TurnResult(
         turn_id=turn.turn_id,
         samples=[o.text for o in outputs],
         vote=vote,
         answer=answer,
-        spans=spans,
-        final_text=", ".join(spans),
         fallback_used=fallback,
         latency_s=time.perf_counter() - started,
     )
@@ -160,24 +154,18 @@ def _greedy_request(model_input: str, turn: DialogueTurn, config: RunConfig) -> 
 
 def _turn_record(
     dialogue: Dialogue, turn: DialogueTurn, result: TurnResult, config: RunConfig
-) -> tuple[ScoredRecord, dict]:
-    record = PredictionRecord(
-        turn_id=turn.turn_id,
-        predicted=result.answer,
-        predicted_scale="",
-        gold=turn.gold,
-    )
-    em, f1 = record_scores(record, config.precision, result.spans)
+) -> tuple[ScoredTurn, dict]:
+    scored = record_scores(result.answer, turn.gold, config.precision)
     log = {
         "turn_id": turn.turn_id,
         "dialogue_id": dialogue.dialogue_id,
         "mode": config.mode,
         "history": config.history,
-        "final_response": result.final_text,
-        "clarification_pred": record.clarification_pred,
+        "final_response": ", ".join(scored.spans),
+        "clarification_pred": scored.clarification_pred,
         "clarification_gold": turn.gold.req_clari,
-        "em": em,
-        "f1": round(f1, 6),
+        "em": scored.em,
+        "f1": round(scored.f1, 6),
         "fallback_used": result.fallback_used,
         "latency_ms": round(result.latency_s * 1000, 3),
         "vote": result.vote.to_record(config.precision) if result.vote else None,
@@ -191,7 +179,7 @@ def _turn_record(
             "clarification_question": turn.gold.clarification_question,
         },
     }
-    return (record, em, f1), log
+    return scored, log
 
 
 def run_eval(
@@ -214,12 +202,12 @@ def run_eval(
         config.mode,
         config.history,
     )
-    records: list[ScoredRecord] = []
+    records: list[ScoredTurn] = []
     logs: list[dict] = []
     gold_history = config.history == "gold"
     stop = threading.Event()
 
-    def run_dialogue(dialogue: Dialogue, done: list[tuple[ScoredRecord, dict]]) -> None:
+    def run_dialogue(dialogue: Dialogue, done: list[tuple[ScoredTurn, dict]]) -> None:
         # Turns finished go to `done` as they complete, so a failing dialogue
         # still hands over the turns before its failure.
         context = linearize_document(corpus.documents[dialogue.doc_uid])
@@ -228,13 +216,12 @@ def run_eval(
                 return
             model_input = build_model_input(context, turn.question)
             result = run_turn(model_input, turn, generator, config)
-            done.append(_turn_record(dialogue, turn, result, config))
-            context = add_response(
-                model_input,
-                turn.gold.response_text(config.precision) if gold_history else result.final_text,
-            )
+            scored, log = _turn_record(dialogue, turn, result, config)
+            done.append((scored, log))
+            response = turn.gold.response_text(config.precision) if gold_history else log["final_response"]
+            context = add_response(model_input, response)
 
-    finished: list[list[tuple[ScoredRecord, dict]]] = [[] for _ in corpus.dialogues]
+    finished: list[list[tuple[ScoredTurn, dict]]] = [[] for _ in corpus.dialogues]
     with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
         futures = [
             pool.submit(run_dialogue, dialogue, done)
@@ -280,18 +267,16 @@ def score_predictions(
         for turn in dialogue.turns:
             raw, scale = predictions.get(turn.turn_id, (None, ""))
             answer = None if raw is None else canonicalize(raw)
-            spans = answer.text_spans(precision) if answer else []
-            record = PredictionRecord(turn.turn_id, answer, scale, turn.gold)
-            em, f1 = record_scores(record, precision, spans)
-            records.append((record, em, f1))
+            scored = record_scores(answer, turn.gold, precision, scale)
+            records.append(scored)
             logs.append(
                 {
                     "turn_id": turn.turn_id,
                     "dialogue_id": dialogue.dialogue_id,
                     "prediction": raw,
-                    "final_response": ", ".join(spans),
-                    "em": em,
-                    "f1": round(f1, 6),
+                    "final_response": ", ".join(scored.spans),
+                    "em": scored.em,
+                    "f1": round(scored.f1, 6),
                 }
             )
     return aggregate_report(records, precision), logs

@@ -97,6 +97,25 @@ class TestLoadCorpus:
         with pytest.raises(SchemaError):
             corpus_from_obj([{"questions": []}])
 
+    @pytest.mark.parametrize(
+        "uids",
+        [{(1, 0): "a1-q1"}, {(0, 1): "a1-q1"}, {(0, 0): "7", (4, 1): 7}],
+        ids=["across-dialogues", "within-a-dialogue", "integer-and-string"],
+    )
+    def test_duplicate_turn_id(self, raw_blocks, uids):
+        """Predictions and replay entries are keyed by turn id: one id is one turn."""
+        blocks = copy.deepcopy(raw_blocks)
+        for (block, question), uid in uids.items():
+            blocks[block]["questions"][question]["uid"] = uid
+        with pytest.raises(InvariantViolation) as caught:
+            corpus_from_obj(blocks)
+        assert (caught.value.where, caught.value.rule) == (str(uid), "duplicate turn id")
+
+    def test_integer_turn_id_is_its_decimal_text(self, raw_blocks):
+        blocks = copy.deepcopy(raw_blocks)
+        blocks[4]["questions"][0]["uid"] = 41
+        assert [t.turn_id for t in corpus_from_obj(blocks).dialogues[4].turns][0] == "41"
+
     def test_missing_question_field(self, raw_blocks):
         blocks = copy.deepcopy(raw_blocks)
         del blocks[0]["questions"][0]["answer_type"]
@@ -149,6 +168,11 @@ def _reverse_questions_and_drop_first_answer(blocks):
         (False, _set((1, "questions", 2, "clari_question"), ["Which year?", "Which period?"]), "[1].questions[2].clari_question"),
         (False, _set((1, "questions", 2, "clari_question"), [None]), "[1].questions[2].clari_question"),
         (False, _set((0, "questions", 0, "clari_question"), 5), "[0].questions[0].clari_question"),
+        (False, _set((0, "questions", 0, "answer"), [{"a": 1}]), "[0].questions[0].answer"),
+        (False, _set((0, "questions", 3, "answer"), [[0.1932]]), "[0].questions[3].answer"),
+        (False, _set((0, "questions", 1, "uid"), None), "[0].questions[1].uid"),
+        (False, _set((0, "questions", 1, "uid"), True), "[0].questions[1].uid"),
+        (False, _set((0, "questions", 1, "uid"), 1.5), "[0].questions[1].uid"),
         (True, _set((0,), "a bare string"), "[0]"),
         (True, _set((0, "table"), ["not", "an", "object"]), "[0]"),
         (True, _set((0, "questions", 0), None), "[0].questions[0]"),
@@ -158,6 +182,7 @@ def _reverse_questions_and_drop_first_answer(blocks):
                                        "req_clari": True, "answer_from": "table"}),
             "[0].questions[0].clari_question",
         ),
+        (True, _set((0, "questions", 0, "uid"), None), "[0].questions[0].uid"),
     ],
     ids=[
         "paragraph-not-object",
@@ -171,10 +196,16 @@ def _reverse_questions_and_drop_first_answer(blocks):
         "clari-question-two-item-list",
         "clari-question-list-of-null",
         "clari-question-number",
+        "answer-list-item-object",
+        "arithmetic-answer-list-of-a-list",
+        "turn-id-null",
+        "turn-id-bool",
+        "turn-id-float",
         "release-block-not-object",
         "release-table-not-object",
         "release-question-not-object",
         "release-clari-question-from-a-list-answer-of-two",
+        "release-turn-id-null",
     ],
 )
 def test_malformed_entries_are_schema_errors(raw_blocks, tmp_path, release, mutate, where):
@@ -356,6 +387,18 @@ class TestGoldCompilation:
         for answer in ([], [0.1932, 0.2]):
             with pytest.raises(ValueError, match="an arithmetic answer list needs one item"):
                 GoldTurnAnswer("arithmetic", answer, "(105-88)/88", "", "table", False, "")
+
+    def test_answer_list_items_are_strings_or_numbers(self):
+        gold = GoldTurnAnswer("multi-span", ["EMEA", 7, 0.5], "", "", "table", False, "")
+        assert gold.canonical == SpanSetAnswer(("EMEA", "7", "0.5"))
+        for answer_type, answer in (
+            ("arithmetic", [[0.1932]]),
+            ("span", [{"a": 1}]),
+            ("multi-span", ["EMEA", None]),
+            ("count", ["a", True]),
+        ):
+            with pytest.raises(ValueError, match="each answer list item must be a string or a number"):
+                GoldTurnAnswer(answer_type, answer, "(105-88)/88", "", "table", False, "")
 
     def test_clarification_question_list_of_one_takes_its_item(self, raw_blocks):
         blocks = copy.deepcopy(raw_blocks)

@@ -18,7 +18,6 @@ from pcqa.derivation import (
 )
 from pcqa.metrics import (
     EmptyRecordSet,
-    PredictionRecord,
     _bag_f1,
     _best_pairing,
     _normalize,
@@ -50,7 +49,7 @@ def gold(answer_type, answer, derivation="", scale="", source="table", clari="")
 
 def record_em(pred, scale, g):
     """The EM half of `record_scores`."""
-    return record_scores(PredictionRecord("t", pred, scale, g))[0]
+    return record_scores(pred, g, scale=scale).em
 
 
 class TestExactMatch:
@@ -184,34 +183,33 @@ class TestClassificationPRF:
             classification_prf([True], [True, False])
 
 
-def make_record(turn_id, predicted, g, scale=""):
-    return PredictionRecord(turn_id=turn_id, predicted=predicted, predicted_scale=scale, gold=g)
-
-
-def scored(records):
-    return [(r, *record_scores(r)) for r in records]
-
-
-def all_correct_records():
+def all_correct_turns():
     return [
-        make_record("t1", NumericAnswer(Fraction(161, 205)),
-                    gold("arithmetic", 0.7854, derivation="(36.6-20.5)/20.5")),
-        make_record("t2", SpanSetAnswer(("two plans",)), gold("span", ["two plans"], source="text")),
-        make_record("t3", CountAnswer(3), gold("count", 3, derivation="a, b, c")),
-        make_record(
-            "t4",
+        record_scores(NumericAnswer(Fraction(161, 205)),
+                      gold("arithmetic", 0.7854, derivation="(36.6-20.5)/20.5")),
+        record_scores(SpanSetAnswer(("two plans",)), gold("span", ["two plans"], source="text")),
+        record_scores(CountAnswer(3), gold("count", 3, derivation="a, b, c")),
+        record_scores(
             ClarifyAnswer("Which period are you asking about?"),
             gold("clarification", "Which period are you asking about?",
                  source="table-text", clari="Which period are you asking about?"),
         ),
-        make_record("t5", SpanSetAnswer(("EMEA", "Americas")),
-                    gold("multi-span", ["Americas", "EMEA"])),
+        record_scores(SpanSetAnswer(("EMEA", "Americas")), gold("multi-span", ["Americas", "EMEA"])),
     ]
+
+
+def test_scored_turn_holds_the_spans_rendered_once():
+    g = gold("arithmetic", 0.6667, derivation="2/3")
+    turn = record_scores(NumericAnswer(Fraction(2, 3)), g, precision=2)
+    assert turn == (g, NumericAnswer(Fraction(2, 3)), ["0.67"], 1, 1.0)
+    assert not turn.clarification_pred
+    assert record_scores(None, g).spans == []
+    assert record_scores(ClarifyAnswer("Which year?"), g).clarification_pred
 
 
 class TestAggregateReport:
     def test_all_correct(self):
-        report = aggregate_report(scored(all_correct_records()))
+        report = aggregate_report(all_correct_turns())
         assert report.overall_em == 1.0
         assert report.overall_f1 == 1.0
         assert (report.cnp_precision, report.cnp_recall, report.cnp_f1) == (1.0, 1.0, 1.0)
@@ -219,16 +217,15 @@ class TestAggregateReport:
         assert report.cqa_em == 1.0 and report.cqa_f1 == 1.0
 
     def test_single_record(self):
-        record = all_correct_records()[0]
-        report = aggregate_report(scored([record]))
-        em, f1 = record_scores(record)
-        assert report.overall_em == em and report.overall_f1 == f1
+        turn = all_correct_turns()[0]
+        report = aggregate_report([turn])
+        assert report.overall_em == turn.em and report.overall_f1 == turn.f1
 
     def test_breakdown_grid_and_linearity(self):
-        records = all_correct_records() + [
-            make_record("t6", NumericAnswer(Fraction(99)), gold("arithmetic", 1, derivation="1"))
+        records = all_correct_turns() + [
+            record_scores(NumericAnswer(Fraction(99)), gold("arithmetic", 1, derivation="1"))
         ]
-        report = aggregate_report(scored(records))
+        report = aggregate_report(records)
         weighted = sum(cell.em * cell.count for cell in report.breakdown.values())
         total = sum(cell.count for cell in report.breakdown.values())
         assert total == len(records)
@@ -239,7 +236,7 @@ class TestAggregateReport:
         assert ("Counting", "Text") not in report.breakdown
 
     def test_report_rendering(self):
-        report = aggregate_report(scored(all_correct_records()))
+        report = aggregate_report(all_correct_turns())
         text = report.format_text()
         for row in ("Span", "Spans", "Counting", "Arithmetic", "Question", "Total"):
             assert row in text
@@ -255,15 +252,13 @@ class TestAggregateReport:
 
     def test_em_never_exceeds_f1(self):
         cases = [
-            make_record("x1", NumericAnswer(Fraction(2)), gold("arithmetic", 3, derivation="3")),
-            make_record("x2", SpanSetAnswer(("148,502",)), gold("span", ["$148,502"])),
-            make_record("x3", SpanSetAnswer(("loan receivables",)),
-                        gold("span", ["Lease and loan receivables"])),
-            make_record("x4", None, gold("span", ["x"])),
-        ] + all_correct_records()
-        for record in cases:
-            em, f1 = record_scores(record)
-            assert em <= f1 + 1e-12
+            record_scores(NumericAnswer(Fraction(2)), gold("arithmetic", 3, derivation="3")),
+            record_scores(SpanSetAnswer(("148,502",)), gold("span", ["$148,502"])),
+            record_scores(SpanSetAnswer(("loan receivables",)), gold("span", ["Lease and loan receivables"])),
+            record_scores(None, gold("span", ["x"])),
+        ] + all_correct_turns()
+        for turn in cases:
+            assert turn.em <= turn.f1 + 1e-12
 
 
 _number_strings = st.one_of(
@@ -278,11 +273,10 @@ _number_strings = st.one_of(
 @given(pred=_number_strings, gold_text=_number_strings)
 def test_em_le_f1_numeric_property(pred, gold_text):
     g = gold("arithmetic", gold_text, derivation=gold_text)
-    record = make_record("p", NumericAnswer(Fraction(pred)), g)
-    em, f1 = record_scores(record)
-    assert 0.0 <= f1 <= 1.0
-    assert em in (0, 1)
-    assert em <= f1 + 1e-12
+    turn = record_scores(NumericAnswer(Fraction(pred)), g)
+    assert 0.0 <= turn.f1 <= 1.0
+    assert turn.em in (0, 1)
+    assert turn.em <= turn.f1 + 1e-12
 
 
 @settings(max_examples=200, deadline=None)
@@ -370,13 +364,12 @@ def _ref_pair_f1(pred, gold, precision):
     return 2 * p * r / (p + r)
 
 
-def _ref_record_scores(record, precision):
-    pred, gold_answer = record.predicted, record.gold
+def _ref_record_scores(pred, gold_answer, precision, scale=""):
     pred_spans = pred.text_spans(precision) if pred is not None else []
     gold_spans = gold_answer.canonical.text_spans(precision)
     em = 0
     same_kind = gold_answer.req_clari == isinstance(pred, ClarifyAnswer)
-    if pred is not None and same_kind and record.predicted_scale == gold_answer.scale:
+    if pred is not None and same_kind and scale == gold_answer.scale:
         em = int(
             Counter(_ref_normalize_for_match(s, precision, True) for s in pred_spans)
             == Counter(_ref_normalize_for_match(s, precision, True) for s in gold_spans)
@@ -457,11 +450,10 @@ def _marked_pair(draw):
 )
 def test_record_scores_matches_reference_property(turn, precision):
     predicted, scale, g = turn
-    record = make_record("p", predicted, g, scale=scale)
-    em, f1 = record_scores(record, precision)
-    ref_em, ref_f1 = _ref_record_scores(record, precision)
+    scored = record_scores(predicted, g, precision, scale)
+    ref_em, ref_f1 = _ref_record_scores(predicted, g, precision, scale)
     # Pairings of equal total can sum their scores in another order.
-    assert em == ref_em and f1 == pytest.approx(ref_f1, rel=0, abs=1e-12)
+    assert scored.em == ref_em and scored.f1 == pytest.approx(ref_f1, rel=0, abs=1e-12)
 
 
 # A numeric answer is scored from its value (one rendering, one parse); a
@@ -499,10 +491,11 @@ def test_numeric_fast_path_matches_text_path_property(value, offset, places, pre
     text_gold = gold("span", numeric_gold.canonical.text_spans(precision))
     predicted = NumericAnswer(value)
     # The reference scores every answer through its rendered text.
-    expected = _ref_record_scores(make_record("p", predicted, numeric_gold), precision)
+    expected = _ref_record_scores(predicted, numeric_gold, precision)
     for pred in (predicted, _as_rendered_text(predicted, precision)):
         for g in (numeric_gold, text_gold):
-            assert record_scores(make_record("p", pred, g), precision) == expected
+            scored = record_scores(pred, g, precision)
+            assert (scored.em, scored.f1) == expected
 
 
 def test_lone_numeral_compares_at_its_rendered_value():
@@ -640,8 +633,7 @@ _one_span_prediction = st.one_of(
 def test_cqg_f1_is_the_joined_text_scored_property(predicted, g, precision):
     """The report reuses a one-span turn's F1 for CQG; that is the F1 of the
     prediction's text against the gold question."""
-    record = make_record("q", predicted, g)
-    report = aggregate_report([(record, *record_scores(record, precision))], precision)
+    report = aggregate_report([record_scores(predicted, g, precision)], precision)
     pred_text = predicted.text(precision) if predicted else ""
     assert report.cqg_token_f1 == numeracy_f1(pred_text, g.clarification_question, precision)
 

@@ -2,14 +2,16 @@ import io
 import json
 import threading
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from pcqa import metrics, runner
 from pcqa.corpus import build_examples
 from pcqa.generation import GeneratedOutput, ReplayGenerator, TransportError
 from pcqa.linearize import Task, build_model_input, linearize_document
-from pcqa.metrics import EmptyRecordSet
+from pcqa.metrics import EmptyRecordSet, record_scores
 from pcqa.runner import RunConfig, UnknownTurnId, run_eval, run_turn, score_predictions, write_jsonl
 from pcqa.voting import NumericAnswer
 
@@ -56,7 +58,7 @@ class TestRunTurnAndEval:
         model_input = build_model_input(context, dialogue.turns[0].question)
         result = run_turn(model_input, dialogue.turns[0], generator, RunConfig(mode="greedy"))
         assert result.answer == NumericAnswer(Fraction(598, 300))
-        assert result.final_text == "1.9933"
+        assert ", ".join(record_scores(result.answer, dialogue.turns[0].gold).spans) == "1.9933"
 
     def test_replay_determinism(self, table7_corpus, table7_replay_path):
         generator = ReplayGenerator.from_jsonl(table7_replay_path)
@@ -85,7 +87,7 @@ class TestRunTurnAndEval:
         result = run_turn(model_input, dialogue.turns[0], generator, RunConfig(mode="cv"))
         assert result.fallback_used is True
         assert result.answer is None
-        assert result.final_text == ""
+        assert ", ".join(record_scores(result.answer, dialogue.turns[0].gold).spans) == ""
 
     def test_fallback_recovers_via_greedy(self, table7_corpus):
         turn_id = "t7c1-q1"
@@ -235,6 +237,62 @@ class TestRunTurnAndEval:
         for precision in (-1, 11):
             with pytest.raises(ValueError, match=r"render_precision must be in \[0, 10\]"):
                 RunConfig(precision=precision)
+
+
+class TestScoringCounts:
+    """Each turn is scored once, and the report sums those records without
+    scoring any turn again."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = Counter()
+        aggregating = []
+
+        def count_scores(original):
+            def counted(*args, **kwargs):
+                counts["record_scores"] += 1
+                counts["record_scores inside aggregate_report"] += bool(aggregating)
+                return original(*args, **kwargs)
+
+            return counted
+
+        def count_aggregate(original):
+            def counted(*args, **kwargs):
+                counts["aggregate_report"] += 1
+                aggregating.append(True)
+                try:
+                    return original(*args, **kwargs)
+                finally:
+                    aggregating.pop()
+
+            return counted
+
+        monkeypatch.setattr(runner, "record_scores", count_scores(runner.record_scores))
+        monkeypatch.setattr(metrics, "record_scores", count_scores(metrics.record_scores))
+        monkeypatch.setattr(runner, "aggregate_report", count_aggregate(runner.aggregate_report))
+        return counts
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            RunConfig(mode="cv"),
+            RunConfig(mode="greedy"),
+            RunConfig(mode="cv", history="predicted"),
+            "score_predictions",
+        ],
+        ids=["cv", "greedy", "predicted-history-cv", "score_predictions"],
+    )
+    def test_one_score_per_turn_and_one_report(self, counts, fixtures_dir, small_corpus, run):
+        if run == "score_predictions":
+            score_predictions(fixtures_dir / "corpus_small_predictions.jsonl", small_corpus)
+        else:
+            run_eval(small_corpus, ReplayGenerator.from_jsonl(fixtures_dir / "corpus_small_replay.jsonl"), run)
+        turns = sum(len(d.turns) for d in small_corpus.dialogues)
+        assert counts == {
+            "record_scores": turns,
+            "record_scores inside aggregate_report": 0,
+            "aggregate_report": 1,
+        }
 
 
 class TestScorePredictions:
