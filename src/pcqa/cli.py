@@ -45,7 +45,8 @@ def _add_decode_flags(parser: argparse.ArgumentParser) -> None:
         "--concurrency",
         type=int,
         default=RunConfig.concurrency,
-        help="dialogues in flight at once (at least 1); the turns of a dialogue run in order",
+        help="turns in flight at once (at least 1), at most one per dialogue since its turns run "
+        "in order; a free worker takes the dialogue with the most turns left",
     )
 
 

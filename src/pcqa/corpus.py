@@ -107,9 +107,12 @@ class GoldTurnAnswer:
 
     def __post_init__(self):
         answer = self.answer
-        # Each list item is a string or a number, and a bool is no number.
+        # The answer, or each item of a list answer, is a string or a number,
+        # and a bool is no number.
         if isinstance(answer, list) and any(type(a) not in (str, int, float) for a in answer):
             raise ValueError(f"each answer list item must be a string or a number, got {answer!r}")
+        if type(answer) not in (list, str, int, float):
+            raise ValueError(f"answer must be a string, a number or a list of them, got {answer!r}")
         if isinstance(answer, list) and self.answer_type == "arithmetic":
             if len(answer) != 1:
                 raise ValueError("an arithmetic answer list needs one item")
@@ -275,7 +278,11 @@ def _load_block_dialogue(block: dict, where: str, doc_uid: str) -> Dialogue:
     questions = block.get("questions")
     if not isinstance(questions, list) or not questions:
         raise SchemaError(where, "block must carry a non-empty questions list")
-    dialogue_id = str(block.get("uid") or doc_uid)
+    dialogue_id = block.get("uid")
+    if dialogue_id is None:
+        dialogue_id = doc_uid
+    elif type(dialogue_id) not in (str, int):  # a bool is no integer
+        raise SchemaError(f"{where}.uid", f"dialogue id must be a string or an integer, got {dialogue_id!r}")
     turns: list[DialogueTurn] = []
     for j, q in enumerate(questions):
         if not isinstance(q, dict):
@@ -341,7 +348,7 @@ def _load_block_dialogue(block: dict, where: str, doc_uid: str) -> Dialogue:
         except LinearizeError as err:
             raise InvariantViolation(turn_id, str(err)) from err
         turns.append(DialogueTurn(turn_id=turn_id, question=question_text, gold=gold))
-    return Dialogue(dialogue_id=dialogue_id, doc_uid=doc_uid, turns=tuple(turns))
+    return Dialogue(dialogue_id=str(dialogue_id), doc_uid=doc_uid, turns=tuple(turns))
 
 
 def _by_order(entries: list[dict], where: str) -> list[int]:

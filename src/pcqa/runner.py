@@ -7,18 +7,21 @@ answer (consensus voting or the greedy baseline), then score against gold
 once; the report aggregates those per-turn scores.
 Gold-history mode conditions every turn on gold prior responses;
 predicted-history mode feeds each turn's own final response into the next
-turn's history. In both, up to `concurrency` dialogues run at once while the
-turns of each dialogue run in order. Reports and logs are a deterministic
-function of (corpus, decodes, config) regardless of request scheduling.
+turn's history. In both, up to `concurrency` turns are in flight at once, at
+most one per dialogue, since the turns of a dialogue run in order; a free
+worker takes a turn of the dialogue with the most turns left, and starts a
+long dialogue early enough that it does not run alone at the end (see
+`_Schedule`). Reports and logs are a deterministic function of (corpus,
+decodes, config) regardless of request scheduling.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import logging
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, TextIO
@@ -182,6 +185,84 @@ def _turn_record(
     return scored, log
 
 
+class _Schedule:
+    """Which dialogue each of `workers` workers runs a turn of next.
+
+    A dialogue is a chain: its turns run in order, one at a time. Handing out
+    whole dialogues in corpus order leaves workers idle while a long dialogue
+    that started late runs alone. Instead, a worker that is free, or has just
+    finished a turn of its own dialogue, takes the first of:
+
+    1. the longest unstarted dialogue whose turns × workers reach the turns
+       not yet handed to a worker (ties: corpus order); its own dialogue, if
+       it has turns left, then waits for a worker;
+    2. the next turn of its own dialogue or of a waiting one, whichever has
+       the most turns left (ties: its own, then corpus order);
+    3. the next unstarted dialogue in corpus order.
+
+    This is level scheduling, which Hu (1961) proved optimal for chains of
+    unit-time turns. Rule 1 counts the turns other workers have in flight as
+    handed out: counted as unfinished, they made the first worker to finish
+    in a round of equal turns start a long dialogue one round late. At one
+    worker the rules keep corpus order. After a turn of dialogue j fails
+    (`finish`), no dialogue from j on starts another turn. Callers hold
+    `lock`; each call costs amortized O(log n) in the dialogues.
+    """
+
+    def __init__(self, lengths: list[int], workers: int):
+        self.lock = threading.Lock()
+        self.workers = workers
+        self.left = list(lengths)  # turns not yet run, per dialogue
+        self.pending = sum(lengths)  # turns not yet handed to a worker
+        self.started = [n == 0 for n in lengths]
+        # (-turns, index) of unstarted dialogues; started ones are dropped on sight
+        self.unstarted = [(-n, i) for i, n in enumerate(lengths) if n]
+        heapq.heapify(self.unstarted)
+        self.waiting: list[tuple[int, int]] = []  # (-turns left, index), held by no worker
+        self.cursor = 0  # every dialogue before it has started
+        self.limit = len(lengths)  # dialogues from here on run no further turn
+        self.error: Exception | None = None  # the failure of dialogue `limit`
+
+    def finish(self, i: int, error: Exception | None) -> None:
+        if error is None:
+            self.left[i] -= 1
+        elif i < self.limit:
+            self.limit, self.error = i, error
+
+    def stop(self) -> None:
+        with self.lock:
+            self.limit = 0
+
+    def take(self, own: int | None) -> int | None:
+        """The dialogue to run a turn of next, for a worker that holds `own`
+        (None: it holds none); None when nothing is left for it to run."""
+        limit = self.limit
+        own_left = self.left[own] if own is not None and own < limit else 0
+        unstarted, waiting = self.unstarted, self.waiting
+        while unstarted and (self.started[unstarted[0][1]] or unstarted[0][1] >= limit):
+            heapq.heappop(unstarted)
+        while waiting and waiting[0][1] >= limit:
+            heapq.heappop(waiting)
+        if unstarted and -unstarted[0][0] * self.workers >= self.pending:
+            chosen = heapq.heappop(unstarted)[1]
+            self.started[chosen] = True
+        elif waiting and -waiting[0][0] > own_left:
+            chosen = heapq.heappop(waiting)[1]
+        elif own_left:
+            chosen = own
+        else:
+            while self.cursor < limit and self.started[self.cursor]:
+                self.cursor += 1
+            if self.cursor >= limit:
+                return None
+            chosen = self.cursor
+            self.started[chosen] = True
+        if own_left and chosen != own:
+            heapq.heappush(waiting, (-own_left, own))
+        self.pending -= 1
+        return chosen
+
+
 def run_eval(
     corpus: Corpus,
     generator: Generator,
@@ -190,11 +271,16 @@ def run_eval(
 ) -> tuple[MetricReport, list[dict]]:
     """Run every turn, score, and aggregate.
 
-    Up to config.concurrency dialogues run at once, each walking its turns in
-    order. Returns the metric report plus per-turn log records in corpus
-    order, also streamed as JSON lines to log_stream while running. If a turn
-    raises (a transport failure, say), the error propagates after log_stream
-    holds exactly the turns before the first failing turn in corpus order.
+    Up to config.concurrency turns are in flight at once, at most one per
+    dialogue, each dialogue walking its turns in order; a free worker takes a
+    turn of the dialogue with the most turns left, or starts a long dialogue
+    before it would run alone at the end (see `_Schedule`). The calling
+    thread is one of the workers. Returns the metric report plus per-turn log
+    records in corpus order, also streamed as JSON lines to log_stream as each
+    prefix of dialogues finishes. If a turn raises (a transport failure, say),
+    no later dialogue starts another turn, the earlier ones finish, and the
+    earliest failing dialogue's error propagates after log_stream holds
+    exactly the turns before the first failing turn in corpus order.
     """
     logger.info(
         "run start: mode=%s history=%s; inputs are transmitted untruncated, "
@@ -202,45 +288,83 @@ def run_eval(
         config.mode,
         config.history,
     )
+    dialogues = corpus.dialogues
+    workers = max(1, min(config.concurrency, len(dialogues)))
+    schedule = _Schedule([len(d.turns) for d in dialogues], workers)
+    contexts: list[str | None] = [None] * len(dialogues)
+    done: list[list[tuple[ScoredTurn, dict]]] = [[] for _ in dialogues]
     records: list[ScoredTurn] = []
     logs: list[dict] = []
+    emitted = 0  # dialogues whose turns are in `logs`
     gold_history = config.history == "gold"
-    stop = threading.Event()
 
-    def run_dialogue(dialogue: Dialogue, done: list[tuple[ScoredTurn, dict]]) -> None:
-        # Turns finished go to `done` as they complete, so a failing dialogue
-        # still hands over the turns before its failure.
-        context = linearize_document(corpus.documents[dialogue.doc_uid])
-        for turn in dialogue.turns:
-            if stop.is_set():
-                return
-            model_input = build_model_input(context, turn.question)
-            result = run_turn(model_input, turn, generator, config)
-            scored, log = _turn_record(dialogue, turn, result, config)
-            done.append((scored, log))
-            response = turn.gold.response_text(config.precision) if gold_history else log["final_response"]
-            context = add_response(model_input, response)
+    def run_next_turn(i: int) -> None:
+        dialogue = dialogues[i]
+        context = contexts[i]
+        if context is None:
+            context = linearize_document(corpus.documents[dialogue.doc_uid])
+        turn = dialogue.turns[len(done[i])]
+        model_input = build_model_input(context, turn.question)
+        result = run_turn(model_input, turn, generator, config)
+        scored, log = _turn_record(dialogue, turn, result, config)
+        done[i].append((scored, log))
+        response = turn.gold.response_text(config.precision) if gold_history else log["final_response"]
+        contexts[i] = add_response(model_input, response)
 
-    finished: list[list[tuple[ScoredTurn, dict]]] = [[] for _ in corpus.dialogues]
-    with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
-        futures = [
-            pool.submit(run_dialogue, dialogue, done)
-            for dialogue, done in zip(corpus.dialogues, finished)
-        ]
+    def emit(i: int) -> None:
+        for scored, log in done[i]:
+            records.append(scored)
+            logs.append(log)
+            if log_stream is not None:
+                log_stream.write(json.dumps(log, ensure_ascii=False) + "\n")
+                log_stream.flush()
+
+    def work() -> None:
+        nonlocal emitted
+        i: int | None = None
+        error: Exception | None = None
+        while True:
+            with schedule.lock:
+                if i is not None:
+                    schedule.finish(i, error)
+                    while emitted < schedule.limit and not schedule.left[emitted]:
+                        emit(emitted)
+                        emitted += 1
+                i = schedule.take(i)
+                if i is None:
+                    return
+            try:
+                run_next_turn(i)
+                error = None
+            except Exception as err:
+                error = err
+
+    fatal: list[BaseException] = []
+
+    def helper() -> None:
         try:
-            for future, done in zip(futures, finished):
-                error = future.exception()
-                for scored, log in done:
-                    records.append(scored)
-                    logs.append(log)
-                    if log_stream is not None:
-                        log_stream.write(json.dumps(log, ensure_ascii=False) + "\n")
-                        log_stream.flush()
-                if error is not None:
-                    raise error
-        except BaseException:
-            stop.set()
-            raise
+            work()
+        except BaseException as err:  # not a turn's failure: the run ends
+            fatal.append(err)
+            schedule.stop()
+
+    helpers = [threading.Thread(target=helper, name=f"pcqa-run-{k}") for k in range(1, workers)]
+    for thread in helpers:
+        thread.start()
+    try:
+        work()
+        for thread in helpers:
+            thread.join()
+    except BaseException:  # Ctrl-C, say: each helper stops at its next turn boundary
+        schedule.stop()
+        for thread in helpers:
+            thread.join()
+        raise
+    if fatal:
+        raise fatal[0]
+    if schedule.error is not None:
+        emit(schedule.limit)
+        raise schedule.error
     report = aggregate_report(records, config.precision)
     return report, logs
 

@@ -116,6 +116,15 @@ class TestLoadCorpus:
         blocks[4]["questions"][0]["uid"] = 41
         assert [t.turn_id for t in corpus_from_obj(blocks).dialogues[4].turns][0] == "41"
 
+    @pytest.mark.parametrize("uid,expected", [(0, "0"), ("", ""), (None, "doc-alpha"), ("absent", "doc-alpha")])
+    def test_dialogue_id_falls_back_to_document_only_when_absent(self, raw_blocks, uid, expected):
+        blocks = copy.deepcopy(raw_blocks)
+        if uid == "absent":
+            del blocks[0]["uid"]
+        else:
+            blocks[0]["uid"] = uid
+        assert corpus_from_obj(blocks).dialogues[0].dialogue_id == expected
+
     def test_missing_question_field(self, raw_blocks):
         blocks = copy.deepcopy(raw_blocks)
         del blocks[0]["questions"][0]["answer_type"]
@@ -173,6 +182,12 @@ def _reverse_questions_and_drop_first_answer(blocks):
         (False, _set((0, "questions", 1, "uid"), None), "[0].questions[1].uid"),
         (False, _set((0, "questions", 1, "uid"), True), "[0].questions[1].uid"),
         (False, _set((0, "questions", 1, "uid"), 1.5), "[0].questions[1].uid"),
+        (False, _set((0, "questions", 2, "answer"), None), "[0].questions[2].answer"),
+        (False, _set((0, "questions", 2, "answer"), True), "[0].questions[2].answer"),
+        (False, _set((0, "questions", 2, "answer"), {"a": 1}), "[0].questions[2].answer"),
+        (False, _set((0, "uid"), ["x"]), "[0].uid"),
+        (False, _set((0, "uid"), {"a": 1}), "[0].uid"),
+        (False, _set((0, "uid"), False), "[0].uid"),
         (True, _set((0,), "a bare string"), "[0]"),
         (True, _set((0, "table"), ["not", "an", "object"]), "[0]"),
         (True, _set((0, "questions", 0), None), "[0].questions[0]"),
@@ -201,6 +216,12 @@ def _reverse_questions_and_drop_first_answer(blocks):
         "turn-id-null",
         "turn-id-bool",
         "turn-id-float",
+        "answer-null",
+        "answer-bool",
+        "answer-object",
+        "dialogue-id-list",
+        "dialogue-id-object",
+        "dialogue-id-bool",
         "release-block-not-object",
         "release-table-not-object",
         "release-question-not-object",

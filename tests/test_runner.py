@@ -1,5 +1,7 @@
+import heapq
 import io
 import json
+import sys
 import threading
 import time
 from collections import Counter
@@ -8,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from pcqa import metrics, runner
-from pcqa.corpus import build_examples
+from pcqa.corpus import build_examples, corpus_from_obj
 from pcqa.generation import GeneratedOutput, ReplayGenerator, TransportError
 from pcqa.linearize import Task, build_model_input, linearize_document
 from pcqa.metrics import EmptyRecordSet, record_scores
@@ -34,6 +36,43 @@ class RecordingGenerator:
     def generate(self, request):
         self.inputs[request.turn_id] = request.input
         return self.inner.generate(request)
+
+
+def chain_corpus(lengths):
+    """One dialogue of each length, every turn asking for the same span."""
+    blocks = []
+    for d, n in enumerate(lengths):
+        questions = [
+            {"uid": f"d{d}-q{t}", "order": t, "question": f"Revenue in 2019 ({t})?", "answer": "5",
+             "answer_type": "span", "answer_from": "table"}
+            for t in range(1, n + 1)
+        ]
+        table = {"uid": f"doc{d}", "cells": [["Item", "2019"], ["Revenue", "5"]]}
+        blocks.append({"uid": f"d{d}", "table": table, "paragraphs": [], "questions": questions})
+    return corpus_from_obj(blocks)
+
+
+class OrderGenerator:
+    """Answers every request with the gold span and notes the order of the
+    requests. The first `meet` requests wait for each other, so none of them
+    finishes before all of them have been made."""
+
+    def __init__(self, meet=0, interrupt=None):
+        self.requests = []
+        self.lock = threading.Lock()
+        self.meet = meet
+        self.barrier = threading.Barrier(meet, timeout=10) if meet else None
+        self.interrupt = interrupt
+
+    def generate(self, request):
+        with self.lock:
+            self.requests.append(request.turn_id)
+            first = len(self.requests) <= self.meet
+        if first:
+            self.barrier.wait()
+        if request.turn_id == self.interrupt:
+            raise KeyboardInterrupt
+        return (GeneratedOutput(text='[clari.] False [resp.] ["5"]'),)
 
 
 class TestRunTurnAndEval:
@@ -138,10 +177,31 @@ class TestRunTurnAndEval:
         corpus_order = [t.turn_id for d in small_corpus.dialogues for t in d.turns]
         assert written == corpus_order[: corpus_order.index("b2-q2")]
 
+    @pytest.mark.parametrize("concurrency", [1, 8])
+    def test_earliest_failing_dialogue_is_raised(self, small_corpus, concurrency):
+        # b2 fails at its second turn, a2 at its third; whichever fails first
+        # in time, a2's error is raised and the log stops before a2-q3.
+        generator = replay_from_examples(small_corpus)
+        del generator.entries[("b2-q2", "greedy")]
+        del generator.entries[("a2-q3", "greedy")]
+        stream = io.StringIO()
+        with pytest.raises(TransportError, match="a2-q3"):
+            run_eval(
+                small_corpus,
+                generator,
+                RunConfig(mode="greedy", history="predicted", concurrency=concurrency),
+                log_stream=stream,
+            )
+        written = [json.loads(line)["turn_id"] for line in stream.getvalue().splitlines()]
+        corpus_order = [t.turn_id for d in small_corpus.dialogues for t in d.turns]
+        assert written == corpus_order[: corpus_order.index("a2-q3")]
+
     def test_abort_stops_dialogues_in_flight(self, small_corpus):
-        # a1-q1 fails while a2-q1 is still waiting on its decode; once the
-        # run aborts, dialogue a2 requests no further turn.
+        # a1-q1 fails only once a2-q1 has been requested, and a2-q1 is still
+        # waiting on its decode then; once the run aborts, dialogue a2
+        # requests no further turn.
         requested = []
+        a2_requested = threading.Event()
 
         class SlowGenerator:
             def __init__(self, inner):
@@ -149,7 +209,10 @@ class TestRunTurnAndEval:
 
             def generate(self, request):
                 requested.append(request.turn_id)
-                if request.turn_id == "a2-q1":
+                if request.turn_id == "a1-q1":
+                    assert a2_requested.wait(timeout=10)
+                elif request.turn_id == "a2-q1":
+                    a2_requested.set()
                     time.sleep(0.5)
                 return self.inner.generate(request)
 
@@ -226,6 +289,65 @@ class TestRunTurnAndEval:
         )
         assert report.overall_em == 1.0
         assert len(logs) == 16
+
+    def test_long_dialogue_last_in_corpus_starts_first(self):
+        # Corpus order would start d3 only after a short dialogue ends and
+        # then run its six turns alone while the other worker idles.
+        corpus = chain_corpus([2, 2, 2, 6])
+        generator = OrderGenerator(meet=2)
+        report, logs = run_eval(corpus, generator, RunConfig(mode="greedy", history="predicted", concurrency=2))
+        assert "d3-q1" in generator.requests[:2]
+        assert report.overall_em == 1.0
+        assert [log["turn_id"] for log in logs] == [t.turn_id for d in corpus.dialogues for t in d.turns]
+
+    def test_concurrency_one_requests_in_corpus_order(self):
+        corpus = chain_corpus([2, 2, 2, 6])
+        generator = OrderGenerator()
+        run_eval(corpus, generator, RunConfig(mode="greedy", history="predicted", concurrency=1))
+        assert generator.requests == [t.turn_id for d in corpus.dialogues for t in d.turns]
+
+    def test_interrupt_joins_every_worker(self):
+        corpus = chain_corpus([2, 2, 2, 6])
+        generator = OrderGenerator(meet=2, interrupt="d0-q1")
+        with pytest.raises(KeyboardInterrupt):
+            run_eval(corpus, generator, RunConfig(mode="greedy", history="predicted", concurrency=2))
+        assert not [t for t in threading.enumerate() if t.name.startswith("pcqa-run")]
+        # the other worker stops after the turn it had in flight
+        assert len(generator.requests) <= 3
+
+    def test_many_workers_hand_over_every_turn_once(self):
+        # More workers than cores and a short switch interval, so threads
+        # interleave inside the hand-over; a lost update drops, repeats or
+        # reorders a turn.
+        corpus = chain_corpus([2 + (7 * d) % 9 for d in range(40)])
+        generator = OrderGenerator()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            report, logs = run_eval(corpus, generator, RunConfig(mode="greedy", history="predicted", concurrency=8))
+        finally:
+            sys.setswitchinterval(interval)
+        corpus_order = [t.turn_id for d in corpus.dialogues for t in d.turns]
+        assert sorted(generator.requests) == sorted(corpus_order)
+        assert [log["turn_id"] for log in logs] == corpus_order
+        assert report.overall_em == 1.0
+
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_schedule_meets_the_lower_bound(self, workers):
+        """In unit-time turns, every worker busy until the longest dialogue
+        or the even share of turns allows: max(longest, ceil(turns / workers))."""
+        lengths = [5, 7, 9, 4, 8, 5, 10]
+        schedule = runner._Schedule(lengths, workers)
+        running = [(1, w, schedule.take(None)) for w in range(workers)]
+        end = 0
+        while running:
+            end, w, i = heapq.heappop(running)
+            schedule.finish(i, None)
+            following = schedule.take(i)
+            if following is not None:
+                heapq.heappush(running, (end + 1, w, following))
+        assert schedule.left == [0] * len(lengths)
+        assert end == max(max(lengths), -(-sum(lengths) // workers))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
