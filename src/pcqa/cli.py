@@ -1,6 +1,7 @@
 """Command-line surface for batch pipelines.
 
-Exit codes: 0 ok, 1 input error, 2 schema error, 3 transport error.
+Exit codes: 0 ok, 1 input error, 2 schema error, 3 transport error,
+130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_SCHEMA = 2
 EXIT_TRANSPORT = 3
+EXIT_INTERRUPTED = 130
 
 
 def _add_report_flag(parser: argparse.ArgumentParser) -> None:
@@ -45,8 +47,7 @@ def _add_decode_flags(parser: argparse.ArgumentParser) -> None:
         "--concurrency",
         type=int,
         default=RunConfig.concurrency,
-        help="turns in flight at once (at least 1), at most one per dialogue since its turns run "
-        "in order; a free worker takes the dialogue with the most turns left",
+        help="turns in flight at once (at least 1), at most one per dialogue",
     )
 
 
@@ -197,6 +198,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DerivationError, GenerationError, EmptyRecordSet, UnknownTurnId, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

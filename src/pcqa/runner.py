@@ -8,11 +8,9 @@ once; the report aggregates those per-turn scores.
 Gold-history mode conditions every turn on gold prior responses;
 predicted-history mode feeds each turn's own final response into the next
 turn's history. In both, up to `concurrency` turns are in flight at once, at
-most one per dialogue, since the turns of a dialogue run in order; a free
-worker takes a turn of the dialogue with the most turns left, and starts a
-long dialogue early enough that it does not run alone at the end (see
-`_Schedule`). Reports and logs are a deterministic function of (corpus,
-decodes, config) regardless of request scheduling.
+most one per dialogue; `_Schedule` picks which. Reports and logs are a
+deterministic function of (corpus, decodes, config) regardless of request
+scheduling.
 """
 
 from __future__ import annotations
@@ -191,21 +189,20 @@ class _Schedule:
     A dialogue is a chain: its turns run in order, one at a time. Handing out
     whole dialogues in corpus order leaves workers idle while a long dialogue
     that started late runs alone. Instead, a worker that is free, or has just
-    finished a turn of its own dialogue, takes the first of:
+    finished a turn, puts its own dialogue (if it has turns left) among the
+    waiting ones and takes:
 
-    1. the longest unstarted dialogue whose turns × workers reach the turns
-       not yet handed to a worker (ties: corpus order); its own dialogue, if
-       it has turns left, then waits for a worker;
-    2. the next turn of its own dialogue or of a waiting one, whichever has
-       the most turns left (ties: its own, then corpus order);
-    3. the next unstarted dialogue in corpus order.
+    1. the waiting or unstarted dialogue with the most turns left (ties:
+       waiting, then corpus order), an unstarted one only if its turns ×
+       workers reach the turns not yet handed to a worker;
+    2. else the next unstarted dialogue in corpus order.
 
-    This is level scheduling, which Hu (1961) proved optimal for chains of
-    unit-time turns. Rule 1 counts the turns other workers have in flight as
-    handed out: counted as unfinished, they made the first worker to finish
-    in a round of equal turns start a long dialogue one round late. At one
-    worker the rules keep corpus order. After a turn of dialogue j fails
-    (`finish`), no dialogue from j on starts another turn. Callers hold
+    This is level scheduling (Hu 1961) that starts a dialogue no earlier than
+    it must. In unit-time turns the run ends at max(longest dialogue,
+    ceil(turns / workers)), the optimum for chains, whichever worker reaches
+    the lock first, and never later than whole dialogues handed out in corpus
+    order; at one worker it keeps corpus order. After a turn of dialogue j
+    fails (`finish`), no dialogue from j on starts another turn. Callers hold
     `lock`; each call costs amortized O(log n) in the dialogues.
     """
 
@@ -237,19 +234,19 @@ class _Schedule:
         """The dialogue to run a turn of next, for a worker that holds `own`
         (None: it holds none); None when nothing is left for it to run."""
         limit = self.limit
-        own_left = self.left[own] if own is not None and own < limit else 0
         unstarted, waiting = self.unstarted, self.waiting
+        if own is not None and self.left[own]:  # dropped below if past `limit`
+            heapq.heappush(waiting, (-self.left[own], own))
         while unstarted and (self.started[unstarted[0][1]] or unstarted[0][1] >= limit):
             heapq.heappop(unstarted)
         while waiting and waiting[0][1] >= limit:
             heapq.heappop(waiting)
-        if unstarted and -unstarted[0][0] * self.workers >= self.pending:
+        longest = -unstarted[0][0] if unstarted else 0
+        if longest > (-waiting[0][0] if waiting else 0) and longest * self.workers >= self.pending:
             chosen = heapq.heappop(unstarted)[1]
             self.started[chosen] = True
-        elif waiting and -waiting[0][0] > own_left:
+        elif waiting:
             chosen = heapq.heappop(waiting)[1]
-        elif own_left:
-            chosen = own
         else:
             while self.cursor < limit and self.started[self.cursor]:
                 self.cursor += 1
@@ -257,8 +254,6 @@ class _Schedule:
                 return None
             chosen = self.cursor
             self.started[chosen] = True
-        if own_left and chosen != own:
-            heapq.heappush(waiting, (-own_left, own))
         self.pending -= 1
         return chosen
 
@@ -272,15 +267,14 @@ def run_eval(
     """Run every turn, score, and aggregate.
 
     Up to config.concurrency turns are in flight at once, at most one per
-    dialogue, each dialogue walking its turns in order; a free worker takes a
-    turn of the dialogue with the most turns left, or starts a long dialogue
-    before it would run alone at the end (see `_Schedule`). The calling
-    thread is one of the workers. Returns the metric report plus per-turn log
-    records in corpus order, also streamed as JSON lines to log_stream as each
-    prefix of dialogues finishes. If a turn raises (a transport failure, say),
-    no later dialogue starts another turn, the earlier ones finish, and the
-    earliest failing dialogue's error propagates after log_stream holds
-    exactly the turns before the first failing turn in corpus order.
+    dialogue (`_Schedule` picks which); the calling thread is one of the
+    workers. Returns the metric report plus per-turn log records in corpus
+    order, also streamed as JSON lines to log_stream as each prefix of
+    dialogues finishes. If a turn raises (a transport failure, say), no later
+    dialogue starts another turn, the earlier ones finish, and the earliest
+    failing dialogue's error propagates after log_stream holds exactly the
+    turns before the first failing turn in corpus order. A corpus with no
+    dialogues, or none with a turn, raises EmptyRecordSet.
     """
     logger.info(
         "run start: mode=%s history=%s; inputs are transmitted untruncated, "

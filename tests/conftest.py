@@ -11,6 +11,14 @@ FIXTURES = Path(__file__).parent / "fixtures"
 sys.path.insert(0, str(Path(__file__).parent))
 
 
+def pytest_addoption(parser: pytest.Parser) -> None:
+    parser.addoption(
+        "--installed-pcqa",
+        action="store_true",
+        help="run the golden CLI cases through the `pcqa` console script on PATH, not in process",
+    )
+
+
 @pytest.fixture(scope="session")
 def fixtures_dir() -> Path:
     return FIXTURES

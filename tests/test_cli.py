@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from pcqa import cli
 from pcqa.cli import main
 from pcqa.corpus import build_examples, load_corpus
-from pcqa.generation import ReplayGenerator
+from pcqa.generation import HttpGenerator, ReplayGenerator
 from pcqa.linearize import Task
 
 
@@ -342,6 +343,21 @@ class TestRun:
         )
         assert code == 1
         assert "concurrency" in capsys.readouterr().err
+
+    def test_ctrl_c_exits_130_and_closes_log_and_generator(self, fixtures_dir, tmp_path, monkeypatch, capsys):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        closed = []
+        close = HttpGenerator.close
+        monkeypatch.setattr(cli, "run_eval", interrupted)
+        monkeypatch.setattr(HttpGenerator, "close", lambda self: closed.append(close(self)))
+        log = tmp_path / "run.jsonl"
+        argv = ["run", str(fixtures_dir / "table7_corpus.json"), "--endpoint", "http://127.0.0.1:1", "--log", str(log)]
+        assert main(argv) == 130
+        assert capsys.readouterr() == ("", "interrupted\n")
+        assert closed == [None]
+        assert log.read_text() == ""
 
     def test_bad_precision_exits_1(self, capsys):
         for places in ("-1", "11", "99"):

@@ -2,10 +2,13 @@
 
 Each case runs one `pcqa` command in-process and compares its stdout, exit
 code and (where the command writes one) its per-turn log with the files under
-``tests/fixtures/golden/``. The only field dropped before comparing is the
-wall-time ``latency_ms`` of `run` logs. The fixtures cover every answer kind:
-numbers, counts, span sets, clarifying questions and discarded decodes, plus
-a turn whose 40 samples are all discarded and fall back to the greedy decode.
+``tests/fixtures/golden/``. With ``--installed-pcqa`` the cases run through
+the `pcqa` console script on PATH instead, from a directory outside the
+checkout, which checks an installed package against the same files. The
+only field dropped before comparing is the wall-time ``latency_ms`` of `run`
+logs. The fixtures cover every answer kind: numbers, counts, span sets,
+clarifying questions and discarded decodes, plus a turn whose 40 samples are
+all discarded and fall back to the greedy decode.
 
 To rewrite the expected files from the current code (only ever on purpose,
 after checking the new output by hand):
@@ -18,6 +21,8 @@ from __future__ import annotations
 import contextlib
 import io
 import re
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -45,23 +50,40 @@ CASES = {
 }
 
 
-def run_case(name: str, log_path: Path) -> tuple[str, str | None]:
-    """Exit code and stdout as one text, plus the log without latencies."""
+def run_case(name: str, log_path: Path, pcqa: str | None = None) -> tuple[str, str | None]:
+    """Exit code and stdout as one text, plus the log without latencies. The
+    command runs in process, or, given the path of a `pcqa` executable, by
+    running it in the log's directory."""
     argv = list(CASES[name])
     if argv[-1] == "--log":
         argv.append(str(log_path))
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
-        code = main(argv)
+    if pcqa is None:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main(argv)
+        out = stdout.getvalue()
+    else:
+        done = subprocess.run([pcqa, *argv], cwd=log_path.parent, capture_output=True, encoding="utf-8", timeout=120)
+        code, out = done.returncode, done.stdout
     log = None
     if argv[-2] == "--log":
         log = _LATENCY.sub("", log_path.read_text(encoding="utf-8"))
-    return f"exit {code}\n{stdout.getvalue()}", log
+    return f"exit {code}\n{out}", log
+
+
+@pytest.fixture(scope="session")
+def pcqa(request) -> str | None:
+    """The installed console script under --installed-pcqa, else None."""
+    if not request.config.getoption("--installed-pcqa"):
+        return None
+    path = shutil.which("pcqa")
+    assert path is not None, "--installed-pcqa: no pcqa executable on PATH"
+    return path
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_output_is_unchanged(name, tmp_path):
-    stdout, log = run_case(name, tmp_path / "log.jsonl")
+def test_cli_output_is_unchanged(name, tmp_path, pcqa):
+    stdout, log = run_case(name, tmp_path / "log.jsonl", pcqa)
     assert stdout == (GOLDEN / f"{name}.stdout").read_text(encoding="utf-8")
     if log is not None:
         assert log == (GOLDEN / f"{name}.log.jsonl").read_text(encoding="utf-8")

@@ -1,13 +1,16 @@
 import heapq
 import io
 import json
+import random
 import sys
 import threading
 import time
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pcqa import metrics, runner
 from pcqa.corpus import build_examples, corpus_from_obj
@@ -55,14 +58,16 @@ def chain_corpus(lengths):
 class OrderGenerator:
     """Answers every request with the gold span and notes the order of the
     requests. The first `meet` requests wait for each other, so none of them
-    finishes before all of them have been made."""
+    finishes before all of them have been made. A turn in `failing` waits the
+    seconds it maps to, then raises a TransportError that names it."""
 
-    def __init__(self, meet=0, interrupt=None):
+    def __init__(self, meet=0, interrupt=None, failing=None):
         self.requests = []
         self.lock = threading.Lock()
         self.meet = meet
         self.barrier = threading.Barrier(meet, timeout=10) if meet else None
         self.interrupt = interrupt
+        self.failing = failing or {}
 
     def generate(self, request):
         with self.lock:
@@ -72,6 +77,9 @@ class OrderGenerator:
             self.barrier.wait()
         if request.turn_id == self.interrupt:
             raise KeyboardInterrupt
+        if request.turn_id in self.failing:
+            time.sleep(self.failing[request.turn_id])
+            raise TransportError(request.turn_id)
         return (GeneratedOutput(text='[clari.] False [resp.] ["5"]'),)
 
 
@@ -337,17 +345,14 @@ class TestRunTurnAndEval:
         """In unit-time turns, every worker busy until the longest dialogue
         or the even share of turns allows: max(longest, ceil(turns / workers))."""
         lengths = [5, 7, 9, 4, 8, 5, 10]
-        schedule = runner._Schedule(lengths, workers)
-        running = [(1, w, schedule.take(None)) for w in range(workers)]
-        end = 0
-        while running:
-            end, w, i = heapq.heappop(running)
-            schedule.finish(i, None)
-            following = schedule.take(i)
-            if following is not None:
-                heapq.heappush(running, (end + 1, w, following))
-        assert schedule.left == [0] * len(lengths)
+        end, _ = unit_time_run(lengths, workers, WorkerOrder(reverse=False))
         assert end == max(max(lengths), -(-sum(lengths) // workers))
+
+    def test_corpus_without_turns_raises_empty_record_set(self, small_corpus):
+        no_turns = tuple(replace(d, turns=()) for d in small_corpus.dialogues)
+        for dialogues in ((), no_turns):
+            with pytest.raises(EmptyRecordSet, match="no prediction records"):
+                run_eval(replace(small_corpus, dialogues=dialogues), OrderGenerator(), RunConfig(mode="greedy"))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -359,6 +364,113 @@ class TestRunTurnAndEval:
         for precision in (-1, 11):
             with pytest.raises(ValueError, match=r"render_precision must be in \[0, 10\]"):
                 RunConfig(precision=precision)
+
+
+class WorkerOrder(random.Random):
+    """Workers that finish together reach the lock in worker-index order, or
+    in its reverse."""
+
+    def __init__(self, reverse):
+        super().__init__()
+        self.reverse = reverse
+
+    def shuffle(self, workers):
+        workers.sort(reverse=self.reverse)
+
+    def __repr__(self):
+        return f"WorkerOrder(reverse={self.reverse})"
+
+
+def unit_time_run(lengths, workers, order):
+    """Drive `_Schedule` as `run_eval`'s workers do, every turn taking one
+    time unit: the workers holding a turn finish it together and reach the
+    lock in the order `order.shuffle` puts them in (at the start, when the
+    workers are alike, in worker-index order). Returns the time the last turn
+    ends and the dialogue of each turn in the order handed out."""
+    schedule = runner._Schedule(lengths, workers)
+    running = dict.fromkeys(range(workers))  # worker -> dialogue of its turn
+    handed, end = [], 0
+    while running:
+        arriving = list(running)
+        if end:
+            order.shuffle(arriving)
+        for w in arriving:
+            own = running.pop(w)
+            if own is not None:
+                schedule.finish(own, None)
+            chosen = schedule.take(own)
+            if chosen is not None:
+                assert chosen not in running.values()  # one turn of a dialogue at a time
+                running[w] = chosen
+                handed.append(chosen)
+        end += bool(running)
+    assert schedule.left == [0] * len(lengths)
+    return end, handed
+
+
+def corpus_order_pool(lengths, workers):
+    """The end time when each free worker takes the next whole dialogue in
+    corpus order."""
+    free = [0] * workers
+    for n in lengths:
+        heapq.heapreplace(free, free[0] + n)
+    return max(free)
+
+
+class TestScheduleProperties:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(1, 12), min_size=1, max_size=12),
+        workers=st.integers(1, 6),
+        order=st.randoms(use_true_random=False),
+    )
+    @example(lengths=[5, 9, 4, 5], workers=3, order=WorkerOrder(reverse=True))
+    def test_schedule_meets_the_lower_bound(self, lengths, workers, order):
+        """In unit-time turns, every worker busy until the longest dialogue
+        or the even share of turns allows: max(longest, ceil(turns / workers)),
+        whichever worker reaches the lock first."""
+        end, handed = unit_time_run(lengths, workers, order)
+        assert end == max(max(lengths), -(-sum(lengths) // workers))
+        assert end <= corpus_order_pool(lengths, workers)
+        if workers == 1:
+            assert handed == [i for i, n in enumerate(lengths) for _ in range(n)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(1, 5), min_size=1, max_size=8),
+        concurrency=st.integers(1, 8),
+        history=st.sampled_from(["gold", "predicted"]),
+        data=st.data(),
+    )
+    def test_run_eval_contracts(self, lengths, concurrency, history, data):
+        """Logs equal those at concurrency 1; the earliest failing dialogue's
+        error is raised; the stream holds exactly the turns before the first
+        failing turn, in corpus order."""
+        corpus = chain_corpus(lengths)
+        corpus_order = [t.turn_id for d in corpus.dialogues for t in d.turns]
+        # a slow failure can end after a failure in an earlier dialogue
+        failing = data.draw(st.dictionaries(st.sampled_from(corpus_order), st.sampled_from([0, 0.005]), max_size=2))
+        config = RunConfig(mode="greedy", history=history)
+
+        def run(width):
+            stream = io.StringIO()
+            error = logs = None
+            try:
+                _, logs = run_eval(corpus, OrderGenerator(failing=failing), replace(config, concurrency=width), stream)
+            except TransportError as err:
+                error = str(err)
+            streamed = [json.loads(line) for line in stream.getvalue().splitlines()]
+            if logs is not None:
+                assert logs == streamed
+            for log in streamed:
+                log.pop("latency_ms")
+            return error, streamed
+
+        error, streamed = run(concurrency)
+        assert (error, streamed) == run(1)
+        first = min(failing, key=corpus_order.index, default=None)
+        assert error == first
+        assert [log["turn_id"] for log in streamed] == corpus_order[: corpus_order.index(first) if failing else None]
 
 
 class TestScoringCounts:
