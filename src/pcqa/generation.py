@@ -246,7 +246,9 @@ class HttpGenerator:
     left nothing unread, so no two requests share a connection at once and
     the number of connections is bounded by the number of requests in
     flight. A connection the server closed while idle is reopened without
-    spending an attempt. close() closes the idle connections.
+    spending an attempt. close() closes the idle connections, and a request
+    in flight when it runs closes its connection instead of pooling it; the
+    generator stays usable, and later requests open new connections.
     """
 
     endpoint: str
@@ -273,6 +275,7 @@ class HttpGenerator:
             "Content-Type: application/json\r\nContent-Length: "
         ).encode()
         self._idle: list[_Connection] = []
+        self._closes = 0  # close() calls so far: a request pools only if none ran during it
         self._lock = threading.Lock()
 
     def _acquire(self) -> _Connection:
@@ -293,6 +296,7 @@ class HttpGenerator:
         return _Connection(sock)
 
     def _post(self, body: bytes) -> tuple[int, bytes]:
+        closes = self._closes
         connection = self._acquire()
         try:
             connection.sock.sendall(b"%s%d\r\n\r\n%s" % (self._head, len(body), body))
@@ -300,15 +304,17 @@ class HttpGenerator:
         except (OSError, ProtocolError):
             connection.close()
             raise
-        if reusable and not connection.buffer:
-            with self._lock:
+        with self._lock:
+            pooled = reusable and not connection.buffer and closes == self._closes
+            if pooled:
                 self._idle.append(connection)
-        else:
+        if not pooled:
             connection.close()
         return status, data
 
     def close(self) -> None:
         with self._lock:
+            self._closes += 1
             idle, self._idle = self._idle, []
         for connection in idle:
             connection.close()

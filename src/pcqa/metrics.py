@@ -291,8 +291,8 @@ def classification_prf(preds: Sequence[bool], golds: Sequence[bool]) -> tuple[fl
 
 
 class ScoredTurn(NamedTuple):
-    """One scored turn: its gold answer, the predicted answer, the predicted
-    text spans, rendered once, and the turn's EM and F1."""
+    """One scored turn: its gold answer, the predicted answer, its text spans,
+    rendered once, and the turn's EM and F1; `text` is the spans joined."""
 
     gold: GoldTurnAnswer
     predicted: CanonicalAnswer | None
@@ -303,6 +303,10 @@ class ScoredTurn(NamedTuple):
     @property
     def clarification_pred(self) -> bool:
         return isinstance(self.predicted, ClarifyAnswer)
+
+    @property
+    def text(self) -> str:
+        return ", ".join(self.spans)
 
 
 def record_scores(
@@ -466,7 +470,7 @@ def aggregate_report(turns: Sequence[ScoredTurn], precision: int = DEFAULT_PRECI
         if not t.gold.req_clari:
             answering.append((t.em, t.f1))
             continue
-        pred_text = ", ".join(t.spans)
+        pred_text = t.text
         gold_text = t.gold.clarification_question
         rouge_scores.append(rouge2_f1(pred_text, gold_text))
         cqg_ems.append(

@@ -88,7 +88,6 @@ class RunConfig:
 
 @dataclass
 class TurnResult:
-    turn_id: str
     samples: list[str]
     vote: VoteResult | None
     answer: CanonicalAnswer | None
@@ -96,22 +95,18 @@ class TurnResult:
     latency_s: float
 
 
-def run_turn(
-    model_input: str,
-    turn: DialogueTurn,
-    generator: Generator,
-    config: RunConfig,
-) -> TurnResult:
+def run_turn(model_input: str, turn: DialogueTurn, generator: Generator, config: RunConfig) -> TurnResult:
     """Generate and vote (or greedy-select) one turn's answer.
 
-    When every sampled output is discarded, an extra greedy request is the
-    fallback; if that decode is also unusable the turn yields the empty
-    answer and scores zero. Malformed model output never aborts a run.
+    A turn sends one request: a greedy one, or in cv mode a sample one. When
+    every sampled output is discarded, a second, greedy request is the
+    fallback; `samples` then holds the sampled texts, and the greedy decode
+    shows only in `answer`. If that decode is also unusable the turn yields
+    the empty answer and scores zero. Malformed model output never aborts a run.
     """
     started = time.perf_counter()
     vote: VoteResult | None = None
-    answer: CanonicalAnswer | None = None
-    fallback = False
+    samples: list[str] | None = None  # the sampled texts, on a cv turn
     if config.mode == CV:
         outputs = generator.generate(
             GenerationRequest(
@@ -124,32 +119,21 @@ def run_turn(
                 turn_id=turn.turn_id,
             )
         )
+        samples = [o.text for o in outputs]
         try:
             vote = consensus_vote(outputs)
-            answer = vote.winner
         except AllSamplesDiscarded:
-            fallback = True
-    else:
-        outputs = generator.generate(_greedy_request(model_input, turn, config))
-        answer = greedy_select(outputs)
-    if fallback:
-        answer = greedy_select(generator.generate(_greedy_request(model_input, turn, config)))
+            pass
+    if vote is None:  # greedy mode, or the cv fallback
+        outputs = generator.generate(
+            GenerationRequest(model_input, GREEDY, max_target_length=config.max_target_length, turn_id=turn.turn_id)
+        )
     return TurnResult(
-        turn_id=turn.turn_id,
-        samples=[o.text for o in outputs],
+        samples=[o.text for o in outputs] if samples is None else samples,
         vote=vote,
-        answer=answer,
-        fallback_used=fallback,
+        answer=greedy_select(outputs) if vote is None else vote.winner,
+        fallback_used=vote is None and samples is not None,
         latency_s=time.perf_counter() - started,
-    )
-
-
-def _greedy_request(model_input: str, turn: DialogueTurn, config: RunConfig) -> GenerationRequest:
-    return GenerationRequest(
-        input=model_input,
-        mode=GREEDY,
-        max_target_length=config.max_target_length,
-        turn_id=turn.turn_id,
     )
 
 
@@ -162,7 +146,7 @@ def _turn_record(
         "dialogue_id": dialogue.dialogue_id,
         "mode": config.mode,
         "history": config.history,
-        "final_response": ", ".join(scored.spans),
+        "final_response": scored.text,
         "clarification_pred": scored.clarification_pred,
         "clarification_gold": turn.gold.req_clari,
         "em": scored.em,
@@ -302,7 +286,7 @@ def run_eval(
         result = run_turn(model_input, turn, generator, config)
         scored, log = _turn_record(dialogue, turn, result, config)
         done[i].append((scored, log))
-        response = turn.gold.response_text(config.precision) if gold_history else log["final_response"]
+        response = turn.gold.response_text(config.precision) if gold_history else scored.text
         contexts[i] = add_response(model_input, response)
 
     def emit(i: int) -> None:
@@ -377,6 +361,7 @@ def score_predictions(
         {"turn_id": "q2", "clarification": true, "response": "[\"...\"]", "scale": ""}
 
     Every corpus turn is scored; turns without a usable prediction score 0.
+    A turn id on several usable lines is warned about; the last line counts.
     """
     predictions = _load_predictions(Path(predictions_path), corpus)
     records = []
@@ -392,7 +377,7 @@ def score_predictions(
                     "turn_id": turn.turn_id,
                     "dialogue_id": dialogue.dialogue_id,
                     "prediction": raw,
-                    "final_response": ", ".join(scored.spans),
+                    "final_response": scored.text,
                     "em": scored.em,
                     "f1": round(scored.f1, 6),
                 }
@@ -403,6 +388,7 @@ def score_predictions(
 def _load_predictions(path: Path, corpus: Corpus) -> dict[str, tuple[str, str]]:
     turn_ids = {turn.turn_id for d in corpus.dialogues for turn in d.turns}
     predictions: dict[str, tuple[str, str]] = {}
+    lines: dict[str, int] = {}  # turn id -> the line its kept prediction is on
     for lineno, line in jsonl_lines(path):
         try:
             obj = json.loads(line)
@@ -420,6 +406,11 @@ def _load_predictions(path: Path, corpus: Corpus) -> dict[str, tuple[str, str]]:
             continue
         if turn_id not in turn_ids:
             raise UnknownTurnId(f"{path}:{lineno}: unknown turn id {turn_id!r}")
+        if turn_id in lines:
+            logger.warning(
+                "%s:%d: turn id %r repeats line %d; the later line is kept", path, lineno, turn_id, lines[turn_id]
+            )
+        lines[turn_id] = lineno
         predictions[turn_id] = (raw, scale)
     if not predictions:
         raise EmptyRecordSet(f"no usable prediction lines in {path}")

@@ -595,6 +595,80 @@ def test_import_loads_no_third_party_http_client():
     )
 
 
+_CLOSE_IN_FLIGHT = """
+import gc, json, socket, threading, time
+from pcqa.generation import GenerationRequest, HttpGenerator
+
+listener = socket.create_server(("127.0.0.1", 0))
+listener.settimeout(0.1)
+stop, received = threading.Event(), threading.Event()
+connections = []
+
+def serve(conn, delay):
+    # Answers each request on a keep-alive connection, the first one `delay` s late.
+    with conn:
+        data = b""
+        while True:
+            more = conn.recv(65536)
+            if not more:
+                return  # the client closed the connection
+            data += more
+            head, sep, body = data.partition(b"\\r\\n\\r\\n")
+            if not sep or len(body) < int(head.lower().split(b"content-length: ")[1].split(b"\\r\\n")[0]):
+                continue
+            received.set()
+            time.sleep(delay)
+            delay, data = 0, b""
+            reply = json.dumps({"outputs": [{"text": json.loads(body)["turn_id"]}]}).encode()
+            conn.sendall(b"HTTP/1.1 200 OK\\r\\nContent-Length: %d\\r\\n\\r\\n%s" % (len(reply), reply))
+
+def accept():
+    threads = []
+    while not stop.is_set():
+        try:
+            conn, _ = listener.accept()
+        except TimeoutError:
+            continue
+        conn.settimeout(5)
+        connections.append(conn)
+        threads.append(threading.Thread(target=serve, args=(conn, 0.3 if len(connections) == 1 else 0)))
+        threads[-1].start()
+    for thread in threads:
+        thread.join()
+
+acceptor = threading.Thread(target=accept)
+acceptor.start()
+generator = HttpGenerator(endpoint=f"http://127.0.0.1:{listener.getsockname()[1]}", timeout=5)
+texts = []
+request = threading.Thread(target=lambda: texts.append(generator.generate(GenerationRequest("x", turn_id="slow"))))
+request.start()
+received.wait(5)
+generator.close()  # the slow request is still waiting for its reply
+request.join()
+print(texts[0][0].text, len(generator._idle))
+print(generator.generate(GenerationRequest("x", turn_id="after"))[0].text, len(generator._idle), len(connections))
+generator.close()
+stop.set()
+acceptor.join()
+listener.close()
+del generator
+gc.collect()
+"""
+
+
+def test_close_during_a_request_leaves_no_connection_open():
+    """A request in flight when close() runs closes its connection instead of
+    pooling it; the generator stays usable, with a new connection."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-c", _CLOSE_IN_FLIGHT],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout.splitlines() == ["slow 0", "after 1 2"]
+    assert "ResourceWarning" not in done.stderr, done.stderr
+
+
 class TestReplayGenerator:
     def test_keyed_by_turn_and_mode(self, table7_replay_path):
         generator = ReplayGenerator.from_jsonl(table7_replay_path)

@@ -366,6 +366,60 @@ class TestRunTurnAndEval:
                 RunConfig(precision=precision)
 
 
+class ScriptedGenerator:
+    """Answers each mode with its scripted decodes and records every request."""
+
+    def __init__(self, sample=(), greedy=()):
+        self.texts = {"sample": sample, "greedy": greedy}
+        self.requests = []
+
+    def generate(self, request):
+        self.requests.append(request)
+        return tuple(GeneratedOutput(text=text) for text in self.texts[request.mode])
+
+
+class TestRunTurnRequests:
+    """The requests run_turn sends on each path, field by field in wire order."""
+
+    CONFIG = RunConfig(num_samples=3, top_k=5, temperature=0.7, max_target_length=64)
+    SAMPLE = {"input": "ctx", "mode": "sample", "num_samples": 3, "top_k": 5, "temperature": 0.7,
+              "max_target_length": 64, "turn_id": "d0-q1"}
+    # A greedy request carries the decode defaults, not the config's sampling fields.
+    GREEDY = {"input": "ctx", "mode": "greedy", "num_samples": 40, "top_k": 40, "temperature": 0.5,
+              "max_target_length": 64, "turn_id": "d0-q1"}
+
+    def run(self, generator, mode):
+        turn = chain_corpus([1]).dialogues[0].turns[0]
+        result = run_turn("ctx", turn, generator, replace(self.CONFIG, mode=mode))
+        return result, [list(request.to_payload().items()) for request in generator.requests]
+
+    def test_greedy_mode_sends_one_greedy_request(self):
+        generator = ScriptedGenerator(greedy=["[clari.] False [resp.] 5"])
+        result, wire = self.run(generator, "greedy")
+        assert wire == [list(self.GREEDY.items())]
+        assert result.samples == ["[clari.] False [resp.] 5"]
+        assert result.answer == NumericAnswer(Fraction(5))
+        assert result.vote is None and result.fallback_used is False
+
+    def test_cv_turn_that_votes_sends_one_sample_request(self):
+        texts = ["[clari.] False [resp.] 5", "[clari.] False [resp.] 6", "[clari.] False [resp.] 10/2"]
+        generator = ScriptedGenerator(sample=texts)
+        result, wire = self.run(generator, "cv")
+        assert wire == [list(self.SAMPLE.items())]
+        assert result.samples == texts
+        assert result.answer == NumericAnswer(Fraction(5))
+        assert result.vote.counts() == [2, 1]
+        assert result.fallback_used is False
+
+    def test_cv_fallback_sends_the_sample_then_one_greedy_request(self):
+        generator = ScriptedGenerator(sample=["garbage"] * 3, greedy=["[clari.] False [resp.] 6"])
+        result, wire = self.run(generator, "cv")
+        assert wire == [list(self.SAMPLE.items()), list(self.GREEDY.items())]
+        assert result.samples == ["garbage"] * 3  # the greedy decode shows only in the answer
+        assert result.answer == NumericAnswer(Fraction(6))
+        assert result.vote is None and result.fallback_used is True
+
+
 class WorkerOrder(random.Random):
     """Workers that finish together reach the lock in worker-index order, or
     in its reverse."""
@@ -672,6 +726,23 @@ class TestScorePredictions:
             report, _ = score_predictions(path, small_corpus)
         assert [m.split(": malformed")[0] for m in caplog.messages] == [f"{path}:3"]
         assert report.overall_em == pytest.approx(15 / 16)
+
+    def test_repeated_turn_id_warns_and_keeps_the_last_line(self, small_corpus, tmp_path, caplog):
+        lines = self.gold_prediction_lines(small_corpus)
+        kept = next(line for line in lines if line["turn_id"] == "a1-q4")
+        lines.insert(0, {"turn_id": "a1-q4", "output": "[clari.] False [resp.] 1"})
+        lines.insert(0, {"turn_id": "a1-q4", "output": "[clari.] False [resp.] 2"})
+        path = self.write_predictions(tmp_path, lines)
+        with caplog.at_level("WARNING"):
+            report, logs = score_predictions(path, small_corpus)
+        at = lines.index(kept) + 1
+        assert caplog.messages == [
+            f"{path}:2: turn id 'a1-q4' repeats line 1; the later line is kept",
+            f"{path}:{at}: turn id 'a1-q4' repeats line 2; the later line is kept",
+        ]
+        by_turn = {log["turn_id"]: log for log in logs}
+        assert by_turn["a1-q4"]["prediction"] == kept["output"]
+        assert report.overall_em == 1.0
 
     def test_empty_predictions_file(self, small_corpus, tmp_path):
         path = tmp_path / "empty.jsonl"
