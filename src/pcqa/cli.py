@@ -12,8 +12,8 @@ import sys
 from itertools import islice
 
 from .corpus import (
-    STAT_LABELS,
     CorpusError,
+    ValidationReport,
     gold_history_inputs,
     load_corpus,
     read_expectations,
@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_report(report: MetricReport, style: str) -> None:
+def _emit_report(report: MetricReport | ValidationReport, style: str) -> None:
     if style in ("text", "both"):
         print(report.format_text())
     if style in ("json", "both"):
@@ -103,15 +103,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     if args.expected:
         expected = read_expectations(read_json(args.expected, "expected statistics"))
     report = validate_corpus(corpus, expected, args.precision)
-    if args.report in ("text", "both"):
-        for name, value in report.stats.summary().items():
-            print(f"{STAT_LABELS[name]}: {value}")
-        print(f"arithmetic turns validated: {report.validated_arithmetic_turns}/{report.arithmetic_turns}")
-        for finding in report.findings:
-            print(f"FINDING {finding.kind} at {finding.where}: {finding.detail}")
-        print("OK" if report.passed else f"{len(report.findings)} findings")
-    if args.report in ("json", "both"):
-        print(json.dumps(report.to_dict(), indent=2))
+    _emit_report(report, args.report)
     return EXIT_OK if report.passed else EXIT_INPUT
 
 

@@ -14,8 +14,10 @@ of blocks, one per dialogue:
     }
 
 A block may give "doc_uid" instead of "table"/"paragraphs" to attach a
-dialogue to a document defined by an earlier block. Unknown fields are
-ignored. Ragged table rows are right-padded at load time.
+dialogue to a document defined by an earlier block. A block, question or
+table "uid" is a string or an integer; "question", "derivation", paragraph
+"text" and table cells are strings or numbers read as text. Unknown fields
+are ignored. Ragged table rows are right-padded at load time.
 
 `load_release_file` reads the public source dataset release (one file per
 split) through a key mapping, the only place to change if that release's
@@ -34,6 +36,7 @@ import logging
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -214,6 +217,24 @@ def jsonl_lines(path: str | Path) -> Iterator[tuple[int, str]]:
                 yield lineno, line.rstrip("\n")
 
 
+def read_id(value: Any, where: str, what: str) -> str:
+    """An id as text: a string, or an integer (a bool is no integer); any
+    other value is a SchemaError at `where`."""
+    if type(value) not in (str, int):
+        raise SchemaError(where, f"{what} must be a string or an integer, got {value!r}")
+    return str(value)
+
+
+_TEXT_TYPES = frozenset((str, int, float))  # a bool is no number
+
+
+def _text(value: Any, where: str) -> str:
+    """A text field: a string, or a number read as text."""
+    if type(value) not in _TEXT_TYPES:
+        raise SchemaError(where, f"must be a string or a number, got {value!r}")
+    return str(value)
+
+
 def load_corpus(path: str | Path) -> Corpus:
     """Load and fully validate a corpus file."""
     return corpus_from_obj(read_json(path, "corpus"), location=str(path))
@@ -254,16 +275,21 @@ def _load_block_document(block: dict, where: str, documents: dict[str, HybridDoc
         return doc_uid
     if not isinstance(table, dict) or "uid" not in table or "cells" not in table:
         raise SchemaError(where, "table must be an object with uid and cells")
-    uid = str(table["uid"])
+    uid = read_id(table["uid"], f"{where}.table.uid", "document uid")
     cells = table["cells"]
     if not isinstance(cells, list) or not all(isinstance(row, list) for row in cells):
         raise SchemaError(f"{where}.table", "cells must be a list of rows")
+    if not _TEXT_TYPES.issuperset(map(type, chain.from_iterable(cells))):  # one pass; locate only on a miss
+        for r, row in enumerate(cells):
+            for c, cell in enumerate(row):
+                _text(cell, f"{where}.table.cells[{r}][{c}]")
     paragraphs = block.get("paragraphs", [])
     if not isinstance(paragraphs, list):
         raise SchemaError(f"{where}.paragraphs", "paragraphs must be a list")
     if not all(isinstance(p, dict) and "text" in p for p in paragraphs):
         raise SchemaError(f"{where}.paragraphs", "each paragraph needs a text field")
-    texts = [str(paragraphs[k]["text"]) for k in _by_order(paragraphs, f"{where}.paragraphs")]
+    order = _by_order(paragraphs, f"{where}.paragraphs")
+    texts = [_text(paragraphs[k]["text"], f"{where}.paragraphs[{k}].text") for k in order]
     try:
         doc = HybridDocument.from_raw(uid, texts, cells)
     except (ValueError, LinearizeError) as err:
@@ -278,11 +304,8 @@ def _load_block_dialogue(block: dict, where: str, doc_uid: str) -> Dialogue:
     questions = block.get("questions")
     if not isinstance(questions, list) or not questions:
         raise SchemaError(where, "block must carry a non-empty questions list")
-    dialogue_id = block.get("uid")
-    if dialogue_id is None:
-        dialogue_id = doc_uid
-    elif type(dialogue_id) not in (str, int):  # a bool is no integer
-        raise SchemaError(f"{where}.uid", f"dialogue id must be a string or an integer, got {dialogue_id!r}")
+    uid = block.get("uid")
+    dialogue_id = doc_uid if uid is None else read_id(uid, f"{where}.uid", "dialogue id")
     turns: list[DialogueTurn] = []
     for j, q in enumerate(questions):
         if not isinstance(q, dict):
@@ -290,10 +313,7 @@ def _load_block_dialogue(block: dict, where: str, doc_uid: str) -> Dialogue:
         for key in ("uid", "order", "question", "answer", "answer_type", "answer_from"):
             if key not in q:
                 raise SchemaError(f"{where}.questions[{j}]", f"missing field {key!r}")
-        if type(q["uid"]) not in (str, int):  # a bool is no integer
-            raise SchemaError(
-                f"{where}.questions[{j}].uid", f"turn id must be a string or an integer, got {q['uid']!r}"
-            )
+        read_id(q["uid"], f"{where}.questions[{j}].uid", "turn id")
     for n, j in enumerate(_by_order(questions, f"{where}.questions"), start=1):
         q = questions[j]
         turn_id = str(q["uid"])
@@ -324,10 +344,10 @@ def _load_block_dialogue(block: dict, where: str, doc_uid: str) -> Dialogue:
         clari_question = normalize_whitespace(clari_question)
         if req_clari and not clari_question:
             raise InvariantViolation(turn_id, "clarifying turn needs a clarification question")
-        derivation = normalize_whitespace(str(q.get("derivation", "")))
+        derivation = normalize_whitespace(_text(q.get("derivation", ""), f"{where}.questions[{j}].derivation"))
         if answer_type == "arithmetic" and not derivation:
             raise InvariantViolation(turn_id, "arithmetic turn needs a derivation")
-        question_text = normalize_whitespace(str(q["question"]))
+        question_text = normalize_whitespace(_text(q["question"], f"{where}.questions[{j}].question"))
         if not question_text:
             raise InvariantViolation(turn_id, "empty question")
         try:
@@ -348,7 +368,7 @@ def _load_block_dialogue(block: dict, where: str, doc_uid: str) -> Dialogue:
         except LinearizeError as err:
             raise InvariantViolation(turn_id, str(err)) from err
         turns.append(DialogueTurn(turn_id=turn_id, question=question_text, gold=gold))
-    return Dialogue(dialogue_id=str(dialogue_id), doc_uid=doc_uid, turns=tuple(turns))
+    return Dialogue(dialogue_id=dialogue_id, doc_uid=doc_uid, turns=tuple(turns))
 
 
 def _by_order(entries: list[dict], where: str) -> list[int]:
@@ -566,6 +586,13 @@ class ValidationReport:
                 {"kind": f.kind, "where": f.where, "detail": f.detail} for f in self.findings
             ],
         }
+
+    def format_text(self) -> str:
+        lines = [f"{STAT_LABELS[name]}: {value}" for name, value in self.stats.summary().items()]
+        lines.append(f"arithmetic turns validated: {self.validated_arithmetic_turns}/{self.arithmetic_turns}")
+        lines += [f"FINDING {f.kind} at {f.where}: {f.detail}" for f in self.findings]
+        lines.append("OK" if self.passed else f"{len(self.findings)} findings")
+        return "\n".join(lines)
 
 
 def validate_corpus(

@@ -10,7 +10,8 @@ and returning {"outputs": [{"text": "...", "score": -1.23}, ...]} with
 exactly one output in greedy mode and exactly num_samples in sample mode.
 Any model server can implement this in minutes; ReplayGenerator implements
 the same contract from a canned JSONL fixture keyed by (turn_id, mode),
-one line per entry: {"turn_id": ..., "mode": ..., "outputs": [...]}.
+one line per entry: {"turn_id": ..., "mode": ..., "outputs": [...]}, with
+a string or integer turn id and mode "greedy" or "sample" (absent: "sample").
 Outputs are frozen, so the repeats of one decode (the same text and score)
 within a line, or a response body, share one GeneratedOutput.
 
@@ -39,7 +40,7 @@ from pathlib import Path
 from typing import Protocol
 from urllib.parse import urlsplit
 
-from .corpus import jsonl_lines
+from .corpus import SchemaError, jsonl_lines, read_id
 
 GREEDY = "greedy"
 SAMPLE = "sample"
@@ -390,10 +391,13 @@ class ReplayGenerator:
             for lineno, line in jsonl_lines(path):
                 try:
                     record = json.loads(line)
-                    key = (str(record["turn_id"]), str(record.get("mode", SAMPLE)))
-                except (ValueError, RecursionError, KeyError, TypeError) as err:
+                    turn_id = read_id(record["turn_id"], "turn_id", "turn id")
+                    mode = record.get("mode", SAMPLE)
+                    if mode not in (GREEDY, SAMPLE):
+                        raise ValueError(f"mode must be {GREEDY!r} or {SAMPLE!r}, got {mode!r}")
+                except (ValueError, RecursionError, KeyError, TypeError, SchemaError) as err:
                     raise TransportError(f"{path}:{lineno}: bad replay line: {err}") from err
-                entries[key] = _parse_outputs(record)
+                entries[turn_id, mode] = _parse_outputs(record)
         except (OSError, UnicodeDecodeError) as err:
             raise TransportError(f"cannot read replay fixture {path}: {err}") from err
         return cls(entries)

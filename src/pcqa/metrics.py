@@ -447,68 +447,54 @@ class MetricReport:
         return CellScore(count=total, em=em, f1=f1)
 
 
+def _mean(values: Sequence[float]) -> float | None:
+    return sum(values) / len(values) if values else None
+
+
+def _question_scores(t: ScoredTurn, precision: int) -> tuple[float, int, float]:
+    """ROUGE-2, EM and token F1 of a clarifying turn's predicted question."""
+    pred_text, gold_text = t.text, t.gold.clarification_question
+    em = int(bool(pred_text) and normalize_answer_text(pred_text) == normalize_answer_text(gold_text))
+    # The turn's F1 scored this one span against the gold question, the
+    # gold's one span. Joined spans, or none, make a span of their own.
+    f1 = t.f1 if len(t.spans) == 1 else numeracy_f1(pred_text, gold_text, precision)
+    return rouge2_f1(pred_text, gold_text), em, f1
+
+
 def aggregate_report(turns: Sequence[ScoredTurn], precision: int = DEFAULT_PRECISION) -> MetricReport:
     """Sum the per-turn records of `record_scores` into the full report.
 
     Clarifying gold turns contribute the CQG block, the rest the CQA block,
     and all of them the pooled overall EM/F1 and the type-by-source grid.
+    Every EM/F1 figure is the mean over its turns, summed in the order given.
     """
     if not turns:
         raise EmptyRecordSet("no prediction records to aggregate")
-    overall_em = sum(t.em for t in turns) / len(turns)
-    overall_f1 = sum(t.f1 for t in turns) / len(turns)
     cnp_p, cnp_r, cnp_f = classification_prf(
         [t.clarification_pred for t in turns], [t.gold.req_clari for t in turns]
     )
-    rouge_scores: list[float] = []
-    cqg_ems: list[float] = []
-    cqg_f1s: list[float] = []
-    answering: list[tuple[int, float]] = []
-    grid: dict[tuple[str, str], list[tuple[int, float]]] = {}
+    cells: dict[tuple[str, str], list[ScoredTurn]] = {}
     for t in turns:
-        grid.setdefault((_TYPE_LABELS[t.gold.answer_type], _SOURCE_LABELS[t.gold.source]), []).append((t.em, t.f1))
-        if not t.gold.req_clari:
-            answering.append((t.em, t.f1))
-            continue
-        pred_text = t.text
-        gold_text = t.gold.clarification_question
-        rouge_scores.append(rouge2_f1(pred_text, gold_text))
-        cqg_ems.append(
-            1.0 if pred_text and normalize_answer_text(pred_text) == normalize_answer_text(gold_text) else 0.0
-        )
-        # The turn's F1 scored this one span against the gold question, the
-        # gold's one span. Joined spans, or none, make a span of their own.
-        cqg_f1s.append(t.f1 if len(t.spans) == 1 else numeracy_f1(pred_text, gold_text, precision))
-    cqg_rouge = cqg_em = cqg_f1 = None
-    if rouge_scores:
-        cqg_rouge = sum(rouge_scores) / len(rouge_scores)
-        cqg_em = sum(cqg_ems) / len(cqg_ems)
-        cqg_f1 = sum(cqg_f1s) / len(cqg_f1s)
-    cqa_em = cqa_f1 = None
-    if answering:
-        cqa_em = sum(em for em, _ in answering) / len(answering)
-        cqa_f1 = sum(f1 for _, f1 in answering) / len(answering)
-    breakdown = {
-        key: CellScore(
-            count=len(scores),
-            em=sum(em for em, _ in scores) / len(scores),
-            f1=sum(f1 for _, f1 in scores) / len(scores),
-        )
-        for key, scores in grid.items()
-    }
+        cells.setdefault((_TYPE_LABELS[t.gold.answer_type], _SOURCE_LABELS[t.gold.source]), []).append(t)
+    answering = [t for t in turns if not t.gold.req_clari]
+    questions = [_question_scores(t, precision) for t in turns if t.gold.req_clari]
+    rouge2s, question_ems, question_f1s = zip(*questions) if questions else ((), (), ())
     return MetricReport(
         records=len(turns),
-        overall_em=overall_em,
-        overall_f1=overall_f1,
+        overall_em=_mean([t.em for t in turns]),
+        overall_f1=_mean([t.f1 for t in turns]),
         cnp_precision=cnp_p,
         cnp_recall=cnp_r,
         cnp_f1=cnp_f,
-        cqg_count=len(rouge_scores),
-        cqg_rouge2=cqg_rouge,
-        cqg_em=cqg_em,
-        cqg_token_f1=cqg_f1,
+        cqg_count=len(questions),
+        cqg_rouge2=_mean(rouge2s),
+        cqg_em=_mean(question_ems),
+        cqg_token_f1=_mean(question_f1s),
         cqa_count=len(answering),
-        cqa_em=cqa_em,
-        cqa_f1=cqa_f1,
-        breakdown=breakdown,
+        cqa_em=_mean([t.em for t in answering]),
+        cqa_f1=_mean([t.f1 for t in answering]),
+        breakdown={
+            key: CellScore(len(cell), _mean([t.em for t in cell]), _mean([t.f1 for t in cell]))
+            for key, cell in cells.items()
+        },
     )

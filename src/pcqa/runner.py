@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, TextIO
 
-from .corpus import Corpus, Dialogue, DialogueTurn, jsonl_lines
+from .corpus import Corpus, Dialogue, DialogueTurn, jsonl_lines, read_id
 from .derivation import DEFAULT_PRECISION
 from .generation import (
     GREEDY,
@@ -392,7 +392,7 @@ def _load_predictions(path: Path, corpus: Corpus) -> dict[str, tuple[str, str]]:
     for lineno, line in jsonl_lines(path):
         try:
             obj = json.loads(line)
-            turn_id = str(obj["turn_id"])
+            turn_id = read_id(obj["turn_id"], "turn_id", "turn id")
             if "output" in obj:
                 raw = _string_field(obj, "output")
             else:

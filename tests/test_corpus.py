@@ -239,6 +239,62 @@ def test_malformed_entries_are_schema_errors(raw_blocks, tmp_path, release, muta
     assert caught.value.location == f"{path}{where}"
 
 
+# Values that no id or text field holds: null, a bool, a list and an object.
+_BAD_VALUES = pytest.mark.parametrize("value", [None, True, ["a"], {"a": 1}], ids=["null", "bool", "list", "object"])
+
+
+@_BAD_VALUES
+@pytest.mark.parametrize(
+    "path,where",
+    [((0, "questions", 1, "uid"), "[0].questions[1].uid"), ((0, "table", "uid"), "[0].table.uid")],
+    ids=["turn-id", "table-uid"],
+)
+def test_ids_are_strings_or_integers(raw_blocks, path, where, value):
+    """A turn id or a document uid is a string or an integer, never a bool,
+    and nothing else is read as its repr."""
+    blocks = copy.deepcopy(raw_blocks)
+    _set(path, value)(blocks)
+    with pytest.raises(SchemaError) as caught:
+        corpus_from_obj(blocks, location="corpus")
+    assert caught.value.location == f"corpus{where}"
+    assert caught.value.detail.endswith(f"must be a string or an integer, got {value!r}")
+
+
+@pytest.mark.parametrize(
+    "path,where",
+    [
+        ((0, "questions", 1, "question"), "[0].questions[1].question"),
+        ((0, "questions", 3, "derivation"), "[0].questions[3].derivation"),
+        ((2, "paragraphs", 1, "text"), "[2].paragraphs[1].text"),
+        ((0, "table", "cells", 2, 1), "[0].table.cells[2][1]"),
+    ],
+    ids=["question", "derivation", "paragraph-text", "table-cell"],
+)
+@_BAD_VALUES
+def test_text_fields_are_strings_or_numbers(raw_blocks, path, where, value):
+    blocks = copy.deepcopy(raw_blocks)
+    _set(path, value)(blocks)
+    with pytest.raises(SchemaError) as caught:
+        corpus_from_obj(blocks, location="corpus")
+    assert caught.value.location == f"corpus{where}"
+    assert caught.value.detail == f"must be a string or a number, got {value!r}"
+
+
+def test_numbers_in_text_fields_and_integer_ids_load_as_text(raw_blocks):
+    blocks = copy.deepcopy(raw_blocks)
+    blocks[0]["table"]["uid"] = 7
+    blocks[1]["doc_uid"] = "7"
+    blocks[0]["table"]["cells"][1][1] = 88
+    blocks[0]["table"]["cells"][2][2] = 84.5
+    blocks[0]["paragraphs"][0]["text"] = 2019
+    blocks[0]["questions"][1]["uid"] = 12
+    corpus = corpus_from_obj(blocks)
+    doc = corpus.documents["7"]
+    assert (doc.table[1][1], doc.table[2][2], doc.paragraphs) == ("88", "84.5", ("2019",))
+    assert corpus.dialogues[0].doc_uid == corpus.dialogues[1].doc_uid == "7"
+    assert corpus.dialogues[0].turns[1].turn_id == "12"
+
+
 @pytest.mark.parametrize(
     "content", [b"\xff\xfe[]", b"[" * 100_000], ids=["not-utf-8", "nested-too-deep"]
 )

@@ -825,6 +825,30 @@ class TestReplayLineErrors:
         path.write_bytes(f"{good}\r\n{good}\r\n".encode())
         assert ReplayGenerator.from_jsonl(path).generate(_greedy("t")) == (GeneratedOutput("x"),)
 
+    @pytest.mark.parametrize("turn_id", [None, True, ["t"], {"a": 1}], ids=["null", "bool", "list", "object"])
+    def test_turn_id_must_be_a_string_or_an_integer(self, tmp_path, turn_id):
+        path = tmp_path / "replay.jsonl"
+        lines = [{"turn_id": t, "mode": "greedy", "outputs": [{"text": "x"}]} for t in ("t", turn_id)]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        with pytest.raises(TransportError) as err:
+            ReplayGenerator.from_jsonl(path)
+        assert str(err.value) == (
+            f"{path}:2: bad replay line: turn_id: turn id must be a string or an integer, got {turn_id!r}"
+        )
+
+    @pytest.mark.parametrize("mode", [None, "beam", ["greedy"], 1])
+    def test_mode_must_be_greedy_or_sample(self, tmp_path, mode):
+        path = tmp_path / "replay.jsonl"
+        path.write_text(json.dumps({"turn_id": "t", "mode": mode, "outputs": [{"text": "x"}]}) + "\n")
+        with pytest.raises(TransportError) as err:
+            ReplayGenerator.from_jsonl(path)
+        assert str(err.value) == f"{path}:1: bad replay line: mode must be 'greedy' or 'sample', got {mode!r}"
+
+    def test_integer_turn_id_and_absent_mode(self, tmp_path):
+        path = tmp_path / "replay.jsonl"
+        path.write_text(json.dumps({"turn_id": 5, "outputs": [{"text": "x"}] * 2}) + "\n")
+        assert list(ReplayGenerator.from_jsonl(path).entries) == [("5", "sample")]
+
     def test_bad_outputs_keep_their_message(self, tmp_path):
         path = tmp_path / "replay.jsonl"
         outputs = [{"text": "x", "score": -1.0}] * 3 + [{"text": "x", "score": "high"}]

@@ -14,10 +14,14 @@ from pcqa.derivation import (
     NUMERIC_TOLERANCE,
     DEFAULT_PRECISION,
     decimal_fraction,
+    normalize_answer_text,
     render_decimal,
 )
 from pcqa.metrics import (
+    _SOURCE_LABELS,
+    _TYPE_LABELS,
     EmptyRecordSet,
+    ScoredTurn,
     _bag_f1,
     _best_pairing,
     _normalize,
@@ -636,6 +640,93 @@ def test_cqg_f1_is_the_joined_text_scored_property(predicted, g, precision):
     report = aggregate_report([record_scores(predicted, g, precision)], precision)
     pred_text = predicted.text(precision) if predicted else ""
     assert report.cqg_token_f1 == numeracy_f1(pred_text, g.clarification_question, precision)
+
+
+class TestEmptyBlocks:
+    """A report without clarifying turns, or without answering turns, has a
+    zero count and no figures for that block."""
+
+    def test_no_clarifying_turns(self):
+        report = aggregate_report([t for t in all_correct_turns() if not t.gold.req_clari])
+        assert (report.cqg_count, report.cqg_rouge2, report.cqg_em, report.cqg_token_f1) == (0, None, None, None)
+        assert report.cqa_count == 4
+        lines = report.format_text().splitlines()
+        assert not any(line.startswith("CQG") for line in lines)
+        assert any(line.startswith("CQA (   4)") for line in lines)
+        assert json.dumps(report.to_dict()["cqg"]) == '{"count": 0, "rouge2": null, "em": null, "token_f1": null}'
+
+    def test_no_answering_turns(self):
+        report = aggregate_report([t for t in all_correct_turns() if t.gold.req_clari])
+        assert (report.cqa_count, report.cqa_em, report.cqa_f1) == (0, None, None)
+        assert report.cqg_count == 1
+        lines = report.format_text().splitlines()
+        assert not any(line.startswith("CQA") for line in lines)
+        assert any(line.startswith("CQG (   1)") for line in lines)
+        assert json.dumps(report.to_dict()["cqa"]) == '{"count": 0, "em": null, "f1": null}'
+
+
+_answering_gold = st.builds(
+    lambda answer_type, source: gold(answer_type, "7", derivation="7", source=source),
+    st.sampled_from(["span", "multi-span", "count", "arithmetic"]),
+    st.sampled_from(["table", "text", "table-text"]),
+)
+_clarifying_gold_anywhere = st.builds(
+    lambda question, source: gold("clarification", question, source=source, clari=question),
+    st.sampled_from(["Which year are you asking about?", "which YEAR?", "2019", "$7"]),
+    st.sampled_from(["table", "text", "table-text"]),
+)
+
+
+@st.composite
+def _scored_turns(draw, precision):
+    """Scored turns with any gold, prediction, EM and F1: the report only
+    averages them, so they need not agree with each other."""
+    turns = []
+    for _ in range(draw(st.integers(1, 12))):
+        g = draw(_answering_gold | _clarifying_gold_anywhere)
+        spans_answer = st.lists(_span_text, max_size=3).map(lambda s: SpanSetAnswer(tuple(s)))
+        predicted = draw(_one_span_prediction | spans_answer)
+        spans = predicted.text_spans(precision) if predicted is not None else []
+        f1 = draw(st.floats(0, 1) | st.sampled_from([0.0, 1.0, 1 / 3, 0.1]))
+        turns.append(ScoredTurn(g, predicted, spans, draw(st.integers(0, 1)), f1))
+    return turns
+
+
+def _plain_mean(values):
+    return sum(values) / len(values) if values else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), precision=st.sampled_from([DEFAULT_PRECISION, 0]))
+def test_report_figures_are_means_over_their_turns_property(data, precision):
+    """Each EM/F1 figure is the plain sum over its turns, in list order,
+    divided by their count."""
+    turns = data.draw(_scored_turns(precision))
+    report = aggregate_report(turns, precision)
+    assert report.records == len(turns)
+    assert report.overall_em == sum(t.em for t in turns) / len(turns)
+    assert report.overall_f1 == sum(t.f1 for t in turns) / len(turns)
+    answering = [t for t in turns if not t.gold.req_clari]
+    assert report.cqa_count == len(answering)
+    assert report.cqa_em == _plain_mean([t.em for t in answering])
+    assert report.cqa_f1 == _plain_mean([t.f1 for t in answering])
+    clarifying = [t for t in turns if t.gold.req_clari]
+    questions = [(t.text, t.gold.clarification_question) for t in clarifying]
+    assert report.cqg_count == len(clarifying)
+    assert report.cqg_rouge2 == _plain_mean([rouge2_f1(p, q) for p, q in questions])
+    assert report.cqg_em == _plain_mean(
+        [int(bool(p) and normalize_answer_text(p) == normalize_answer_text(q)) for p, q in questions]
+    )
+    assert report.cqg_token_f1 == _plain_mean(
+        [t.f1 if len(t.spans) == 1 else numeracy_f1(p, q, precision) for t, (p, q) in zip(clarifying, questions)]
+    )
+    cells = {}
+    for t in turns:
+        cells.setdefault((_TYPE_LABELS[t.gold.answer_type], _SOURCE_LABELS[t.gold.source]), []).append(t)
+    assert report.breakdown.keys() == cells.keys()
+    for key, cell in cells.items():
+        expected = (len(cell), sum(t.em for t in cell) / len(cell), sum(t.f1 for t in cell) / len(cell))
+        assert (report.breakdown[key].count, report.breakdown[key].em, report.breakdown[key].f1) == expected
 
 
 # Span lists on which the library and reference_drop normalize alike: no

@@ -700,6 +700,26 @@ class TestScorePredictions:
         assert by_turn["a1-q4"]["em"] == 0
         assert report.overall_em == pytest.approx(15 / 16)
 
+    @pytest.mark.parametrize("turn_id", [None, True, ["a1-q4"], {"a": 1}], ids=["null", "bool", "list", "object"])
+    def test_turn_id_not_a_string_or_an_integer_line_skipped(self, small_corpus, tmp_path, caplog, turn_id):
+        """A turn id follows the corpus's rule; any other value is a malformed
+        line, not an unknown id named by its repr."""
+        lines = self.gold_prediction_lines(small_corpus)
+        for line in lines:
+            if line["turn_id"] == "a1-q4":
+                line["turn_id"] = turn_id
+        path = self.write_predictions(tmp_path, lines)
+        with caplog.at_level("WARNING"):
+            report, logs = score_predictions(path, small_corpus)
+        at = next(n for n, line in enumerate(lines, start=1) if line["turn_id"] == turn_id)
+        assert caplog.messages == [
+            f"{path}:{at}: malformed prediction line "
+            f"(turn_id: turn id must be a string or an integer, got {turn_id!r}); skipped"
+        ]
+        by_turn = {log["turn_id"]: log for log in logs}
+        assert by_turn["a1-q4"]["prediction"] is None
+        assert report.overall_em == pytest.approx(15 / 16)
+
     @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"], ids=["U+2028", "U+2029", "U+0085"])
     def test_unicode_line_separator_inside_a_decode(self, small_corpus, tmp_path, caplog, separator):
         """JSON allows these raw inside a string, and write_jsonl writes them raw."""
