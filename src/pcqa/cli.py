@@ -12,7 +12,7 @@ import sys
 from itertools import islice
 
 from .corpus import (
-    CorpusError,
+    SchemaError,
     ValidationReport,
     gold_history_inputs,
     load_corpus,
@@ -184,7 +184,7 @@ def main(argv: list[str] | None = None) -> int:
     except TransportError as err:
         print(f"transport error: {err}", file=sys.stderr)
         return EXIT_TRANSPORT
-    except (CorpusError, OSError) as err:
+    except (SchemaError, OSError) as err:
         print(f"schema error: {err}", file=sys.stderr)
         return EXIT_SCHEMA
     except (DerivationError, GenerationError, EmptyRecordSet, UnknownTurnId, ValueError) as err:

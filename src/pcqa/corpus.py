@@ -15,18 +15,20 @@ of blocks, one per dialogue:
 
 A block may give "doc_uid" instead of "table"/"paragraphs" to attach a
 dialogue to a document defined by an earlier block. A block, question or
-table "uid" is a string or an integer; "question", "derivation", paragraph
-"text" and table cells are strings or numbers read as text. Unknown fields
-are ignored. Ragged table rows are right-padded at load time.
+table "uid", and a "doc_uid", is a string or an integer; "question",
+"derivation", paragraph "text" and table cells are strings or numbers read
+as text. An "order" is an integer, and "req_clari" is true or false (false
+when absent). Unknown fields are ignored. Ragged table rows are
+right-padded at load time.
 
 `load_release_file` reads the public source dataset release (one file per
 split) through a key mapping, the only place to change if that release's
 field names differ. It renames "table"."table" to "cells"; a question with
 a truthy "req_clari" or answer_type "clarification" gets req_clari true,
 answer_type "clarification" and a clari_question that, when absent or null,
-falls back to its answer; and, as a trait of the release, a question
-without "order" takes its position in the file. Every other field passes
-through unchanged.
+falls back to its answer, and any other question gets req_clari false; and,
+as a trait of the release, a question without "order" takes its position in
+the file. Every other field passes through unchanged.
 """
 
 from __future__ import annotations
@@ -72,22 +74,15 @@ SOURCES = ("table", "text", "table-text")
 SCALES = ("", "thousand", "million", "billion", "percent")
 
 
-class CorpusError(Exception):
-    pass
+class SchemaError(Exception):
+    """The one error for a bad corpus, release or expectations file.
+    `location` is the path of the field at fault, or the id of the turn,
+    dialogue or document at fault; `detail` says what is wrong with it."""
 
-
-class SchemaError(CorpusError):
     def __init__(self, location: str, detail: str):
         super().__init__(f"{location}: {detail}")
         self.location = location
         self.detail = detail
-
-
-class InvariantViolation(CorpusError):
-    def __init__(self, where: str, rule: str):
-        super().__init__(f"{where}: {rule}")
-        self.where = where
-        self.rule = rule
 
 
 @dataclass(frozen=True, slots=True)
@@ -254,11 +249,11 @@ def corpus_from_obj(raw: Any, location: str = "<memory>") -> Corpus:
         doc_uid = _load_block_document(block, where, documents)
         dialogue = _load_block_dialogue(block, where, doc_uid)
         if dialogue.dialogue_id in seen_dialogue_ids:
-            raise InvariantViolation(dialogue.dialogue_id, "duplicate dialogue id")
+            raise SchemaError(dialogue.dialogue_id, "duplicate dialogue id")
         seen_dialogue_ids.add(dialogue.dialogue_id)
         for turn in dialogue.turns:
             if turn.turn_id in seen_turn_ids:
-                raise InvariantViolation(turn.turn_id, "duplicate turn id")
+                raise SchemaError(turn.turn_id, "duplicate turn id")
             seen_turn_ids.add(turn.turn_id)
         dialogues.append(dialogue)
     return Corpus(documents=documents, dialogues=tuple(dialogues))
@@ -267,11 +262,11 @@ def corpus_from_obj(raw: Any, location: str = "<memory>") -> Corpus:
 def _load_block_document(block: dict, where: str, documents: dict[str, HybridDocument]) -> str:
     table = block.get("table")
     if table is None:
-        doc_uid = block.get("doc_uid")
-        if not doc_uid or not isinstance(doc_uid, str):
+        if block.get("doc_uid") is None:
             raise SchemaError(where, "block needs either a table or a doc_uid string")
+        doc_uid = read_id(block["doc_uid"], f"{where}.doc_uid", "document uid")
         if doc_uid not in documents:
-            raise InvariantViolation(where, f"dialogue references missing document {doc_uid!r}")
+            raise SchemaError(where, f"dialogue references missing document {doc_uid!r}")
         return doc_uid
     if not isinstance(table, dict) or "uid" not in table or "cells" not in table:
         raise SchemaError(where, "table must be an object with uid and cells")
@@ -293,9 +288,9 @@ def _load_block_document(block: dict, where: str, documents: dict[str, HybridDoc
     try:
         doc = HybridDocument.from_raw(uid, texts, cells)
     except (ValueError, LinearizeError) as err:
-        raise InvariantViolation(uid, str(err)) from err
+        raise SchemaError(uid, str(err)) from err
     if uid in documents:
-        raise InvariantViolation(uid, "duplicate document uid")
+        raise SchemaError(uid, "duplicate document uid")
     documents[uid] = doc
     return uid
 
@@ -319,19 +314,21 @@ def _load_block_dialogue(block: dict, where: str, doc_uid: str) -> Dialogue:
         turn_id = str(q["uid"])
         order = q["order"]
         if order != n:
-            raise InvariantViolation(turn_id, f"turn order must be contiguous from 1, got {order}")
+            raise SchemaError(turn_id, f"turn order must be contiguous from 1, got {order}")
         answer_type = q["answer_type"]
         if answer_type not in ANSWER_TYPES:
-            raise InvariantViolation(turn_id, f"unknown answer_type {answer_type!r}")
+            raise SchemaError(turn_id, f"unknown answer_type {answer_type!r}")
         source = q["answer_from"]
         if source not in SOURCES:
-            raise InvariantViolation(turn_id, f"unknown answer_from {source!r}")
+            raise SchemaError(turn_id, f"unknown answer_from {source!r}")
         scale = str(q.get("scale", ""))
         if scale not in SCALES:
-            raise InvariantViolation(turn_id, f"unknown scale {scale!r}")
-        req_clari = bool(q.get("req_clari", False))
+            raise SchemaError(turn_id, f"unknown scale {scale!r}")
+        req_clari = q.get("req_clari", False)
+        if type(req_clari) is not bool:
+            raise SchemaError(f"{where}.questions[{j}].req_clari", f"must be true or false, got {req_clari!r}")
         if req_clari != (answer_type == "clarification"):
-            raise InvariantViolation(turn_id, "req_clari and answer_type=clarification must agree")
+            raise SchemaError(turn_id, "req_clari and answer_type=clarification must agree")
         clari_question = q.get("clari_question")
         if isinstance(clari_question, list) and len(clari_question) == 1:
             clari_question = clari_question[0]
@@ -343,13 +340,13 @@ def _load_block_dialogue(block: dict, where: str, doc_uid: str) -> Dialogue:
             )
         clari_question = normalize_whitespace(clari_question)
         if req_clari and not clari_question:
-            raise InvariantViolation(turn_id, "clarifying turn needs a clarification question")
+            raise SchemaError(turn_id, "clarifying turn needs a clarification question")
         derivation = normalize_whitespace(_text(q.get("derivation", ""), f"{where}.questions[{j}].derivation"))
         if answer_type == "arithmetic" and not derivation:
-            raise InvariantViolation(turn_id, "arithmetic turn needs a derivation")
+            raise SchemaError(turn_id, "arithmetic turn needs a derivation")
         question_text = normalize_whitespace(_text(q["question"], f"{where}.questions[{j}].question"))
         if not question_text:
-            raise InvariantViolation(turn_id, "empty question")
+            raise SchemaError(turn_id, "empty question")
         try:
             gold = GoldTurnAnswer(
                 answer_type=answer_type,
@@ -366,17 +363,18 @@ def _load_block_dialogue(block: dict, where: str, doc_uid: str) -> Dialogue:
             check_no_markers(question_text)
             check_no_markers(gold.response_text())
         except LinearizeError as err:
-            raise InvariantViolation(turn_id, str(err)) from err
+            raise SchemaError(turn_id, str(err)) from err
         turns.append(DialogueTurn(turn_id=turn_id, question=question_text, gold=gold))
     return Dialogue(dialogue_id=dialogue_id, doc_uid=doc_uid, turns=tuple(turns))
 
 
 def _by_order(entries: list[dict], where: str) -> list[int]:
-    """The entries' indexes, sorted by their "order" (ties keep file order)."""
-    try:
-        return sorted(range(len(entries)), key=lambda j: entries[j].get("order", 0))
-    except TypeError as err:
-        raise SchemaError(where, f"order values cannot be compared: {err}") from err
+    """The entries' indexes, sorted by their "order" (ties keep file order).
+    An order is an int, never a bool, and 0 when absent."""
+    for j, entry in enumerate(entries):
+        if type(entry.get("order", 0)) is not int:
+            raise SchemaError(f"{where}[{j}].order", f"must be an integer, got {entry['order']!r}")
+    return sorted(range(len(entries)), key=lambda j: entries[j].get("order", 0))
 
 
 # The statistics a corpus is summed up by, in report order, each with its
@@ -676,8 +674,9 @@ def load_release_file(path: str | Path) -> Corpus:
         for j, q in enumerate(questions if isinstance(questions, list) else ()):
             if isinstance(q, dict):
                 q.setdefault("order", j + 1)
-                if q.get("req_clari") or q.get("answer_type") == "clarification":
-                    q.update(req_clari=True, answer_type="clarification")
+                q["req_clari"] = bool(q.get("req_clari")) or q.get("answer_type") == "clarification"
+                if q["req_clari"]:
+                    q["answer_type"] = "clarification"
                     if q.get("clari_question") is None:
                         q["clari_question"] = q.get("answer")
     return corpus_from_obj(raw, location=str(path))

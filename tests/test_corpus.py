@@ -8,7 +8,6 @@ import pytest
 from pcqa.corpus import (
     Corpus,
     GoldTurnAnswer,
-    InvariantViolation,
     SchemaError,
     UnreconstructibleDerivation,
     build_examples,
@@ -33,6 +32,18 @@ def raw_blocks(fixtures_dir):
     return json.loads((fixtures_dir / "corpus_small.json").read_text())
 
 
+def _set(path, value):
+    """A mutation that sets blocks[path[0]][path[1]]...[path[-1]] = value."""
+
+    def mutate(blocks):
+        target = blocks
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+
+    return mutate
+
+
 class TestLoadCorpus:
     def test_well_formed_fixture(self, small_corpus):
         assert len(small_corpus.dialogues) == 5
@@ -48,37 +59,37 @@ class TestLoadCorpus:
     def test_missing_document_reference(self, raw_blocks):
         blocks = copy.deepcopy(raw_blocks)
         blocks[1]["doc_uid"] = "doc-nope"
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(SchemaError, match=r"^<memory>\[1\]: dialogue references missing document 'doc-nope'$"):
             corpus_from_obj(blocks)
 
     def test_non_contiguous_turn_order(self, raw_blocks):
         blocks = copy.deepcopy(raw_blocks)
         blocks[0]["questions"][1]["order"] = 7
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(SchemaError, match="^a1-q3: turn order must be contiguous from 1, got 3$"):
             corpus_from_obj(blocks)
 
     def test_unknown_answer_type(self, raw_blocks):
         blocks = copy.deepcopy(raw_blocks)
         blocks[0]["questions"][0]["answer_type"] = "essay"
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(SchemaError, match="^a1-q1: unknown answer_type 'essay'$"):
             corpus_from_obj(blocks)
 
     def test_unknown_scale(self, raw_blocks):
         blocks = copy.deepcopy(raw_blocks)
         blocks[0]["questions"][0]["scale"] = "dozen"
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(SchemaError, match="^a1-q1: unknown scale 'dozen'$"):
             corpus_from_obj(blocks)
 
     def test_req_clari_must_agree_with_type(self, raw_blocks):
         blocks = copy.deepcopy(raw_blocks)
         blocks[1]["questions"][2]["req_clari"] = False
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(SchemaError, match="^a2-q3: req_clari and answer_type=clarification must agree$"):
             corpus_from_obj(blocks)
 
     def test_marker_in_paragraph_rejected(self, raw_blocks):
         blocks = copy.deepcopy(raw_blocks)
         blocks[0]["paragraphs"][0]["text"] = "mentions [table] inline"
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(SchemaError, match=r"^doc-alpha: text contains reserved marker '\[table\]'"):
             corpus_from_obj(blocks)
 
     def test_ragged_rows_padded(self, raw_blocks):
@@ -107,9 +118,9 @@ class TestLoadCorpus:
         blocks = copy.deepcopy(raw_blocks)
         for (block, question), uid in uids.items():
             blocks[block]["questions"][question]["uid"] = uid
-        with pytest.raises(InvariantViolation) as caught:
+        with pytest.raises(SchemaError, match="duplicate turn id") as caught:
             corpus_from_obj(blocks)
-        assert (caught.value.where, caught.value.rule) == (str(uid), "duplicate turn id")
+        assert (caught.value.location, caught.value.detail) == (str(uid), "duplicate turn id")
 
     def test_integer_turn_id_is_its_decimal_text(self, raw_blocks):
         blocks = copy.deepcopy(raw_blocks)
@@ -131,17 +142,67 @@ class TestLoadCorpus:
         with pytest.raises(SchemaError):
             corpus_from_obj(blocks)
 
+    @pytest.mark.parametrize(
+        "mutate,location,detail",
+        [
+            (_set((1, "uid"), "dlg-a1"), "dlg-a1", "duplicate dialogue id"),
+            (_set((2, "table", "uid"), "doc-alpha"), "doc-alpha", "duplicate document uid"),
+            (_set((0, "questions", 1, "question"), "   "), "a1-q2", "empty question"),
+            (
+                _set((0, "questions", 1, "question"), "and in [table] terms?"),
+                "a1-q2",
+                "text contains reserved marker '[table]': 'and in [table] terms?'",
+            ),
+            (
+                _set((0, "questions", 2, "answer"), ["[resp.] 105"]),
+                "a1-q3",
+                "text contains reserved marker '[resp.]': '[resp.] 105'",
+            ),
+        ],
+        ids=[
+            "duplicate-dialogue-id",
+            "duplicate-document-uid",
+            "blank-question",
+            "marker-in-question",
+            "marker-in-gold-span",
+        ],
+    )
+    def test_faults_located_at_an_id(self, raw_blocks, mutate, location, detail):
+        blocks = copy.deepcopy(raw_blocks)
+        mutate(blocks)
+        with pytest.raises(SchemaError) as caught:
+            corpus_from_obj(blocks)
+        assert (caught.value.location, caught.value.detail) == (location, detail)
 
-def _set(path, value):
-    """A mutation that sets blocks[path[0]][path[1]]...[path[-1]] = value."""
+    @pytest.mark.parametrize("value", ["no", 1, 0, None], ids=["string", "one", "zero", "null"])
+    def test_req_clari_is_true_or_false(self, raw_blocks, value):
+        blocks = copy.deepcopy(raw_blocks)
+        blocks[0]["questions"][0].update(answer_type="clarification", clari_question="Which regions?", req_clari=value)
+        with pytest.raises(SchemaError) as caught:
+            corpus_from_obj(blocks, location="corpus")
+        assert caught.value.location == "corpus[0].questions[0].req_clari"
+        assert caught.value.detail == f"must be true or false, got {value!r}"
 
-    def mutate(blocks):
-        target = blocks
-        for key in path[:-1]:
-            target = target[key]
-        target[path[-1]] = value
+    @pytest.mark.parametrize("value", [True, 1.0, None], ids=["bool", "float", "null"])
+    @pytest.mark.parametrize(
+        "path,where",
+        [((0, "questions", 0, "order"), "[0].questions[0].order"), ((0, "paragraphs", 0, "order"), "[0].paragraphs[0].order")],
+        ids=["question", "paragraph"],
+    )
+    def test_order_is_an_integer(self, raw_blocks, path, where, value):
+        blocks = copy.deepcopy(raw_blocks)
+        _set(path, value)(blocks)
+        with pytest.raises(SchemaError) as caught:
+            corpus_from_obj(blocks, location="corpus")
+        assert caught.value.location == f"corpus{where}"
+        assert caught.value.detail == f"must be an integer, got {value!r}"
 
-    return mutate
+    def test_paragraphs_without_order_keep_file_order(self, raw_blocks):
+        blocks = copy.deepcopy(raw_blocks)
+        for paragraph in blocks[2]["paragraphs"]:
+            del paragraph["order"]
+        texts = tuple(p["text"] for p in blocks[2]["paragraphs"])
+        assert corpus_from_obj(blocks).documents["doc-beta"].paragraphs == texts
 
 
 _RELEASE = [
@@ -168,9 +229,9 @@ def _reverse_questions_and_drop_first_answer(blocks):
     [
         (False, _set((2, "paragraphs", 0), "a bare string"), "[2].paragraphs"),
         (False, _set((0, "questions", 1), 7), "[0].questions[1]"),
-        (False, _set((2, "paragraphs", 0, "order"), "1"), "[2].paragraphs"),
-        (False, _set((0, "questions", 1, "order"), "2"), "[0].questions"),
-        (False, _set((1, "doc_uid"), ["doc-alpha"]), "[1]"),
+        (False, _set((2, "paragraphs", 0, "order"), "1"), "[2].paragraphs[0].order"),
+        (False, _set((0, "questions", 1, "order"), "2"), "[0].questions[1].order"),
+        (False, _set((1, "doc_uid"), ["doc-alpha"]), "[1].doc_uid"),
         (False, _reverse_questions_and_drop_first_answer, "[0].questions[0]"),
         (False, _set((0, "questions", 3, "answer"), []), "[0].questions[3].answer"),
         (False, _set((0, "questions", 3, "answer"), ["0.1932", "0.2"]), "[0].questions[3].answer"),
@@ -293,6 +354,34 @@ def test_numbers_in_text_fields_and_integer_ids_load_as_text(raw_blocks):
     assert (doc.table[1][1], doc.table[2][2], doc.paragraphs) == ("88", "84.5", ("2019",))
     assert corpus.dialogues[0].doc_uid == corpus.dialogues[1].doc_uid == "7"
     assert corpus.dialogues[0].turns[1].turn_id == "12"
+
+
+def test_integer_doc_uid_finds_an_integer_table_uid(raw_blocks):
+    blocks = copy.deepcopy(raw_blocks)
+    blocks[0]["table"]["uid"] = 7
+    blocks[1]["doc_uid"] = 7
+    corpus = corpus_from_obj(blocks)
+    assert corpus.dialogues[0].doc_uid == corpus.dialogues[1].doc_uid == "7"
+
+
+@pytest.mark.parametrize(
+    "value,where,detail",
+    [
+        (True, "[1].doc_uid", "document uid must be a string or an integer, got True"),
+        (None, "[1]", "block needs either a table or a doc_uid string"),
+        ("absent", "[1]", "block needs either a table or a doc_uid string"),
+    ],
+    ids=["bool", "null", "absent"],
+)
+def test_doc_uid_follows_the_id_rule(raw_blocks, value, where, detail):
+    blocks = copy.deepcopy(raw_blocks)
+    if value == "absent":
+        del blocks[1]["doc_uid"]
+    else:
+        blocks[1]["doc_uid"] = value
+    with pytest.raises(SchemaError) as caught:
+        corpus_from_obj(blocks, location="corpus")
+    assert (caught.value.location, caught.value.detail) == (f"corpus{where}", detail)
 
 
 @pytest.mark.parametrize(
@@ -489,7 +578,7 @@ class TestGoldCompilation:
         blocks[0]["questions"][3]["clari_question"] = None
         assert turn_by_id(corpus_from_obj(blocks), "a1-q4").gold.clarification_question == ""
         blocks[1]["questions"][2]["clari_question"] = None
-        with pytest.raises(InvariantViolation, match="needs a clarification question"):
+        with pytest.raises(SchemaError, match="needs a clarification question"):
             corpus_from_obj(blocks)
 
     def test_scale_follows_answers_but_not_questions(self, raw_blocks):
@@ -537,6 +626,27 @@ class TestBuildExamples:
             examples = build_examples(corpus, Task.MULTI)
         assert len(examples) == 15
         assert any("a1-q4" in message for message in caplog.messages)
+
+    @pytest.mark.parametrize(
+        "question,fields,turn_id,reason",
+        [
+            (1, {"derivation": ""}, "a1-q2", "count turn without enumerable items"),
+            (2, {"answer": ["  "]}, "a1-q3", "span turn without span text"),
+        ],
+        ids=["count-without-items", "span-without-text"],
+    )
+    def test_turns_without_items_or_span_text_load_and_are_skipped(
+        self, raw_blocks, caplog, question, fields, turn_id, reason
+    ):
+        blocks = copy.deepcopy(raw_blocks)
+        blocks[0]["questions"][question].update(fields)
+        corpus = corpus_from_obj(blocks)
+        with pytest.raises(UnreconstructibleDerivation, match=reason):
+            reconstruct_code(turn_by_id(corpus, turn_id).gold)
+        with caplog.at_level("WARNING"):
+            examples = build_examples(corpus, Task.MULTI)
+        assert turn_id not in {e.turn_id for e in examples} and len(examples) == 15
+        assert f"skipping turn {turn_id}: {reason}" in caplog.messages
 
     def test_marker_in_question_raises_like_run_eval(self, small_corpus, fixtures_dir):
         """load_corpus rejects such a question; a hand-built corpus can hold one."""
@@ -701,6 +811,17 @@ class TestReleaseShim:
         gold = turn_by_id(load_release_file(path), "rel-q1").gold
         assert gold.clarification_question == "Which year?"
         assert gold.canonical == ClarifyAnswer("Which year?")
+
+    @pytest.mark.parametrize(
+        "value,clarifying", [(0, False), (None, False), ("", False), (1, True), ("no", True)]
+    )
+    def test_req_clari_is_read_as_truthy(self, tmp_path, value, clarifying):
+        release = copy.deepcopy(_RELEASE)
+        release[0]["questions"][0].update(answer=["Which year?"], req_clari=value)
+        path = tmp_path / "release.json"
+        path.write_text(json.dumps(release))
+        gold = turn_by_id(load_release_file(path), "rel-q1").gold
+        assert (gold.req_clari, gold.answer_type == "clarification") == (clarifying, clarifying)
 
     def test_renamed_grid_loads_as_the_corpus(self, fixtures_dir, raw_blocks, tmp_path):
         for block in raw_blocks:

@@ -863,6 +863,13 @@ class TestGenerationRequest:
         with pytest.raises(ValueError):
             GenerationRequest(input="x", mode="beam")
 
+    def test_sample_request_needs_a_sample(self):
+        for num_samples in (0, -1):
+            with pytest.raises(ValueError, match="num_samples must be >= 1"):
+                GenerationRequest(input="x", mode="sample", num_samples=num_samples)
+        # a greedy request asks for one output whatever num_samples says
+        assert GenerationRequest(input="x", mode="greedy", num_samples=0).expected_outputs() == 1
+
     def test_expected_outputs(self):
         assert GenerationRequest(input="x", mode="greedy").expected_outputs() == 1
         assert GenerationRequest(input="x", mode="sample", num_samples=7).expected_outputs() == 7

@@ -19,7 +19,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pcqa.corpus import (
-    CorpusError,
     SchemaError,
     corpus_from_obj,
     load_release_file,
@@ -120,7 +119,7 @@ def _jsonl(lines):
 def test_corpus_from_obj_fuzz(raw):
     try:
         corpus_from_obj(raw)
-    except CorpusError:
+    except SchemaError:
         pass
 
 
@@ -143,7 +142,7 @@ def test_load_release_file_fuzz(scratch, raw):
     path = _write(scratch / "release.json", json.dumps(raw))
     try:
         load_release_file(path)
-    except CorpusError:
+    except SchemaError:
         pass
 
 

@@ -323,6 +323,23 @@ class TestRunTurnAndEval:
         # the other worker stops after the turn it had in flight
         assert len(generator.requests) <= 3
 
+    def test_interrupt_in_a_helper_thread_ends_the_run(self):
+        """A KeyboardInterrupt raised on a helper thread reaches run_eval's
+        caller, and every helper is joined."""
+
+        class HelperInterrupt(OrderGenerator):
+            def generate(self, request):
+                outputs = super().generate(request)
+                if threading.current_thread().name.startswith("pcqa-run-"):
+                    raise KeyboardInterrupt
+                return outputs
+
+        # the first two requests wait for each other, so one comes from a helper
+        generator = HelperInterrupt(meet=2)
+        with pytest.raises(KeyboardInterrupt):
+            run_eval(chain_corpus([2, 2, 2, 6]), generator, RunConfig(mode="greedy", history="predicted", concurrency=2))
+        assert not [t for t in threading.enumerate() if t.name.startswith("pcqa-run")]
+
     def test_many_workers_hand_over_every_turn_once(self):
         # More workers than cores and a short switch interval, so threads
         # interleave inside the hand-over; a lost update drops, repeats or
